@@ -50,8 +50,8 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 _WINDOW_CHOICES = {"rect": "rectangular", "hann": "hann"}
-_SOURCE_KEYS = {"t_hot_k", "t_cold_k", "t0_k", "bandwidth_hz", "power_scale"}
-_DUT_KEYS = {"gain_linear", "added_noise_power", "nf_db", "bandwidth_hz"}
+_SOURCE_KEYS = {"t_hot_k", "t_cold_k", "t0_k", "power_scale"}
+_DUT_KEYS = {"gain_linear", "added_noise_power", "nf_db"}
 _TOP_KEYS = {
     "source",
     "dut",
@@ -110,8 +110,6 @@ def _build_dut(obj, source: NoiseSourceSpec | None, problems) -> DutSpec | None:
     try:
         if has_nf:
             kwargs = {}
-            if "bandwidth_hz" in obj:
-                kwargs["bandwidth_hz"] = obj["bandwidth_hz"]
             if source is not None:
                 kwargs["t0_k"] = source.t0_k
                 kwargs["power_scale"] = source.power_scale
@@ -198,7 +196,10 @@ def _report_scaffold(cfg: ExperimentConfig) -> dict:
 def _apply_seed_override(cfg: ExperimentConfig, seed) -> ExperimentConfig:
     if seed is None:
         return cfg
-    return dataclasses.replace(cfg, seed=seed)
+    try:
+        return dataclasses.replace(cfg, seed=seed)
+    except NfbistError as exc:
+        raise ConfigError([f"--seed: {exc}"]) from exc
 
 
 def cmd_simulate(args) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_positive
 from .nfcore import BOLTZMANN_J_PER_K
 from .signals import SampledSignal
 
@@ -32,17 +32,13 @@ class DutSpec:
 
     gain_linear: float
     added_noise_power: float
-    bandwidth_hz: float = 1000.0
 
     def __post_init__(self):
-        if self.gain_linear <= 0.0:
-            raise ParameterError(f"gain_linear must be positive, got {self.gain_linear}")
-        if self.added_noise_power < 0.0:
+        check_positive("gain_linear", self.gain_linear)
+        if not (math.isfinite(self.added_noise_power) and self.added_noise_power >= 0.0):
             raise ParameterError(
-                f"added_noise_power must be >= 0, got {self.added_noise_power}"
+                f"added_noise_power must be finite and >= 0, got {self.added_noise_power!r}"
             )
-        if self.bandwidth_hz <= 0.0:
-            raise ParameterError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,6 @@ def apply_dut(dut: DutSpec, signal: SampledSignal, seed: int) -> SampledSignal:
 def dut_from_nf(
     nf_db: float,
     gain_linear: float,
-    bandwidth_hz: float = 1000.0,
     t0_k: float = 290.0,
     power_scale: float = 1.0,
 ) -> DutSpec:
@@ -102,7 +97,7 @@ def dut_from_nf(
         raise ParameterError("t0_k and power_scale must be positive")
     f = 10.0 ** (nf_db / 10.0)
     na = (f - 1.0) * power_scale * t0_k * gain_linear
-    return DutSpec(gain_linear=gain_linear, added_noise_power=na, bandwidth_hz=bandwidth_hz)
+    return DutSpec(gain_linear=gain_linear, added_noise_power=na)
 
 
 def nominal_f(dut: DutSpec, t0_k: float = 290.0, power_scale: float = 1.0) -> float:

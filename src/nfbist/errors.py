@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the domain
+check that most parameter validation goes through."""
+
+import math
 
 
 class NfbistError(Exception):
@@ -7,6 +10,16 @@ class NfbistError(Exception):
 
 class ParameterError(NfbistError, ValueError):
     """A scalar argument is outside its documented domain."""
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ParameterError unless value is finite and > 0.
+
+    Written as a negated conjunction so that NaN, which fails every
+    comparison, is rejected rather than slipping past a ``value <= 0`` test.
+    """
+    if not (math.isfinite(value) and value > 0.0):
+        raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
 
 class ShapeError(NfbistError, ValueError):

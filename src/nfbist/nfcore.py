@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 from .errors import NonphysicalResultWarning, ParameterError, SingularYError
 
 __all__ = [
     "BOLTZMANN_J_PER_K",
     "T0_K",
-    "NoiseFigureResult",
     "snr_db",
     "f_from_snr",
     "f_to_nf",
@@ -34,32 +32,10 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 T0_K = 290.0
 
 
-def _warn_if_nonphysical(f: float, context: str) -> list[str]:
-    notes = []
+def _warn_if_nonphysical(f: float, context: str) -> None:
     if f < 1.0:
         msg = f"{context}: noise factor {f:.6g} is below 1 (nonphysical)"
         warnings.warn(msg, NonphysicalResultWarning, stacklevel=3)
-        notes.append(msg)
-    return notes
-
-
-@dataclass(frozen=True)
-class NoiseFigureResult:
-    """A noise-factor estimate with its decibel form and provenance."""
-
-    f: float
-    nf_db: float
-    method: str
-    y: float | None = None
-    warnings: tuple[str, ...] = field(default_factory=tuple)
-
-    @classmethod
-    def from_f(cls, f: float, method: str, y: float | None = None) -> "NoiseFigureResult":
-        if f < 0.0:
-            raise ParameterError(f"noise factor must be >= 0 to be representable, got {f}")
-        notes = _warn_if_nonphysical(f, method)
-        nf_db = -math.inf if f == 0.0 else 10.0 * math.log10(f)
-        return cls(f=f, nf_db=nf_db, method=method, y=y, warnings=tuple(notes))
 
 
 def snr_db(signal_power: float, noise_power: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .digitizer import BitStream, digitize
 from .dut import DutSpec, apply_dut, nominal_f
-from .errors import NonphysicalResultWarning, ParameterError, ShapeError
+from .errors import NonphysicalResultWarning, ParameterError, ShapeError, check_positive
 from .nfcore import f_from_y_temps, f_to_nf, ideal_y
 from .signals import NoiseSourceSpec, SampledSignal, gaussian_noise, source_output, square_wave
 from .spectral import band_power, band_width_hz, power_ratio_detail, psd
@@ -65,8 +65,7 @@ class ExperimentConfig:
             raise ParameterError("source must be a NoiseSourceSpec")
         if not isinstance(self.dut, DutSpec):
             raise ParameterError("dut must be a DutSpec")
-        if self.sample_rate_hz <= 0.0:
-            raise ParameterError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        check_positive("sample_rate_hz", self.sample_rate_hz)
         if int(self.n_samples) != self.n_samples or self.n_samples < 1:
             raise ParameterError(f"n_samples must be a positive integer, got {self.n_samples!r}")
         if int(self.fft_size) != self.fft_size or self.fft_size < 2 or self.fft_size % 2 != 0:
@@ -80,8 +79,7 @@ class ExperimentConfig:
             raise ParameterError(
                 f"f_ref_hz must lie in (0, {nyquist}), got {self.f_ref_hz}"
             )
-        if not (math.isfinite(self.ref_amplitude) and self.ref_amplitude > 0.0):
-            raise ParameterError(f"ref_amplitude must be positive, got {self.ref_amplitude!r}")
+        check_positive("ref_amplitude", self.ref_amplitude)
         band = tuple(float(f) for f in self.band)
         if len(band) != 2 or not (0.0 <= band[0] < band[1] <= nyquist):
             raise ParameterError(
@@ -96,12 +94,10 @@ class ExperimentConfig:
                 "ref_exclusion_halfwidth_bins must be a non-negative integer, "
                 f"got {self.ref_exclusion_halfwidth_bins!r}"
             )
-        if self.post_dut_gain_linear <= 0.0:
-            raise ParameterError(
-                f"post_dut_gain_linear must be positive, got {self.post_dut_gain_linear}"
-            )
-        if int(self.seed) != self.seed:
-            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
+        check_positive("post_dut_gain_linear", self.post_dut_gain_linear)
+        # bool is an int subclass, and numpy seeds must be >= 0.
+        if isinstance(self.seed, bool) or int(self.seed) != self.seed or self.seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_positive
 
 __all__ = [
     "SampledSignal",
@@ -45,8 +45,7 @@ class SampledSignal:
 
     def __post_init__(self):
         rate = float(self.sample_rate_hz)
-        if not math.isfinite(rate) or rate <= 0.0:
-            raise ParameterError(f"sample_rate_hz must be positive, got {self.sample_rate_hz!r}")
+        check_positive("sample_rate_hz", rate)
         object.__setattr__(self, "sample_rate_hz", rate)
         object.__setattr__(self, "samples", _as_readonly_f64(self.samples))
 
@@ -69,20 +68,15 @@ class NoiseSourceSpec:
     t_hot_k: float
     t_cold_k: float
     t0_k: float = 290.0
-    bandwidth_hz: float = 1000.0
     power_scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.t_hot_k > self.t_cold_k > 0.0):
+        for name in ("t_hot_k", "t_cold_k", "t0_k", "power_scale"):
+            check_positive(name, getattr(self, name))
+        if not self.t_hot_k > self.t_cold_k:
             raise ParameterError(
-                f"need t_hot_k > t_cold_k > 0, got t_hot_k={self.t_hot_k}, t_cold_k={self.t_cold_k}"
+                f"need t_hot_k > t_cold_k, got t_hot_k={self.t_hot_k}, t_cold_k={self.t_cold_k}"
             )
-        if self.t0_k <= 0.0:
-            raise ParameterError(f"t0_k must be positive, got {self.t0_k}")
-        if self.bandwidth_hz <= 0.0:
-            raise ParameterError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
-        if self.power_scale <= 0.0:
-            raise ParameterError(f"power_scale must be positive, got {self.power_scale}")
 
     def state_temperature_k(self, state: str) -> float:
         if state == "hot":

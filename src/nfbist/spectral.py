@@ -6,19 +6,18 @@ and non-overlapping by default (a Hann window with fractional overlap is
 available for leakage-sensitive work).
 
 Hot/cold spectra from a 1-bit digitizer cannot be compared directly because
-the comparator erases absolute levels. ``power_ratio`` therefore rescales
-both spectra to a common injected-reference peak power, removes the bins
-around the reference, and ratios the remaining in-band power.
+the comparator erases absolute levels. ``power_ratio_detail`` therefore
+scales each spectrum by its own injected-reference peak power, removes the
+bins around the reference, and ratios the remaining in-band power.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import signal as _sps
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .digitizer import BitStream
 from .errors import (
@@ -34,15 +33,13 @@ __all__ = [
     "Spectrum",
     "psd",
     "find_reference_peak",
-    "normalize_to_reference",
     "band_power",
     "band_width_hz",
     "PowerRatioResult",
-    "power_ratio",
     "power_ratio_detail",
 ]
 
-_WINDOWS = {"rectangular": "boxcar", "hann": "hann"}
+_WINDOWS = ("rectangular", "hann")
 MAX_OVERLAP_FRACTION = 0.75
 
 
@@ -100,7 +97,9 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
 
     Splits the record into fft_size-long segments (dropping any tail),
     averages their one-sided periodograms, and scales to power per Hz so
-    that sum(psd) * bin_width equals the record's total power.
+    that sum(psd) * bin_width equals the record's total power. The
+    arithmetic follows scipy.signal.welch (periodic Hann, no detrending,
+    mean over segments) step for step, so the result equals it bit for bit.
     """
     values, sample_rate_hz = _signal_values(x)
     if int(fft_size) != fft_size or fft_size < 2:
@@ -120,22 +119,24 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
         )
     noverlap = int(round(fft_size * overlap_fraction))
     step = fft_size - noverlap
-    n_segments = (values.size - noverlap) // step
-    freq, dens = _sps.welch(
-        values,
-        fs=sample_rate_hz,
-        window=_WINDOWS[window],
-        nperseg=fft_size,
-        noverlap=noverlap,
-        detrend=False,
-        return_onesided=True,
-        scaling="density",
-    )
+    if window == "hann":
+        win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, fft_size + 1)[:-1])
+    else:
+        win = np.ones(fft_size)
+    # Builtin sum adds sequentially, as welch does; np.sum would pair terms.
+    win = win * (1 / np.sqrt(sum(win**2) / (1 / sample_rate_hz)))
+    spec = np.fft.rfft(sliding_window_view(values, fft_size)[::step] * win)
+    power = spec.real**2 + spec.imag**2
+    del spec
+    power[:, 1:-1] *= 2
+    # welch averages contiguous (freq, segment) rows; matching that layout
+    # keeps numpy's pairwise summation order and so every result bit.
+    dens = np.ascontiguousarray(power.T).mean(axis=-1)
     return Spectrum(
-        freq_hz=freq,
+        freq_hz=np.fft.rfftfreq(fft_size, 1 / sample_rate_hz),
         psd=dens,
         fft_size=fft_size,
-        n_segments=int(n_segments),
+        n_segments=power.shape[0],
         bin_width_hz=sample_rate_hz / fft_size,
     )
 
@@ -172,28 +173,6 @@ def find_reference_peak(
     return best_bin, peak_power
 
 
-def normalize_to_reference(
-    s: Spectrum,
-    target_peak_power: float,
-    own_peak_power: float,
-) -> Spectrum:
-    """Rescale a spectrum so its reference peak carries target_peak_power."""
-    if own_peak_power <= 0.0:
-        raise DegenerateReferenceError(
-            f"cannot normalize by a non-positive peak power ({own_peak_power})"
-        )
-    if target_peak_power <= 0.0:
-        raise ParameterError(f"target_peak_power must be positive, got {target_peak_power}")
-    scale = target_peak_power / own_peak_power
-    return Spectrum(
-        freq_hz=s.freq_hz,
-        psd=s.psd * scale,
-        fft_size=s.fft_size,
-        n_segments=s.n_segments,
-        bin_width_hz=s.bin_width_hz,
-    )
-
-
 def _band_mask(s: Spectrum, f_lo_hz: float, f_hi_hz: float, excluded) -> np.ndarray:
     if not (0.0 <= f_lo_hz < f_hi_hz <= s.nyquist_hz):
         raise ParameterError(
@@ -206,6 +185,10 @@ def _band_mask(s: Spectrum, f_lo_hz: float, f_hi_hz: float, excluded) -> np.ndar
             raise ParameterError(f"excluded interval [{ex_lo}, {ex_hi}] is reversed")
         overlap = (s.freq_hz + half > ex_lo) & (s.freq_hz - half < ex_hi)
         mask &= ~overlap
+    if not mask.any():
+        raise DegenerateBandError(
+            f"no bins remain in [{f_lo_hz}, {f_hi_hz}] Hz after exclusions"
+        )
     return mask
 
 
@@ -213,20 +196,12 @@ def band_power(s: Spectrum, f_lo_hz: float, f_hi_hz: float, excluded=()) -> floa
     """Integrated power over [f_lo, f_hi], skipping bins that touch any
     excluded (f_lo, f_hi) interval."""
     mask = _band_mask(s, f_lo_hz, f_hi_hz, excluded)
-    if not mask.any():
-        raise DegenerateBandError(
-            f"no bins remain in [{f_lo_hz}, {f_hi_hz}] Hz after exclusions"
-        )
     return float(s.psd[mask].sum() * s.bin_width_hz)
 
 
 def band_width_hz(s: Spectrum, f_lo_hz: float, f_hi_hz: float, excluded=()) -> float:
     """Effective integration width (bin count times bin width) of band_power."""
     mask = _band_mask(s, f_lo_hz, f_hi_hz, excluded)
-    if not mask.any():
-        raise DegenerateBandError(
-            f"no bins remain in [{f_lo_hz}, {f_hi_hz}] Hz after exclusions"
-        )
     return float(mask.sum() * s.bin_width_hz)
 
 
@@ -260,11 +235,11 @@ def power_ratio_detail(
 ) -> PowerRatioResult:
     """Hot/cold band-power ratio after reference-peak normalization.
 
-    Both spectra are rescaled so their reference peaks carry equal power,
-    the bins within +-ref_exclusion_halfwidth_bins of either peak are
-    dropped from the band (whether or not the reference sits inside it),
-    and the remaining band powers are ratioed. The returned band powers are
-    the normalized ones, so y = band_power_hot / band_power_cold.
+    Each spectrum is divided by its own reference-peak power, so both peaks
+    carry unit power, the bins within +-ref_exclusion_halfwidth_bins of
+    either peak are dropped from the band (whether or not the reference sits
+    inside it), and the remaining band powers are ratioed. The returned band
+    powers are the normalized ones, so y = band_power_hot / band_power_cold.
     """
     _check_same_grid(hot, cold)
     if ref_exclusion_halfwidth_bins < 0:
@@ -273,8 +248,11 @@ def power_ratio_detail(
         )
     bin_hot, peak_hot = find_reference_peak(hot, f_ref_hz, search_halfwidth_bins)
     bin_cold, peak_cold = find_reference_peak(cold, f_ref_hz, search_halfwidth_bins)
-    hot_n = normalize_to_reference(hot, 1.0, peak_hot)
-    cold_n = normalize_to_reference(cold, 1.0, peak_cold)
+    for peak in (peak_hot, peak_cold):
+        if peak <= 0.0:
+            raise DegenerateReferenceError(
+                f"cannot normalize by a non-positive peak power ({peak})"
+            )
 
     # Both integrations must skip the same bins, so exclude around each
     # spectrum's own peak in both (they coincide in normal operation).
@@ -286,9 +264,9 @@ def power_ratio_detail(
         excluded.append(
             (hot.freq_hz[lo] - 0.5 * hot.bin_width_hz, hot.freq_hz[hi] + 0.5 * hot.bin_width_hz)
         )
-    f_lo, f_hi = band
-    bp_hot = band_power(hot_n, f_lo, f_hi, excluded)
-    bp_cold = band_power(cold_n, f_lo, f_hi, excluded)
+    mask = _band_mask(hot, band[0], band[1], excluded)
+    bp_hot = float((hot.psd[mask] * (1.0 / peak_hot)).sum() * hot.bin_width_hz)
+    bp_cold = float((cold.psd[mask] * (1.0 / peak_cold)).sum() * cold.bin_width_hz)
     return PowerRatioResult(
         y=bp_hot / bp_cold,
         peak_bin_hot=bin_hot,
@@ -298,17 +276,3 @@ def power_ratio_detail(
         band_power_hot=bp_hot,
         band_power_cold=bp_cold,
     )
-
-
-def power_ratio(
-    hot: Spectrum,
-    cold: Spectrum,
-    band: tuple[float, float],
-    f_ref_hz: float,
-    ref_exclusion_halfwidth_bins: int = 3,
-    search_halfwidth_bins: int = 5,
-) -> float:
-    """Y-factor estimate from hot and cold spectra (see power_ratio_detail)."""
-    return power_ratio_detail(
-        hot, cold, band, f_ref_hz, ref_exclusion_halfwidth_bins, search_halfwidth_bins
-    ).y

@@ -93,6 +93,19 @@ def test_seed_override_changes_outcome(tmp_path):
     assert results[0] != results[5]
 
 
+def test_config_negative_seed_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, seed=-3)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    args = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path), "--seed", "-1"]
+    assert main(args) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_simulate_hann_window(tmp_path):
     cfg_path = write_config(tmp_path)
     out_dir = tmp_path / "hann"

@@ -1,5 +1,7 @@
 """DUT model: gain plus added noise, NF conversions, op-amp noise figure."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,14 +19,17 @@ from nfbist import (
 
 
 def test_dut_spec_validation():
-    spec = DutSpec(gain_linear=2.0, added_noise_power=0.0)
-    assert spec.bandwidth_hz == 1000.0
-    with pytest.raises(ParameterError):
-        DutSpec(gain_linear=0.0, added_noise_power=1.0)
-    with pytest.raises(ParameterError):
-        DutSpec(gain_linear=1.0, added_noise_power=-1.0)
-    with pytest.raises(ParameterError):
-        DutSpec(gain_linear=1.0, added_noise_power=1.0, bandwidth_hz=0.0)
+    DutSpec(gain_linear=2.0, added_noise_power=0.0)
+    for gain, na in (
+        (0.0, 1.0),
+        (1.0, -1.0),
+        (math.nan, 1.0),
+        (math.inf, 1.0),
+        (1.0, math.nan),
+        (1.0, math.inf),
+    ):
+        with pytest.raises(ParameterError):
+            DutSpec(gain_linear=gain, added_noise_power=na)
 
 
 def test_apply_dut_pure_gain():

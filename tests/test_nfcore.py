@@ -1,14 +1,11 @@
 """Noise-factor algebra: conversions, Y-factor equations, Friis cascade."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from nfbist import (
     BOLTZMANN_J_PER_K,
     T0_K,
-    NoiseFigureResult,
     NonphysicalResultWarning,
     ParameterError,
     SingularYError,
@@ -164,22 +161,3 @@ def test_friis_cascade_validation():
         friis_cascade([(0.5, 10.0)])
     with pytest.raises(ParameterError):
         friis_cascade([(2.0, 0.0)])
-
-
-def test_noise_figure_result_from_f():
-    r = NoiseFigureResult.from_f(10.0, method="y_factor", y=3.49)
-    assert r.nf_db == pytest.approx(10.0, abs=1e-12)
-    assert r.method == "y_factor"
-    assert r.y == 3.49
-    assert r.warnings == ()
-
-    with pytest.warns(NonphysicalResultWarning):
-        r0 = NoiseFigureResult.from_f(0.0, method="direct")
-    assert r0.nf_db == -math.inf
-
-    with pytest.warns(NonphysicalResultWarning):
-        rw = NoiseFigureResult.from_f(0.5, method="direct")
-    assert rw.warnings  # the note is also kept on the result
-
-    with pytest.raises(ParameterError):
-        NoiseFigureResult.from_f(-0.1, method="direct")

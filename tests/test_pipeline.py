@@ -50,6 +50,13 @@ def make_config(nf_db=10.0, **overrides):
         dict(ref_exclusion_halfwidth_bins=-1),
         dict(seed=0.5),
         dict(sample_rate_hz=0.0),
+        dict(seed=-1),                           # numpy seeds must be >= 0
+        dict(seed=True),
+        dict(sample_rate_hz=math.nan),
+        dict(sample_rate_hz=math.inf),
+        dict(post_dut_gain_linear=math.nan),
+        dict(post_dut_gain_linear=math.inf),
+        dict(ref_amplitude=math.nan),
     ],
 )
 def test_experiment_config_validation(overrides):

@@ -124,6 +124,13 @@ def test_noise_source_spec_validation():
         NoiseSourceSpec(t_hot_k=100.0, t_cold_k=10.0, t0_k=0.0)
     with pytest.raises(ParameterError):
         NoiseSourceSpec(t_hot_k=100.0, t_cold_k=10.0, power_scale=0.0)
+    # NaN fails every comparison and inf every finiteness test.
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("t_hot_k", "t_cold_k", "t0_k", "power_scale"):
+            kwargs = dict(t_hot_k=100.0, t_cold_k=10.0)
+            kwargs[field] = bad
+            with pytest.raises(ParameterError):
+                NoiseSourceSpec(**kwargs)
 
 
 def test_source_output_variance_tracks_temperature():

@@ -1,9 +1,12 @@
 """PSD estimation, reference-peak handling and band-power arithmetic."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from nfbist import (
     DegenerateBandError,
@@ -20,8 +23,6 @@ from nfbist import (
     gaussian_noise,
     ideal_y,
     mix,
-    normalize_to_reference,
-    power_ratio,
     power_ratio_detail,
     psd,
     square_wave,
@@ -89,6 +90,38 @@ def test_psd_on_bin_sine_power():
     bin_idx, peak_power = find_reference_peak(s, 100.0)
     assert bin_idx == 100
     assert peak_power == pytest.approx(a * a / 2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "window, scipy_window, overlap",
+    [("rectangular", "boxcar", 0.0), ("hann", "hann", 0.5), ("hann", "hann", 0.75)],
+)
+@pytest.mark.parametrize("fft_size", [2_000, 10_000])
+def test_psd_matches_scipy_welch(window, scipy_window, overlap, fft_size):
+    fs, n = 50_000.0, 100_000
+    noise = gaussian_noise(n, 1.0, seed=4, sample_rate_hz=fs)
+    bits = digitize(noise, square_wave(n, fs, 3000.0, 0.25))
+    for sig, values in ((noise, noise.samples), (bits, bits.bits.astype(np.float64))):
+        s = psd(sig, fft_size, window=window, overlap_fraction=overlap)
+        freq, dens = sps.welch(
+            values,
+            fs=fs,
+            window=scipy_window,
+            nperseg=fft_size,
+            noverlap=int(round(fft_size * overlap)),
+            detrend=False,
+            scaling="density",
+        )
+        np.testing.assert_allclose(s.freq_hz, freq, rtol=1e-12)
+        np.testing.assert_allclose(s.psd, dens, rtol=1e-12)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, nfbist; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_psd_validation():
@@ -159,17 +192,6 @@ def test_one_bit_tone_power_follows_erf_compression():
         assert peak_power == pytest.approx(expected, rel=0.05)
 
 
-def test_normalize_to_reference():
-    s = _flat_spectrum(np.arange(11.0))
-    out = normalize_to_reference(s, target_peak_power=6.0, own_peak_power=2.0)
-    np.testing.assert_allclose(out.psd, 3.0 * s.psd, rtol=1e-15)
-    assert out.bin_width_hz == s.bin_width_hz
-    with pytest.raises(DegenerateReferenceError):
-        normalize_to_reference(s, 1.0, 0.0)
-    with pytest.raises(ParameterError):
-        normalize_to_reference(s, -1.0, 2.0)
-
-
 def test_band_power_hand_values():
     s = _flat_spectrum(np.ones(11))
     # Band edges are bin-center inclusive: bins 2, 3, 4, 5.
@@ -208,7 +230,9 @@ def test_power_ratio_recovers_analog_hot_cold_ratio():
         rng_cold = np.random.default_rng(2000 + seed)
         hot = SampledSignal(fs, rng_hot.normal(0.0, sigma_hot, n) + tone)
         cold = SampledSignal(fs, rng_cold.normal(0.0, sigma_cold, n) + tone)
-        y = power_ratio(psd(hot, fft), psd(cold, fft), band=(500.0, 1500.0), f_ref_hz=3000.0)
+        y = power_ratio_detail(
+            psd(hot, fft), psd(cold, fft), band=(500.0, 1500.0), f_ref_hz=3000.0
+        ).y
         assert y == pytest.approx(y_expected, rel=0.01)
 
 
@@ -231,4 +255,13 @@ def test_power_ratio_rejects_mismatched_grids():
     a = psd(gaussian_noise(10_000, 1.0, seed=0, sample_rate_hz=1000.0), 1000)
     b = psd(gaussian_noise(10_000, 1.0, seed=1, sample_rate_hz=1000.0), 500)
     with pytest.raises(ShapeError):
-        power_ratio(a, b, band=(100.0, 300.0), f_ref_hz=400.0)
+        power_ratio_detail(a, b, band=(100.0, 300.0), f_ref_hz=400.0)
+
+
+def test_power_ratio_detail_rejects_zero_reference_peak():
+    # The hot spectrum is empty from bin 8 up, so the search window around
+    # 15 Hz and its guard bins carry no power to normalize by.
+    hot = _flat_spectrum(np.r_[np.ones(8), np.zeros(13)])
+    cold = _flat_spectrum(np.ones(21))
+    with pytest.raises(DegenerateReferenceError):
+        power_ratio_detail(hot, cold, band=(2.0, 6.0), f_ref_hz=15.0)
