@@ -66,7 +66,9 @@ def digitize(signal: SampledSignal, reference: SampledSignal) -> BitStream:
         )
     if len(signal) != len(reference):
         raise ShapeError(f"lengths differ: {len(signal)} vs {len(reference)}")
-    bits = np.where(signal.samples - reference.samples >= 0.0, 1, -1).astype(np.int8)
+    # The int8 view of the boolean decisions is 0/1; map it to -1/+1 in place.
+    bits = (signal.samples - reference.samples >= 0.0).view(np.int8) * np.int8(2)
+    bits -= 1
     return BitStream(signal.sample_rate_hz, bits)
 
 

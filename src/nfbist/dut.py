@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_positive
+from .errors import ParameterError, check_non_negative, check_positive
 from .nfcore import BOLTZMANN_J_PER_K
 from .signals import SampledSignal
 
@@ -35,10 +35,7 @@ class DutSpec:
 
     def __post_init__(self):
         check_positive("gain_linear", self.gain_linear)
-        if not (math.isfinite(self.added_noise_power) and self.added_noise_power >= 0.0):
-            raise ParameterError(
-                f"added_noise_power must be finite and >= 0, got {self.added_noise_power!r}"
-            )
+        check_non_negative("added_noise_power", self.added_noise_power)
 
 
 @dataclass(frozen=True)
@@ -57,12 +54,9 @@ class OpampNoiseModel:
     temperature_k: float = 290.0
 
     def __post_init__(self):
-        if self.en_v_per_rthz < 0.0 or self.in_a_per_rthz < 0.0:
-            raise ParameterError("noise densities must be >= 0")
-        if self.rs_ohm < 0.0 or self.req_ohm < 0.0:
-            raise ParameterError("resistances must be >= 0")
-        if self.temperature_k <= 0.0:
-            raise ParameterError(f"temperature_k must be positive, got {self.temperature_k}")
+        for name in ("en_v_per_rthz", "in_a_per_rthz", "rs_ohm", "req_ohm"):
+            check_non_negative(name, getattr(self, name))
+        check_positive("temperature_k", self.temperature_k)
 
 
 def apply_dut(dut: DutSpec, signal: SampledSignal, seed: int) -> SampledSignal:
@@ -91,10 +85,9 @@ def dut_from_nf(
     Inverts F = (Na + N0*G) / (N0*G) with N0 = power_scale * t0_k, giving
     Na = (F - 1) * power_scale * t0_k * gain_linear.
     """
-    if nf_db < 0.0:
-        raise ParameterError(f"nf_db must be >= 0, got {nf_db}")
-    if t0_k <= 0.0 or power_scale <= 0.0:
-        raise ParameterError("t0_k and power_scale must be positive")
+    check_non_negative("nf_db", nf_db)
+    check_positive("t0_k", t0_k)
+    check_positive("power_scale", power_scale)
     f = 10.0 ** (nf_db / 10.0)
     na = (f - 1.0) * power_scale * t0_k * gain_linear
     return DutSpec(gain_linear=gain_linear, added_noise_power=na)
@@ -102,8 +95,8 @@ def dut_from_nf(
 
 def nominal_f(dut: DutSpec, t0_k: float = 290.0, power_scale: float = 1.0) -> float:
     """Noise factor implied by the DUT parameters at reference temperature."""
-    if t0_k <= 0.0 or power_scale <= 0.0:
-        raise ParameterError("t0_k and power_scale must be positive")
+    check_positive("t0_k", t0_k)
+    check_positive("power_scale", power_scale)
     n0_out = power_scale * t0_k * dut.gain_linear
     return (dut.added_noise_power + n0_out) / n0_out
 

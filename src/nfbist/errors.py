@@ -1,5 +1,5 @@
-"""Exception and warning types shared across the package, and the domain
-check that most parameter validation goes through."""
+"""Exception and warning types shared across the package, and the two domain
+checks that scalar parameter validation goes through."""
 
 import math
 
@@ -20,6 +20,12 @@ def check_positive(name: str, value) -> None:
     """
     if not (math.isfinite(value) and value > 0.0):
         raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_non_negative(name: str, value) -> None:
+    """Raise ParameterError unless value is finite and >= 0 (NaN fails too)."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 class ShapeError(NfbistError, ValueError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .errors import NonphysicalResultWarning, ParameterError, SingularYError
+from .errors import NonphysicalResultWarning, ParameterError, SingularYError, check_positive
 
 __all__ = [
     "BOLTZMANN_J_PER_K",
@@ -38,12 +38,21 @@ def _warn_if_nonphysical(f: float, context: str) -> None:
         warnings.warn(msg, NonphysicalResultWarning, stacklevel=3)
 
 
+def _check_temperatures(t_hot_k: float, t_cold_k: float, t0_k: float) -> None:
+    check_positive("t_hot_k", t_hot_k)
+    check_positive("t_cold_k", t_cold_k)
+    check_positive("t0_k", t0_k)
+
+
+def _check_noise_factor(name: str, f: float) -> None:
+    if not (math.isfinite(f) and f >= 1.0):
+        raise ParameterError(f"{name} must be finite and >= 1, got {f!r}")
+
+
 def snr_db(signal_power: float, noise_power: float) -> float:
     """Signal-to-noise ratio in dB from two positive powers."""
-    if signal_power <= 0.0 or noise_power <= 0.0:
-        raise ParameterError(
-            f"powers must be positive, got signal={signal_power}, noise={noise_power}"
-        )
+    check_positive("signal_power", signal_power)
+    check_positive("noise_power", noise_power)
     return 10.0 * math.log10(signal_power / noise_power)
 
 
@@ -53,8 +62,7 @@ def f_from_snr(snr_in_db: float, snr_out_db: float) -> float:
 
 
 def f_to_nf(f: float) -> float:
-    if f <= 0.0:
-        raise ParameterError(f"noise factor must be positive, got {f}")
+    check_positive("noise factor", f)
     return 10.0 * math.log10(f)
 
 
@@ -69,10 +77,10 @@ def f_direct(
     t0_k: float = T0_K,
 ) -> float:
     """Direct-method noise factor: measured output noise over k*T0*B*G."""
-    if output_noise_power_w <= 0.0:
-        raise ParameterError(f"output noise power must be positive, got {output_noise_power_w}")
-    if gain_linear <= 0.0 or bandwidth_hz <= 0.0 or t0_k <= 0.0:
-        raise ParameterError("gain_linear, bandwidth_hz and t0_k must all be positive")
+    check_positive("output_noise_power_w", output_noise_power_w)
+    check_positive("gain_linear", gain_linear)
+    check_positive("bandwidth_hz", bandwidth_hz)
+    check_positive("t0_k", t0_k)
     f = output_noise_power_w / (BOLTZMANN_J_PER_K * t0_k * bandwidth_hz * gain_linear)
     _warn_if_nonphysical(f, "f_direct")
     return f
@@ -84,17 +92,15 @@ def direct_gain_error(f_true: float, gain_ratio: float) -> float:
     The measured output power scales with the actual gain while the estimator
     divides by the assumed gain, so F_est = F_true * gain_ratio.
     """
-    if f_true <= 0.0:
-        raise ParameterError(f"f_true must be positive, got {f_true}")
-    if gain_ratio <= 0.0:
-        raise ParameterError(f"gain_ratio must be positive, got {gain_ratio}")
+    check_positive("f_true", f_true)
+    check_positive("gain_ratio", gain_ratio)
     return f_true * gain_ratio
 
 
 def y_factor(n_hot: float, n_cold: float) -> float:
     """Hot/cold noise power ratio."""
-    if n_hot <= 0.0 or n_cold <= 0.0:
-        raise ParameterError(f"powers must be positive, got hot={n_hot}, cold={n_cold}")
+    check_positive("n_hot", n_hot)
+    check_positive("n_cold", n_cold)
     return n_hot / n_cold
 
 
@@ -111,10 +117,8 @@ def f_from_y_temps(
     A nonphysical outcome (F < 1) is returned as-is with a
     NonphysicalResultWarning, since noisy measurements can produce one.
     """
-    if t_hot_k <= 0.0 or t_cold_k <= 0.0 or t0_k <= 0.0:
-        raise ParameterError("temperatures must be positive")
-    if y <= 0.0:
-        raise ParameterError(f"y must be positive, got {y}")
+    _check_temperatures(t_hot_k, t_cold_k, t0_k)
+    check_positive("y", y)
     if y == 1.0:
         raise SingularYError("y = 1 makes the noise-factor equation singular")
     f = ((t_hot_k / t0_k - 1.0) - y * (t_cold_k / t0_k - 1.0)) / (y - 1.0)
@@ -133,10 +137,10 @@ def f_from_y_powers(
     Power-domain form of the temperature equation:
     F = ((Nh/N0 - 1) - Y (Nc/N0 - 1)) / (Y - 1)
     """
-    if n_hot_cal <= 0.0 or n_cold_cal <= 0.0 or n0 <= 0.0:
-        raise ParameterError("calibration powers must be positive")
-    if y <= 0.0:
-        raise ParameterError(f"y must be positive, got {y}")
+    check_positive("n_hot_cal", n_hot_cal)
+    check_positive("n_cold_cal", n_cold_cal)
+    check_positive("n0", n0)
+    check_positive("y", y)
     if y == 1.0:
         raise SingularYError("y = 1 makes the noise-factor equation singular")
     f = ((n_hot_cal / n0 - 1.0) - y * (n_cold_cal / n0 - 1.0)) / (y - 1.0)
@@ -149,10 +153,8 @@ def ideal_y(f: float, t_hot_k: float, t_cold_k: float, t0_k: float = T0_K) -> fl
 
     Y = (Th + (F-1) T0) / (Tc + (F-1) T0); inverse of f_from_y_temps.
     """
-    if f < 1.0:
-        raise ParameterError(f"f must be >= 1, got {f}")
-    if t_hot_k <= 0.0 or t_cold_k <= 0.0 or t0_k <= 0.0:
-        raise ParameterError("temperatures must be positive")
+    _check_noise_factor("f", f)
+    _check_temperatures(t_hot_k, t_cold_k, t0_k)
     excess = (f - 1.0) * t0_k
     return (t_hot_k + excess) / (t_cold_k + excess)
 
@@ -168,10 +170,8 @@ def friis_cascade(stages) -> float:
     total = 0.0
     gain_product = 1.0
     for i, (f, gain) in enumerate(stages):
-        if f < 1.0:
-            raise ParameterError(f"stage {i}: f must be >= 1, got {f}")
-        if gain <= 0.0:
-            raise ParameterError(f"stage {i}: gain_linear must be positive, got {gain}")
+        _check_noise_factor(f"stage {i}: f", f)
+        check_positive(f"stage {i}: gain_linear", gain)
         if i == 0:
             total = f
         else:

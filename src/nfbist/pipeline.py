@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -144,28 +144,56 @@ def _nf_and_warnings(f: float) -> tuple[float, list[str]]:
     return float("nan"), [f"noise factor {f:.6g} is not positive; nf_db undefined"]
 
 
-def simulate_bitstreams(cfg: ExperimentConfig) -> tuple[BitStream, BitStream]:
-    """Synthesize the (hot, cold) comparator bitstreams for a configuration.
+def _analog_records(cfg: ExperimentConfig) -> Iterator[np.ndarray]:
+    """Yield the hot, then the cold DUT output samples for cfg's seed.
 
-    The square-wave reference amplitude is cfg.ref_amplitude times the
-    analytic cold-state RMS at the comparator. Both the observed waveform
-    and the reference carry the same sqrt(post_dut_gain_linear) factor, as
-    a single multiplication each, so the comparator decisions are invariant
-    under post-DUT gain changes.
+    The samples are taken before post-DUT gain. They depend only on the
+    seed, the source, the DUT, n_samples and the sample rate, never on
+    ref_amplitude or post_dut_gain_linear, so a sweep over those two draws
+    them once per seed (common random numbers) and keeps them as a tuple.
+    Drawn lazily, they let simulate_bitstreams hold one state's record at a
+    time: holding both raised its peak memory and left the heap in a state
+    where every later PSD took thousands of fresh page faults.
     """
     seeds = _sub_seeds(cfg.seed, 6)
+    for state, (seed_src, seed_dut) in (("hot", seeds[0:2]), ("cold", seeds[2:4])):
+        raw = source_output(cfg.source, state, cfg.n_samples, cfg.sample_rate_hz, seed_src)
+        yield apply_dut(cfg.dut, raw, seed_dut).samples
+
+
+def _comparator_bits(
+    cfg: ExperimentConfig, records: Iterable[np.ndarray]
+) -> tuple[BitStream, BitStream]:
+    """Slice the hot and cold analog records against cfg's square-wave reference.
+
+    The reference amplitude is cfg.ref_amplitude times the analytic
+    cold-state RMS at the comparator. Both the observed waveform and the
+    reference carry the same sqrt(post_dut_gain_linear) factor, as a single
+    multiplication each, so the comparator decisions are invariant under
+    post-DUT gain changes. Folding the factors into one product would change
+    the rounding and flip bits.
+    """
     post_amp = math.sqrt(cfg.post_dut_gain_linear)
     ref_base = cfg.ref_amplitude * _comparator_cold_rms(cfg)
     reference = square_wave(
         cfg.n_samples, cfg.sample_rate_hz, cfg.f_ref_hz, post_amp * ref_base
     )
-    out = []
-    for state, (seed_src, seed_dut) in (("hot", seeds[0:2]), ("cold", seeds[2:4])):
-        raw = source_output(cfg.source, state, cfg.n_samples, cfg.sample_rate_hz, seed_src)
-        amplified = apply_dut(cfg.dut, raw, seed_dut)
-        observed = SampledSignal(cfg.sample_rate_hz, post_amp * amplified.samples)
-        out.append(digitize(observed, reference))
-    return out[0], out[1]
+    hot, cold = (
+        digitize(SampledSignal(cfg.sample_rate_hz, post_amp * rec), reference)
+        for rec in records
+    )
+    return hot, cold
+
+
+def simulate_bitstreams(cfg: ExperimentConfig) -> tuple[BitStream, BitStream]:
+    """Synthesize the (hot, cold) comparator bitstreams for a configuration.
+
+    Builds the reference, then draws and digitizes the hot and the cold
+    record in turn. The sweep studies run the same two steps but draw the
+    records once per seed and reuse them for every sweep point, so their
+    bits equal this function's for each point's config.
+    """
+    return _comparator_bits(cfg, _analog_records(cfg))
 
 
 def run_y_factor_experiment(
@@ -196,12 +224,19 @@ def analyze_bitstreams(
 ) -> MeasurementResult:
     """Spectral Y-factor analysis of two existing bitstreams.
 
-    Uses the bitstreams' own sample rate; cfg supplies the FFT size, the
-    reference frequency, the measurement band and the source temperatures.
+    cfg supplies the FFT size, the reference frequency, the measurement
+    band and the source temperatures. Both bitstreams must be sampled at
+    cfg.sample_rate_hz, since the reference and the band are placed on
+    that rate's frequency grid.
     """
     if hot.sample_rate_hz != cold.sample_rate_hz:
         raise ShapeError(
             f"hot and cold sample rates differ: {hot.sample_rate_hz} vs {cold.sample_rate_hz}"
+        )
+    if hot.sample_rate_hz != cfg.sample_rate_hz:
+        raise ShapeError(
+            f"bitstream and config sample rates differ: {hot.sample_rate_hz} "
+            f"vs {cfg.sample_rate_hz}"
         )
     spec_hot = psd(hot, cfg.fft_size, window=window, overlap_fraction=overlap_fraction)
     spec_cold = psd(cold, cfg.fft_size, window=window, overlap_fraction=overlap_fraction)
@@ -245,33 +280,35 @@ def analyze_bitstreams(
     )
 
 
-def run_direct_experiment(
-    cfg: ExperimentConfig,
-    assumed_gain_linear: float,
-    window: str = "rectangular",
-    overlap_fraction: float = 0.0,
-) -> MeasurementResult:
-    """Direct-method measurement on the analog (multi-bit) path.
+def _direct_record(cfg: ExperimentConfig) -> np.ndarray:
+    """DUT output samples for the direct method's matched load at T0.
 
-    A single acquisition with the source replaced by a matched load at the
-    reference temperature T0. The in-band output power is divided by the
-    in-band input power at T0 times the assumed end-to-end power gain, so
-    any mismatch between assumed and actual gain biases F proportionally.
+    Like the Y-factor records they are drawn before post-DUT gain, so they
+    depend on the seed but not on post_dut_gain_linear.
     """
-    if assumed_gain_linear <= 0.0:
-        raise ParameterError(f"assumed_gain_linear must be positive, got {assumed_gain_linear}")
     seeds = _sub_seeds(cfg.seed, 6)
     src = cfg.source
     sigma_t0 = math.sqrt(src.power_scale * src.t0_k)
     raw = gaussian_noise(cfg.n_samples, sigma_t0, seeds[4], sample_rate_hz=cfg.sample_rate_hz)
-    amplified = apply_dut(cfg.dut, raw, seeds[5])
+    return apply_dut(cfg.dut, raw, seeds[5]).samples
+
+
+def _direct_result(
+    cfg: ExperimentConfig,
+    record: np.ndarray,
+    assumed_gain_linear: float,
+    window: str,
+    overlap_fraction: float,
+) -> MeasurementResult:
+    """Direct-method F from one analog record: post-DUT gain, PSD, band power."""
     observed = SampledSignal(
-        cfg.sample_rate_hz, math.sqrt(cfg.post_dut_gain_linear) * amplified.samples
+        cfg.sample_rate_hz, math.sqrt(cfg.post_dut_gain_linear) * record
     )
     spectrum = psd(observed, cfg.fft_size, window=window, overlap_fraction=overlap_fraction)
     f_lo, f_hi = cfg.band
     measured = band_power(spectrum, f_lo, f_hi)
     width = band_width_hz(spectrum, f_lo, f_hi)
+    src = cfg.source
     input_band_power_t0 = src.power_scale * src.t0_k * width / (cfg.sample_rate_hz / 2.0)
     f = measured / (input_band_power_t0 * assumed_gain_linear)
 
@@ -288,6 +325,25 @@ def run_direct_experiment(
     )
 
 
+def run_direct_experiment(
+    cfg: ExperimentConfig,
+    assumed_gain_linear: float,
+    window: str = "rectangular",
+    overlap_fraction: float = 0.0,
+) -> MeasurementResult:
+    """Direct-method measurement on the analog (multi-bit) path.
+
+    A single acquisition with the source replaced by a matched load at the
+    reference temperature T0. The in-band output power is divided by the
+    in-band input power at T0 times the assumed end-to-end power gain, so
+    any mismatch between assumed and actual gain biases F proportionally.
+    """
+    check_positive("assumed_gain_linear", assumed_gain_linear)
+    return _direct_result(
+        cfg, _direct_record(cfg), assumed_gain_linear, window, overlap_fraction
+    )
+
+
 def sweep_reference_amplitude(
     cfg: ExperimentConfig,
     fractions,
@@ -297,30 +353,40 @@ def sweep_reference_amplitude(
 ) -> list[tuple[float, float]]:
     """Mean |Y error| of the 1-bit chain as the reference level varies.
 
-    For each fraction of the cold-state RMS, runs n_seeds independent
-    experiments and averages |y_est - y_ideal| / y_ideal, where y_ideal
-    comes from the DUT's nominal noise factor. Returns (fraction, error)
-    pairs in the order given.
+    For each fraction of the cold-state RMS, runs the Y-factor experiment
+    at seeds cfg.seed .. cfg.seed + n_seeds - 1 and averages
+    |y_est - y_ideal| / y_ideal, where y_ideal comes from the DUT's nominal
+    noise factor. Returns (fraction, error) pairs in the order given.
+
+    Each seed's analog noise is drawn once and reused for every fraction
+    (common random numbers); the bits of each point equal those of
+    simulate_bitstreams at that point's config, so every row is the same
+    as running each experiment on its own.
     """
     fractions = [float(a) for a in fractions]
     if not fractions:
         raise ParameterError("at least one amplitude fraction is required")
-    if any(not (a > 0.0) for a in fractions):
-        raise ParameterError(f"amplitude fractions must be positive, got {fractions}")
+    if any(not (math.isfinite(a) and a > 0.0) for a in fractions):
+        raise ParameterError(f"amplitude fractions must be finite and positive, got {fractions}")
     if n_seeds < 1:
         raise ParameterError(f"n_seeds must be >= 1, got {n_seeds}")
     src = cfg.source
     f_nominal = nominal_f(cfg.dut, t0_k=src.t0_k, power_scale=src.power_scale)
     y_ideal = ideal_y(f_nominal, src.t_hot_k, src.t_cold_k, src.t0_k)
-    results = []
-    for fraction in fractions:
-        errors = []
-        for k in range(n_seeds):
-            run_cfg = replace(cfg, ref_amplitude=fraction, seed=cfg.seed + k)
-            out = run_y_factor_experiment(run_cfg, window=window, overlap_fraction=overlap_fraction)
-            errors.append(abs(out.y - y_ideal) / y_ideal)
-        results.append((fraction, float(np.mean(errors))))
-    return results
+    errors = [[] for _ in fractions]
+    for k in range(n_seeds):
+        seed_cfg = replace(cfg, seed=cfg.seed + k)
+        records = tuple(_analog_records(seed_cfg))
+        for fraction, fraction_errors in zip(fractions, errors):
+            run_cfg = replace(seed_cfg, ref_amplitude=fraction)
+            out = analyze_bitstreams(
+                *_comparator_bits(run_cfg, records),
+                run_cfg,
+                window=window,
+                overlap_fraction=overlap_fraction,
+            )
+            fraction_errors.append(abs(out.y - y_ideal) / y_ideal)
+    return [(a, float(np.mean(e))) for a, e in zip(fractions, errors)]
 
 
 def th_uncertainty_study(cfg: ExperimentConfig, rel_errors) -> list[tuple[float, float]]:
@@ -331,8 +397,10 @@ def th_uncertainty_study(cfg: ExperimentConfig, rel_errors) -> list[tuple[float,
     (rel_error, delta_nf_db) pairs. Purely analytic, no simulation.
     """
     rel_errors = [float(e) for e in rel_errors]
-    if any(e <= -1.0 for e in rel_errors):
-        raise ParameterError("rel_errors must keep the hot temperature positive")
+    if any(not (math.isfinite(e) and e > -1.0) for e in rel_errors):
+        raise ParameterError(
+            f"rel_errors must be finite and keep the hot temperature positive, got {rel_errors}"
+        )
     src = cfg.source
     f_nominal = nominal_f(cfg.dut, t0_k=src.t0_k, power_scale=src.power_scale)
     y_true = ideal_y(f_nominal, src.t_hot_k, src.t_cold_k, src.t0_k)
@@ -357,20 +425,33 @@ def gain_sensitivity_study(
     NF difference against the same-seed run at ratio 1. The direct method
     inherits the full gain error; the Y-factor method sees identical
     bitstreams (the comparator only keeps signs) and so zero bias.
+
+    Each method's analog records are drawn once (post-DUT gain is applied
+    after them) and reused for every ratio; the rows equal those of
+    run_direct_experiment and run_y_factor_experiment run per ratio.
     """
     gain_ratios = [float(r) for r in gain_ratios]
     if any(not (r > 0.0) for r in gain_ratios):
         raise ParameterError(f"gain ratios must be positive, got {gain_ratios}")
     assumed = cfg.dut.gain_linear * cfg.post_dut_gain_linear
-    base_direct = run_direct_experiment(cfg, assumed, window=window, overlap_fraction=overlap_fraction)
-    base_y = run_y_factor_experiment(cfg, window=window, overlap_fraction=overlap_fraction)
+    # The base config first, then one drifted config per ratio.
+    configs = [cfg] + [
+        replace(cfg, post_dut_gain_linear=cfg.post_dut_gain_linear * r) for r in gain_ratios
+    ]
+    record = _direct_record(cfg)
+    direct_nf = [
+        _direct_result(c, record, assumed, window, overlap_fraction).nf_db for c in configs
+    ]
+    del record  # keep one seed's records alive at a time
+    records = tuple(_analog_records(cfg))
+    y_nf = [
+        analyze_bitstreams(
+            *_comparator_bits(c, records), c, window=window, overlap_fraction=overlap_fraction
+        ).nf_db
+        for c in configs
+    ]
     rows = []
-    for ratio in gain_ratios:
-        drifted = replace(cfg, post_dut_gain_linear=cfg.post_dut_gain_linear * ratio)
-        direct = run_direct_experiment(
-            drifted, assumed, window=window, overlap_fraction=overlap_fraction
-        )
-        yfac = run_y_factor_experiment(drifted, window=window, overlap_fraction=overlap_fraction)
-        rows.append(GainSensitivityRow("direct", ratio, direct.nf_db - base_direct.nf_db))
-        rows.append(GainSensitivityRow("y_factor", ratio, yfac.nf_db - base_y.nf_db))
+    for ratio, direct, yfac in zip(gain_ratios, direct_nf[1:], y_nf[1:]):
+        rows.append(GainSensitivityRow("direct", ratio, direct - direct_nf[0]))
+        rows.append(GainSensitivityRow("y_factor", ratio, yfac - y_nf[0]))
     return rows

@@ -114,8 +114,7 @@ def square_wave(
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if sample_rate_hz <= 0.0:
-        raise ParameterError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
+    check_positive("sample_rate_hz", sample_rate_hz)
     if not (0.0 < f0_hz < sample_rate_hz / 2.0):
         raise ParameterError(
             f"f0_hz must lie in (0, sample_rate/2) = (0, {sample_rate_hz / 2.0}), got {f0_hz}"
@@ -123,7 +122,10 @@ def square_wave(
     if not math.isfinite(amplitude):
         raise ParameterError(f"amplitude must be finite, got {amplitude!r}")
     t = np.arange(int(n), dtype=np.float64) / sample_rate_hz
-    cycle_pos = np.mod(f0_hz * t + phase_rad / (2.0 * math.pi), 1.0)
+    cycle = f0_hz * t + phase_rad / (2.0 * math.pi)
+    # Equal to np.mod(cycle, 1.0) bit for bit (exact for cycle >= 0, one
+    # rounding of the same value below 0), and faster.
+    cycle_pos = cycle - np.floor(cycle)
     samples = np.where(cycle_pos < 0.5, amplitude, -amplitude)
     return SampledSignal(sample_rate_hz, samples)
 

@@ -172,6 +172,23 @@ def test_analyze_rate_mismatch_exits_4(tmp_path):
     assert main(args) == 4
 
 
+def test_analyze_config_rate_mismatch_exits_4(tmp_path, capsys):
+    # Captures at 10 kHz analysed with the default 50 kHz config would put
+    # the reference and the band on the wrong bins.
+    slow_cfg = write_config(tmp_path, "slow.json", sample_rate_hz=10_000.0, f_ref_hz=3_000.0)
+    out_dir = tmp_path / "run"
+    args = ["simulate", "--config", str(slow_cfg), "--out", str(out_dir), "--save-captures"]
+    assert main(args) == 0
+    args = [
+        "analyze",
+        "--hot", str(out_dir / "capture_hot.nfb"),
+        "--cold", str(out_dir / "capture_cold.nfb"),
+        "--config", str(write_config(tmp_path)),
+    ]
+    assert main(args) == 4
+    assert "sample rates differ" in capsys.readouterr().err
+
+
 def test_bad_capture_magic_exits_3(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     bad = tmp_path / "bad.nfb"
@@ -291,6 +308,18 @@ def test_sweep_bad_points_exits_2(tmp_path):
         "--out", str(tmp_path / "x.csv"), "--points", "0.05,oops",
     ]
     assert main(args) == 2
+
+
+@pytest.mark.parametrize("point", ["nan", "inf"])
+def test_sweep_th_error_non_finite_point_exits_4(tmp_path, point):
+    cfg_path = write_config(tmp_path)
+    out_csv = tmp_path / "th.csv"
+    args = [
+        "sweep", "--config", str(cfg_path), "--kind", "th-error",
+        "--out", str(out_csv), "--points", point,
+    ]
+    assert main(args) == 4
+    assert not out_csv.exists()
 
 
 def test_psd_command_matches_library(tmp_path):

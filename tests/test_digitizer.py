@@ -67,6 +67,21 @@ def test_digitize_common_scaling_invariance():
         np.testing.assert_array_equal(scaled.bits, base.bits)
 
 
+def test_digitize_matches_where_formula():
+    # Equal values, signed zeros, infinities and NaN: every decision must
+    # match the plain np.where form of "+1 where x - r >= 0, else -1".
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan])
+    x = np.concatenate([np.repeat(special, special.size), rng.normal(size=1000)])
+    r = np.concatenate([np.tile(special, special.size), rng.normal(size=1000)])
+    r[-100:] = x[-100:]  # ties
+    with np.errstate(invalid="ignore"):  # inf - inf
+        bits = digitize(SampledSignal(1.0, x), SampledSignal(1.0, r)).bits
+        expected = np.where(x - r >= 0.0, 1, -1).astype(np.int8)
+    np.testing.assert_array_equal(bits, expected)
+    assert bits.dtype == np.int8
+
+
 def test_decimate():
     bs = BitStream(100.0, [1, -1, 1, -1, 1, -1, 1, -1])
     out = decimate(bs, 2)

@@ -86,6 +86,21 @@ def test_dut_from_nf_validation():
         dut_from_nf(-0.1, 1.0)
     with pytest.raises(ParameterError):
         dut_from_nf(10.0, 1.0, t0_k=0.0)
+    for bad in (math.nan, math.inf):
+        for field in ("nf_db", "gain_linear", "t0_k", "power_scale"):
+            kwargs = dict(nf_db=10.0, gain_linear=1.0)
+            kwargs[field] = bad
+            with pytest.raises(ParameterError):
+                dut_from_nf(**kwargs)
+
+
+def test_nominal_f_validation():
+    dut = DutSpec(gain_linear=1.0, added_noise_power=290.0)
+    for bad in (0.0, -290.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            nominal_f(dut, t0_k=bad)
+        with pytest.raises(ParameterError):
+            nominal_f(dut, power_scale=bad)
 
 
 def test_nominal_f_hand_value():
@@ -132,3 +147,9 @@ def test_opamp_model_validation():
         OpampNoiseModel(1e-9, 0.0, rs_ohm=-50.0)
     with pytest.raises(ParameterError):
         OpampNoiseModel(1e-9, 0.0, rs_ohm=50.0, temperature_k=0.0)
+    for bad in (math.nan, math.inf):
+        for field in ("en_v_per_rthz", "in_a_per_rthz", "rs_ohm", "req_ohm", "temperature_k"):
+            kwargs = dict(en_v_per_rthz=1e-9, in_a_per_rthz=0.0, rs_ohm=50.0)
+            kwargs[field] = bad
+            with pytest.raises(ParameterError):
+                OpampNoiseModel(**kwargs)

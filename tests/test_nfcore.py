@@ -1,5 +1,7 @@
 """Noise-factor algebra: conversions, Y-factor equations, Friis cascade."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -138,6 +140,45 @@ def test_f_from_y_powers_matches_temperature_form():
     f_t = f_from_y_temps(y, 10_000.0, 1_000.0, 290.0)
     f_p = f_from_y_powers(y, c * 10_000.0, c * 1_000.0, c * 290.0)
     assert f_p == pytest.approx(f_t, rel=1e-12)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: snr_db(v, 1.0),
+        lambda v: snr_db(1.0, v),
+        lambda v: f_to_nf(v),
+        lambda v: f_direct(v, 1.0, 1.0),
+        lambda v: f_direct(1.0, v, 1.0),
+        lambda v: f_direct(1.0, 1.0, v),
+        lambda v: f_direct(1.0, 1.0, 1.0, t0_k=v),
+        lambda v: direct_gain_error(v, 1.0),
+        lambda v: direct_gain_error(1.0, v),
+        lambda v: y_factor(v, 1.0),
+        lambda v: y_factor(1.0, v),
+        lambda v: f_from_y_temps(v, 10_000.0, 1_000.0),
+        lambda v: f_from_y_temps(2.0, v, 1_000.0),
+        lambda v: f_from_y_temps(2.0, 10_000.0, v),
+        lambda v: f_from_y_temps(2.0, 10_000.0, 1_000.0, v),
+        lambda v: f_from_y_powers(v, 10.0, 1.0, 2.9),
+        lambda v: f_from_y_powers(2.0, v, 1.0, 2.9),
+        lambda v: f_from_y_powers(2.0, 10.0, v, 2.9),
+        lambda v: f_from_y_powers(2.0, 10.0, 1.0, v),
+        lambda v: ideal_y(v, 10_000.0, 1_000.0),
+        lambda v: ideal_y(2.0, v, 1_000.0),
+        lambda v: ideal_y(2.0, 10_000.0, 1_000.0, v),
+        lambda v: friis_cascade([(v, 10.0)]),
+        lambda v: friis_cascade([(2.0, v)]),
+    ],
+)
+def test_non_finite_arguments_rejected(call, bad):
+    # NaN fails every comparison, so a "x <= 0" test would let it through.
+    with pytest.raises(ParameterError):
+        call(bad)
 
 
 def test_friis_cascade_hand_value():

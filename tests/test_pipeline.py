@@ -1,6 +1,8 @@
 """End-to-end experiment pipeline: simulation, analysis and studies."""
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,6 +59,8 @@ def make_config(nf_db=10.0, **overrides):
         dict(post_dut_gain_linear=math.nan),
         dict(post_dut_gain_linear=math.inf),
         dict(ref_amplitude=math.nan),
+        dict(ref_amplitude=math.inf),
+        dict(f_ref_hz=math.nan),
     ],
 )
 def test_experiment_config_validation(overrides):
@@ -81,6 +85,20 @@ def test_simulate_bitstreams_deterministic():
 
     hot_c, _ = simulate_bitstreams(make_config(seed=4, **FAST))
     assert not np.array_equal(hot_a.bits, hot_c.bits)
+
+
+def test_simulate_bitstreams_fingerprint():
+    # Pins the seed -> bits mapping of the whole simulation chain (sub-seeds,
+    # noise draws, DUT, reference, comparator), so a refactor that changes
+    # any rounding on the way shows up here.
+    cfg = make_config(seed=1, post_dut_gain_linear=2.5, **FAST)
+    hot, cold = simulate_bitstreams(cfg)
+    assert hashlib.sha256(hot.bits.tobytes()).hexdigest() == (
+        "ed615564a7433874bbb5dd2011e74cf343be7c2036e796b5608ce750279a42dc"
+    )
+    assert hashlib.sha256(cold.bits.tobytes()).hexdigest() == (
+        "83653516ab527bdc86cc459064a406c727fed933899d065f62304c8830f2a58c"
+    )
 
 
 def test_simulate_bitstreams_gain_invariance():
@@ -155,6 +173,15 @@ def test_analyze_rejects_rate_mismatch():
         analyze_bitstreams(hot, slow, cfg)
 
 
+def test_analyze_rejects_config_rate_mismatch():
+    # Bits taken at 10 kHz but analysed with a 50 kHz config would read the
+    # reference and the band at the wrong bins and return a wrong NF.
+    slow = make_config(seed=0, sample_rate_hz=10_000.0, n_samples=200_000, fft_size=2_000)
+    hot, cold = simulate_bitstreams(slow)
+    with pytest.raises(ShapeError, match="sample rates differ"):
+        analyze_bitstreams(hot, cold, replace(slow, sample_rate_hz=50_000.0))
+
+
 def test_direct_method_recovers_f():
     # The analog direct path has no comparator bias, so F comes out near
     # its true value even at the reduced record length.
@@ -175,8 +202,9 @@ def test_direct_method_gain_error_is_exact():
 
 def test_direct_method_validation():
     cfg = make_config(seed=0, **FAST)
-    with pytest.raises(ParameterError):
-        run_direct_experiment(cfg, 0.0)
+    for assumed in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            run_direct_experiment(cfg, assumed)
 
 
 def test_sweep_reference_amplitude_structure():
@@ -190,6 +218,9 @@ def test_sweep_reference_amplitude_structure():
         sweep_reference_amplitude(cfg, [0.0])
     with pytest.raises(ParameterError):
         sweep_reference_amplitude(cfg, [0.1], n_seeds=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            sweep_reference_amplitude(cfg, [0.1, bad])
 
 
 def test_th_uncertainty_study_closed_form():
@@ -211,8 +242,9 @@ def test_th_uncertainty_study_closed_form():
     assert deltas[2.0][1] == pytest.approx(deltas[10.0][1], abs=1e-12)
 
     cfg = make_config(**FAST)
-    with pytest.raises(ParameterError):
-        th_uncertainty_study(cfg, [-1.0])
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            th_uncertainty_study(cfg, [0.05, bad])
 
 
 def test_gain_sensitivity_study_contrast():
@@ -234,3 +266,41 @@ def test_sweep_error_metric_uses_ideal_ratio():
     result = run_y_factor_experiment(make_config(seed=7, ref_amplitude=0.25, **FAST))
     y_ideal = ideal_y(10.0, 10_000.0, 1_000.0)
     assert rows[0][1] == pytest.approx(abs(result.y - y_ideal) / y_ideal, rel=1e-12)
+
+
+# The sweeps draw each seed's analog noise once and reuse it for every sweep
+# point (common random numbers). These references run every point as its own
+# experiment, the way the studies are defined, and must match exactly.
+CRN_CONFIG = dict(n_samples=100_000, fft_size=2_000, post_dut_gain_linear=2.5)
+CRN_ANALYSES = [dict(), dict(window="hann", overlap_fraction=0.5)]
+
+
+@pytest.mark.parametrize("analysis", CRN_ANALYSES, ids=["rect", "hann50"])
+def test_sweep_reference_amplitude_equals_per_point_runs(analysis):
+    cfg = make_config(seed=5, **CRN_CONFIG)
+    fractions = [0.02, 0.25, 1.5]
+    y_ideal = ideal_y(10.0, 10_000.0, 1_000.0)
+    expected = []
+    for a in fractions:
+        errors = []
+        for k in range(3):
+            point = replace(cfg, ref_amplitude=a, seed=cfg.seed + k)
+            errors.append(abs(run_y_factor_experiment(point, **analysis).y - y_ideal) / y_ideal)
+        expected.append((a, float(np.mean(errors))))
+    assert sweep_reference_amplitude(cfg, fractions, n_seeds=3, **analysis) == expected
+
+
+@pytest.mark.parametrize("analysis", CRN_ANALYSES, ids=["rect", "hann50"])
+def test_gain_sensitivity_study_equals_per_ratio_runs(analysis):
+    cfg = make_config(seed=5, **CRN_CONFIG)
+    ratios = [0.5, 1.0, 10 ** 0.1]
+    assumed = cfg.dut.gain_linear * cfg.post_dut_gain_linear
+    base_direct = run_direct_experiment(cfg, assumed, **analysis).nf_db
+    base_y = run_y_factor_experiment(cfg, **analysis).nf_db
+    expected = []
+    for r in ratios:
+        drifted = replace(cfg, post_dut_gain_linear=cfg.post_dut_gain_linear * r)
+        direct = run_direct_experiment(drifted, assumed, **analysis).nf_db
+        yfac = run_y_factor_experiment(drifted, **analysis).nf_db
+        expected += [("direct", r, direct - base_direct), ("y_factor", r, yfac - base_y)]
+    assert gain_sensitivity_study(cfg, ratios, **analysis) == expected

@@ -87,10 +87,28 @@ def test_square_wave_zero_mean_over_whole_periods():
     assert float(sig.samples.sum()) == 0.0
 
 
-@pytest.mark.parametrize("f0", [0.0, -1.0, 4.0, 5.0])
+@pytest.mark.parametrize("f0", [0.0, -1.0, 4.0, 5.0, math.nan, math.inf])
 def test_square_wave_rejects_out_of_range_f0(f0):
     with pytest.raises(ParameterError):
         square_wave(16, 8.0, f0, 1.0)
+
+
+@pytest.mark.parametrize("rate", [0.0, -8.0, math.nan, math.inf])
+def test_square_wave_rejects_bad_sample_rate(rate):
+    with pytest.raises(ParameterError):
+        square_wave(16, rate, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("rate, f0", [(50_000.0, 3_000.0), (10_000.0, 977.0), (44_100.0, 1234.5)])
+@pytest.mark.parametrize("phase", [0.0, 0.3, -2.0, -1e-4, 7.1])
+def test_square_wave_matches_mod_formula(rate, f0, phase):
+    # The waveform takes the fractional cycle position as x - floor(x); it
+    # must equal the np.mod form bit for bit, negative phases included.
+    n = 100_000
+    t = np.arange(n, dtype=np.float64) / rate
+    cycle_pos = np.mod(f0 * t + phase / (2.0 * math.pi), 1.0)
+    expected = np.where(cycle_pos < 0.5, 1.7, -1.7)
+    np.testing.assert_array_equal(square_wave(n, rate, f0, 1.7, phase_rad=phase).samples, expected)
 
 
 def test_mix_adds_samples():
