@@ -14,6 +14,7 @@ method immune to gain error, unlike the direct method.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
@@ -66,10 +67,17 @@ class ExperimentConfig:
         if not isinstance(self.dut, DutSpec):
             raise ParameterError("dut must be a DutSpec")
         check_positive("sample_rate_hz", self.sample_rate_hz)
-        if int(self.n_samples) != self.n_samples or self.n_samples < 1:
-            raise ParameterError(f"n_samples must be a positive integer, got {self.n_samples!r}")
-        if int(self.fft_size) != self.fft_size or self.fft_size < 2 or self.fft_size % 2 != 0:
-            raise ParameterError(f"fft_size must be a positive even integer, got {self.fft_size!r}")
+        # Integral floats (1000.0) are stored as int; bool is an int subclass
+        # and is rejected, and numpy seeds must be >= 0.
+        for name, minimum in (
+            ("n_samples", 1),
+            ("fft_size", 2),
+            ("ref_exclusion_halfwidth_bins", 0),
+            ("seed", 0),
+        ):
+            object.__setattr__(self, name, _integer_field(name, getattr(self, name), minimum))
+        if self.fft_size % 2 != 0:
+            raise ParameterError(f"fft_size must be even, got {self.fft_size!r}")
         if self.n_samples < self.fft_size:
             raise ParameterError(
                 f"n_samples ({self.n_samples}) must be >= fft_size ({self.fft_size})"
@@ -86,18 +94,22 @@ class ExperimentConfig:
                 f"band must satisfy 0 <= f_lo < f_hi <= {nyquist}, got {self.band!r}"
             )
         object.__setattr__(self, "band", band)
-        if (
-            int(self.ref_exclusion_halfwidth_bins) != self.ref_exclusion_halfwidth_bins
-            or self.ref_exclusion_halfwidth_bins < 0
-        ):
-            raise ParameterError(
-                "ref_exclusion_halfwidth_bins must be a non-negative integer, "
-                f"got {self.ref_exclusion_halfwidth_bins!r}"
-            )
         check_positive("post_dut_gain_linear", self.post_dut_gain_linear)
-        # bool is an int subclass, and numpy seeds must be >= 0.
-        if isinstance(self.seed, bool) or int(self.seed) != self.seed or self.seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _integer_field(name: str, value, minimum: int) -> int:
+    """value as an int if it is an integral number >= minimum, not a bool."""
+    try:
+        ok = (
+            not isinstance(value, (bool, np.bool_))
+            and int(value) == value
+            and value >= minimum
+        )
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -151,36 +163,49 @@ def _analog_records(cfg: ExperimentConfig) -> Iterator[np.ndarray]:
     seed, the source, the DUT, n_samples and the sample rate, never on
     ref_amplitude or post_dut_gain_linear, so a sweep over those two draws
     them once per seed (common random numbers) and keeps them as a tuple.
-    Drawn lazily, they let simulate_bitstreams hold one state's record at a
-    time: holding both raised its peak memory and left the heap in a state
-    where every later PSD took thousands of fresh page faults.
+    Drawn lazily, with no array held across a yield, they let
+    simulate_bitstreams hold one state's record at a time, which bounds its
+    peak memory.
     """
     seeds = _sub_seeds(cfg.seed, 6)
     for state, (seed_src, seed_dut) in (("hot", seeds[0:2]), ("cold", seeds[2:4])):
-        raw = source_output(cfg.source, state, cfg.n_samples, cfg.sample_rate_hz, seed_src)
-        yield apply_dut(cfg.dut, raw, seed_dut).samples
+        yield apply_dut(
+            cfg.dut,
+            source_output(cfg.source, state, cfg.n_samples, cfg.sample_rate_hz, seed_src),
+            seed_dut,
+        ).samples
+
+
+def _observed(cfg: ExperimentConfig, records: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Lazily map each analog record to itself times sqrt(cfg.post_dut_gain_linear).
+
+    The reference in _comparator_bits carries the same factor, as a single
+    multiplication each, so the comparator decisions are invariant under
+    post-DUT gain changes. Folding the factors into one product would change
+    the rounding and flip bits. map, unlike a for loop in a generator, keeps
+    no reference to a record once it is scaled, so the record can be freed.
+    """
+    return map(functools.partial(np.multiply, math.sqrt(cfg.post_dut_gain_linear)), records)
 
 
 def _comparator_bits(
-    cfg: ExperimentConfig, records: Iterable[np.ndarray]
+    cfg: ExperimentConfig, observed: Iterable[np.ndarray]
 ) -> tuple[BitStream, BitStream]:
-    """Slice the hot and cold analog records against cfg's square-wave reference.
+    """Slice the hot and cold observed records against cfg's square-wave reference.
 
-    The reference amplitude is cfg.ref_amplitude times the analytic
-    cold-state RMS at the comparator. Both the observed waveform and the
-    reference carry the same sqrt(post_dut_gain_linear) factor, as a single
-    multiplication each, so the comparator decisions are invariant under
-    post-DUT gain changes. Folding the factors into one product would change
-    the rounding and flip bits.
+    The records already carry the post-DUT gain (_observed). The reference
+    amplitude is cfg.ref_amplitude times the analytic cold-state RMS at the
+    comparator, times the same sqrt(post_dut_gain_linear).
     """
     post_amp = math.sqrt(cfg.post_dut_gain_linear)
     ref_base = cfg.ref_amplitude * _comparator_cold_rms(cfg)
     reference = square_wave(
         cfg.n_samples, cfg.sample_rate_hz, cfg.f_ref_hz, post_amp * ref_base
     )
-    hot, cold = (
-        digitize(SampledSignal(cfg.sample_rate_hz, post_amp * rec), reference)
-        for rec in records
+    # As in _observed, map drops each record once it is digitized, before
+    # the next one is drawn.
+    hot, cold = map(
+        lambda rec: digitize(SampledSignal(cfg.sample_rate_hz, rec), reference), observed
     )
     return hot, cold
 
@@ -188,12 +213,13 @@ def _comparator_bits(
 def simulate_bitstreams(cfg: ExperimentConfig) -> tuple[BitStream, BitStream]:
     """Synthesize the (hot, cold) comparator bitstreams for a configuration.
 
-    Builds the reference, then draws and digitizes the hot and the cold
-    record in turn. The sweep studies run the same two steps but draw the
-    records once per seed and reuse them for every sweep point, so their
-    bits equal this function's for each point's config.
+    Builds the reference, then draws, scales and digitizes the hot and the
+    cold record in turn. The sweep studies run the same steps but draw (and,
+    for the ref-amplitude sweep, scale) the records once per seed and reuse
+    them for every sweep point, so their bits equal this function's for
+    each point's config.
     """
-    return _comparator_bits(cfg, _analog_records(cfg))
+    return _comparator_bits(cfg, _observed(cfg, _analog_records(cfg)))
 
 
 def run_y_factor_experiment(
@@ -376,11 +402,13 @@ def sweep_reference_amplitude(
     errors = [[] for _ in fractions]
     for k in range(n_seeds):
         seed_cfg = replace(cfg, seed=cfg.seed + k)
-        records = tuple(_analog_records(seed_cfg))
+        # Only ref_amplitude changes between fractions, so the gain-scaled
+        # records serve them all.
+        observed = tuple(_observed(seed_cfg, _analog_records(seed_cfg)))
         for fraction, fraction_errors in zip(fractions, errors):
             run_cfg = replace(seed_cfg, ref_amplitude=fraction)
             out = analyze_bitstreams(
-                *_comparator_bits(run_cfg, records),
+                *_comparator_bits(run_cfg, observed),
                 run_cfg,
                 window=window,
                 overlap_fraction=overlap_fraction,
@@ -427,31 +455,41 @@ def gain_sensitivity_study(
     bitstreams (the comparator only keeps signs) and so zero bias.
 
     Each method's analog records are drawn once (post-DUT gain is applied
-    after them) and reused for every ratio; the rows equal those of
+    after them) and reused for every ratio, and each distinct input is
+    analysed once: the direct method once per distinct post-DUT gain, the
+    Y-factor method only where a ratio's bits differ from the base bits
+    (equal bits give an equal analysis). The rows equal those of
     run_direct_experiment and run_y_factor_experiment run per ratio.
     """
     gain_ratios = [float(r) for r in gain_ratios]
     if any(not (r > 0.0) for r in gain_ratios):
         raise ParameterError(f"gain ratios must be positive, got {gain_ratios}")
     assumed = cfg.dut.gain_linear * cfg.post_dut_gain_linear
-    # The base config first, then one drifted config per ratio.
-    configs = [cfg] + [
+    drifted = [
         replace(cfg, post_dut_gain_linear=cfg.post_dut_gain_linear * r) for r in gain_ratios
     ]
     record = _direct_record(cfg)
-    direct_nf = [
-        _direct_result(c, record, assumed, window, overlap_fraction).nf_db for c in configs
-    ]
+    direct_nf = {}  # by post-DUT gain
+    for c in [cfg] + drifted:
+        gain = c.post_dut_gain_linear
+        if gain not in direct_nf:
+            direct_nf[gain] = _direct_result(c, record, assumed, window, overlap_fraction).nf_db
     del record  # keep one seed's records alive at a time
+    base_direct = direct_nf[cfg.post_dut_gain_linear]
+
+    def y_nf(c: ExperimentConfig, bits) -> float:
+        return analyze_bitstreams(*bits, c, window=window, overlap_fraction=overlap_fraction).nf_db
+
     records = tuple(_analog_records(cfg))
-    y_nf = [
-        analyze_bitstreams(
-            *_comparator_bits(c, records), c, window=window, overlap_fraction=overlap_fraction
-        ).nf_db
-        for c in configs
-    ]
+    base_bits = _comparator_bits(cfg, _observed(cfg, records))
+    base_y = y_nf(cfg, base_bits)
     rows = []
-    for ratio, direct, yfac in zip(gain_ratios, direct_nf[1:], y_nf[1:]):
-        rows.append(GainSensitivityRow("direct", ratio, direct - direct_nf[0]))
-        rows.append(GainSensitivityRow("y_factor", ratio, yfac - y_nf[0]))
+    for ratio, c in zip(gain_ratios, drifted):
+        bits = _comparator_bits(c, _observed(c, records))
+        same = all(np.array_equal(a.bits, b.bits) for a, b in zip(bits, base_bits))
+        yfac = base_y if same else y_nf(c, bits)
+        rows.append(
+            GainSensitivityRow("direct", ratio, direct_nf[c.post_dut_gain_linear] - base_direct)
+        )
+        rows.append(GainSensitivityRow("y_factor", ratio, yfac - base_y))
     return rows

@@ -8,6 +8,7 @@ the picture in :mod:`nfbist.nfcore`, where the direct method needs them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,8 +96,11 @@ def gaussian_noise(n: int, sigma: float, seed: int, sample_rate_hz: float = 1.0)
         raise ParameterError(f"n must be >= 1, got {n}")
     if not math.isfinite(sigma) or sigma < 0.0:
         raise ParameterError(f"sigma must be finite and >= 0, got {sigma!r}")
-    rng = np.random.default_rng(seed)
-    return SampledSignal(sample_rate_hz, rng.normal(0.0, 1.0, int(n)) * sigma)
+    # normal(0, 1) rather than standard_normal: 0.0 + 1.0 * z maps -0.0 to
+    # +0.0, and the seeded samples must stay the same.
+    samples = np.random.default_rng(seed).normal(0.0, 1.0, int(n))
+    samples *= sigma
+    return SampledSignal(sample_rate_hz, samples)
 
 
 def square_wave(
@@ -121,13 +125,28 @@ def square_wave(
         )
     if not math.isfinite(amplitude):
         raise ParameterError(f"amplitude must be finite, got {amplitude!r}")
-    t = np.arange(int(n), dtype=np.float64) / sample_rate_hz
-    cycle = f0_hz * t + phase_rad / (2.0 * math.pi)
-    # Equal to np.mod(cycle, 1.0) bit for bit (exact for cycle >= 0, one
-    # rounding of the same value below 0), and faster.
-    cycle_pos = cycle - np.floor(cycle)
-    samples = np.where(cycle_pos < 0.5, amplitude, -amplitude)
-    return SampledSignal(sample_rate_hz, samples)
+    mask = _first_half_mask(int(n), sample_rate_hz, f0_hz, phase_rad)
+    return SampledSignal(sample_rate_hz, np.where(mask, amplitude, -amplitude))
+
+
+@functools.lru_cache(maxsize=1)
+def _first_half_mask(n: int, sample_rate_hz: float, f0_hz: float, phase_rad: float) -> np.ndarray:
+    """Read-only mask of the samples in the first half of their period.
+
+    The pattern does not depend on the amplitude, so a sweep that only
+    rescales the reference computes it once. The steps round exactly as
+    f0 * (arange(n) / fs) + phase / 2pi, and cycle - floor(cycle) equals
+    np.mod(cycle, 1.0) bit for bit (exact for cycle >= 0, one rounding of
+    the same value below 0).
+    """
+    cycle = np.arange(n, dtype=np.float64)
+    cycle /= sample_rate_hz
+    cycle *= f0_hz
+    cycle += phase_rad / (2.0 * math.pi)
+    cycle -= np.floor(cycle)
+    mask = cycle < 0.5
+    mask.setflags(write=False)
+    return mask
 
 
 def mix(a: SampledSignal, b: SampledSignal) -> SampledSignal:

@@ -41,6 +41,10 @@ __all__ = [
 
 _WINDOWS = ("rectangular", "hann")
 MAX_OVERLAP_FRACTION = 0.75
+# psd transforms this many bytes of windowed float64 segments at a time, so
+# its temporaries stay small and are reused from the heap instead of being
+# mapped afresh for every call.
+_PSD_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +90,8 @@ class Spectrum:
 
 def _signal_values(x) -> tuple[np.ndarray, float]:
     if isinstance(x, BitStream):
-        return x.bits.astype(np.float64), x.sample_rate_hz
+        # The int8 bits convert exactly in the windowed product.
+        return x.bits, x.sample_rate_hz
     if isinstance(x, SampledSignal):
         return x.samples, x.sample_rate_hz
     raise ParameterError(f"expected SampledSignal or BitStream, got {type(x).__name__}")
@@ -125,18 +130,21 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
         win = np.ones(fft_size)
     # Builtin sum adds sequentially, as welch does; np.sum would pair terms.
     win = win * (1 / np.sqrt(sum(win**2) / (1 / sample_rate_hz)))
-    spec = np.fft.rfft(sliding_window_view(values, fft_size)[::step] * win)
-    power = spec.real**2 + spec.imag**2
-    del spec
-    power[:, 1:-1] *= 2
-    # welch averages contiguous (freq, segment) rows; matching that layout
+    segments = sliding_window_view(values, fft_size)[::step]
+    n_segments = segments.shape[0]
+    # welch averages contiguous (freq, segment) rows; filling that layout
     # keeps numpy's pairwise summation order and so every result bit.
-    dens = np.ascontiguousarray(power.T).mean(axis=-1)
+    power = np.empty((fft_size // 2 + 1, n_segments))
+    rows = max(1, _PSD_BLOCK_BYTES // (8 * fft_size))
+    for start in range(0, n_segments, rows):
+        spec = np.fft.rfft(segments[start : start + rows] * win)
+        power[:, start : start + rows] = (spec.real**2 + spec.imag**2).T
+    power[1:-1] *= 2
     return Spectrum(
         freq_hz=np.fft.rfftfreq(fft_size, 1 / sample_rate_hz),
-        psd=dens,
+        psd=power.mean(axis=-1),
         fft_size=fft_size,
-        n_segments=power.shape[0],
+        n_segments=n_segments,
         bin_width_hz=sample_rate_hz / fft_size,
     )
 

@@ -106,6 +106,28 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_config_integral_float_fields_stored_as_int(tmp_path):
+    # JSON writers may emit 1000.0 for 1000; it must run, and read, as 1000.
+    reports = {}
+    for name, seed in (("int", 1000), ("float", 1000.0)):
+        cfg_path = write_config(
+            tmp_path, name=f"{name}.json", seed=seed, n_samples=100_000.0, fft_size=2_000.0
+        )
+        out_dir = tmp_path / name
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        reports[name] = json.loads((out_dir / "report.json").read_text())
+    assert reports["float"]["result"]["nf_db"] == reports["int"]["result"]["nf_db"]
+    config = reports["float"]["config"]
+    assert (config["seed"], config["n_samples"], config["fft_size"]) == (1000, 100_000, 2_000)
+    assert all(type(config[k]) is int for k in ("seed", "n_samples", "fft_size"))
+
+
+def test_config_bool_integer_field_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, ref_exclusion_halfwidth_bins=True)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "ref_exclusion_halfwidth_bins" in capsys.readouterr().err
+
+
 def test_simulate_hann_window(tmp_path):
     cfg_path = write_config(tmp_path)
     out_dir = tmp_path / "hann"

@@ -49,6 +49,13 @@ def test_apply_dut_noise_power_adds():
     assert float(out.samples.var()) == pytest.approx(800.0, rel=0.02)
 
 
+def test_apply_dut_matches_formula():
+    sig = gaussian_noise(1001, 1.3, seed=4)
+    out = apply_dut(DutSpec(gain_linear=2.0, added_noise_power=100.0), sig, seed=5)
+    noise = np.random.default_rng(5).normal(0, 1, 1001)
+    np.testing.assert_array_equal(out.samples, math.sqrt(2.0) * sig.samples + noise * 10.0)
+
+
 def test_apply_dut_deterministic():
     sig = gaussian_noise(256, 1.0, seed=4)
     dut = DutSpec(gain_linear=2.0, added_noise_power=100.0)

@@ -61,11 +61,34 @@ def make_config(nf_db=10.0, **overrides):
         dict(ref_amplitude=math.nan),
         dict(ref_amplitude=math.inf),
         dict(f_ref_hz=math.nan),
+        dict(n_samples=True, fft_size=2),        # bool in any integer field
+        dict(fft_size=True),
+        dict(ref_exclusion_halfwidth_bins=True),
+        dict(ref_exclusion_halfwidth_bins=False),
+        dict(seed=False),
+        dict(seed=np.True_),
+        dict(n_samples=100_000.5),
+        dict(fft_size=2_000.5),
+        dict(ref_exclusion_halfwidth_bins=2.5),
+        dict(n_samples=math.nan),
+        dict(n_samples=math.inf),
+        dict(seed=math.nan),
+        dict(seed=math.inf),
+        dict(seed="1"),
     ],
 )
 def test_experiment_config_validation(overrides):
     with pytest.raises(ParameterError):
         make_config(**overrides)
+
+
+def test_experiment_config_stores_integral_floats_as_int():
+    cfg = make_config(
+        n_samples=100_000.0, fft_size=2_000.0, ref_exclusion_halfwidth_bins=3.0, seed=np.int64(7)
+    )
+    values = (cfg.n_samples, cfg.fft_size, cfg.ref_exclusion_halfwidth_bins, cfg.seed)
+    assert values == (100_000, 2_000, 3, 7)
+    assert all(type(v) is int for v in values)
 
 
 def test_config_requires_domain_types():
@@ -293,7 +316,7 @@ def test_sweep_reference_amplitude_equals_per_point_runs(analysis):
 @pytest.mark.parametrize("analysis", CRN_ANALYSES, ids=["rect", "hann50"])
 def test_gain_sensitivity_study_equals_per_ratio_runs(analysis):
     cfg = make_config(seed=5, **CRN_CONFIG)
-    ratios = [0.5, 1.0, 10 ** 0.1]
+    ratios = [0.5, 1.0, 10 ** 0.1, 1.0, 1.0, 2.0]  # repeats analyse each input once
     assumed = cfg.dut.gain_linear * cfg.post_dut_gain_linear
     base_direct = run_direct_experiment(cfg, assumed, **analysis).nf_db
     base_y = run_y_factor_experiment(cfg, **analysis).nf_db
@@ -304,3 +327,25 @@ def test_gain_sensitivity_study_equals_per_ratio_runs(analysis):
         yfac = run_y_factor_experiment(drifted, **analysis).nf_db
         expected += [("direct", r, direct - base_direct), ("y_factor", r, yfac - base_y)]
     assert gain_sensitivity_study(cfg, ratios, **analysis) == expected
+
+
+def test_gain_sensitivity_study_analyses_changed_bits(monkeypatch):
+    # Real gain drift practically never flips a comparator decision, so the
+    # study reuses the base analysis. Negating the records at one drifted
+    # gain forces different bits there, which must then be analysed anew.
+    from nfbist import pipeline
+
+    cfg = make_config(seed=5, **CRN_CONFIG)
+    flipped_gain = cfg.post_dut_gain_linear * 2.0
+    observed = pipeline._observed
+
+    def flip_at_one_gain(c, records):
+        sign = -1.0 if c.post_dut_gain_linear == flipped_gain else 1.0
+        return (sign * rec for rec in observed(c, records))
+
+    monkeypatch.setattr(pipeline, "_observed", flip_at_one_gain)
+    base = run_y_factor_experiment(cfg).nf_db
+    flipped = run_y_factor_experiment(replace(cfg, post_dut_gain_linear=flipped_gain)).nf_db
+    assert flipped != base
+    rows = gain_sensitivity_study(cfg, [1.0, 2.0])
+    assert [r.nf_bias_db for r in rows if r.method == "y_factor"] == [0.0, flipped - base]

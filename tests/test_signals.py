@@ -45,6 +45,11 @@ def test_gaussian_noise_reproducible():
     assert not np.array_equal(a.samples, c.samples)
 
 
+def test_gaussian_noise_matches_scaled_normal_draw():
+    expected = np.random.default_rng(42).normal(0, 1, 1001) * 2.7
+    np.testing.assert_array_equal(gaussian_noise(1001, 2.7, seed=42).samples, expected)
+
+
 def test_gaussian_noise_moments():
     # n = 200k: std error of the mean is sigma/sqrt(n) ~ 0.007, of the std
     # ~ 0.005, so these tolerances sit at roughly seven sigma.
@@ -103,12 +108,18 @@ def test_square_wave_rejects_bad_sample_rate(rate):
 @pytest.mark.parametrize("phase", [0.0, 0.3, -2.0, -1e-4, 7.1])
 def test_square_wave_matches_mod_formula(rate, f0, phase):
     # The waveform takes the fractional cycle position as x - floor(x); it
-    # must equal the np.mod form bit for bit, negative phases included.
+    # must equal the np.mod form bit for bit, negative phases included. The
+    # pattern is cached: the first call misses, the repeat and the other
+    # amplitude hit, and writing to a returned array must not reach them.
     n = 100_000
     t = np.arange(n, dtype=np.float64) / rate
     cycle_pos = np.mod(f0 * t + phase / (2.0 * math.pi), 1.0)
-    expected = np.where(cycle_pos < 0.5, 1.7, -1.7)
-    np.testing.assert_array_equal(square_wave(n, rate, f0, 1.7, phase_rad=phase).samples, expected)
+    for amplitude in (1.7, 1.7, 0.3):
+        expected = np.where(cycle_pos < 0.5, amplitude, -amplitude)
+        samples = square_wave(n, rate, f0, amplitude, phase_rad=phase).samples
+        np.testing.assert_array_equal(samples, expected)
+        samples.setflags(write=True)
+        samples[:] = 0.0
 
 
 def test_mix_adds_samples():

@@ -116,6 +116,41 @@ def test_psd_matches_scipy_welch(window, scipy_window, overlap, fft_size):
         np.testing.assert_allclose(s.psd, dens, rtol=1e-12)
 
 
+def _single_pass_psd(values, fs, fft_size, window, overlap):
+    """All segments at once, the form psd's row blocks must reproduce."""
+    step = fft_size - int(round(fft_size * overlap))
+    if window == "hann":
+        win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, fft_size + 1)[:-1])
+    else:
+        win = np.ones(fft_size)
+    win = win * (1 / np.sqrt(sum(win**2) / (1 / fs)))
+    segments = np.lib.stride_tricks.sliding_window_view(values, fft_size)[::step]
+    spec = np.fft.rfft(segments * win)
+    power = spec.real**2 + spec.imag**2
+    power[:, 1:-1] *= 2
+    return np.ascontiguousarray(power.T).mean(axis=-1)
+
+
+@pytest.mark.parametrize(
+    "window, overlap", [("rectangular", 0.0), ("hann", 0.0), ("hann", 0.5), ("hann", 0.75)]
+)
+@pytest.mark.parametrize("fft_size", [2_000, 10_000])
+def test_psd_bitstream_equals_float_signal(window, overlap, fft_size):
+    # 150_001 samples: a dropped tail, and segment counts (15 to 297) that
+    # leave a short last row block.
+    fs, n = 50_000.0, 150_001
+    noise = gaussian_noise(n, 1.0, seed=6, sample_rate_hz=fs)
+    bits = digitize(noise, square_wave(n, fs, 3000.0, 0.25))
+    as_float = SampledSignal(fs, bits.bits.astype(np.float64))
+    s_bits = psd(bits, fft_size, window=window, overlap_fraction=overlap)
+    s_float = psd(as_float, fft_size, window=window, overlap_fraction=overlap)
+    assert np.array_equal(s_bits.psd, s_float.psd)
+    assert s_bits.n_segments == s_float.n_segments
+    for sig, values in ((bits, as_float.samples), (noise, noise.samples)):
+        s = psd(sig, fft_size, window=window, overlap_fraction=overlap)
+        assert np.array_equal(s.psd, _single_pass_psd(values, fs, fft_size, window, overlap))
+
+
 def test_import_loads_no_scipy():
     code = "import sys, nfbist; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
