@@ -41,9 +41,11 @@ class BitStream:
             raise ShapeError(f"bits must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             raise ParameterError("bitstream must contain at least one bit")
-        arr = np.ascontiguousarray(arr, dtype=np.int8)
-        if not np.all(np.abs(arr) == 1):
+        # Validate the values as given: a cast first would wrap 257 to 1 and
+        # truncate 1.5 to 1.
+        if not np.all((arr == 1) | (arr == -1)):
             raise ParameterError("bits must only contain +1 and -1")
+        arr = np.ascontiguousarray(arr, dtype=np.int8)
         arr.setflags(write=False)
         object.__setattr__(self, "sample_rate_hz", rate)
         object.__setattr__(self, "bits", arr)

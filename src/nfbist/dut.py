@@ -59,12 +59,16 @@ class OpampNoiseModel:
         check_positive("temperature_k", self.temperature_k)
 
 
-def apply_dut(dut: DutSpec, signal: SampledSignal, seed: int) -> SampledSignal:
+def apply_dut(
+    dut: DutSpec, signal: SampledSignal, seed: int | np.random.Generator
+) -> SampledSignal:
     """Amplify a signal and add the DUT's own noise.
 
     output = sqrt(gain_linear) * input + n, where n is fresh white Gaussian
     noise of power ``added_noise_power`` (output-referred). With zero added
-    noise and unit gain the input passes through unchanged.
+    noise and unit gain the input passes through unchanged, and nothing is
+    drawn. ``seed`` may be a ``numpy.random.Generator``, whose stream the
+    noise draw continues, so a record can be passed through in chunks.
     """
     amplified = math.sqrt(dut.gain_linear) * signal.samples
     if dut.added_noise_power == 0.0:

@@ -14,7 +14,6 @@ method immune to gain error, unlike the direct method.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
@@ -43,6 +42,8 @@ __all__ = [
 ]
 
 SEARCH_HALFWIDTH_BINS = 5
+# Samples per simulation chunk: 1 MiB of float64.
+_CHUNK_SAMPLES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -156,70 +157,84 @@ def _nf_and_warnings(f: float) -> tuple[float, list[str]]:
     return float("nan"), [f"noise factor {f:.6g} is not positive; nf_db undefined"]
 
 
-def _analog_records(cfg: ExperimentConfig) -> Iterator[np.ndarray]:
-    """Yield the hot, then the cold DUT output samples for cfg's seed.
+def _analog_records(cfg: ExperimentConfig) -> Iterator[Iterator[np.ndarray]]:
+    """Yield the hot, then the cold DUT output for cfg's seed, each as lazy chunks.
 
-    The samples are taken before post-DUT gain. They depend only on the
-    seed, the source, the DUT, n_samples and the sample rate, never on
-    ref_amplitude or post_dut_gain_linear, so a sweep over those two draws
-    them once per seed (common random numbers) and keeps them as a tuple.
-    Drawn lazily, with no array held across a yield, they let
-    simulate_bitstreams hold one state's record at a time, which bounds its
-    peak memory.
+    Each state's record comes as consecutive chunks of _CHUNK_SAMPLES
+    samples (the last one shorter). The state's source and DUT generators
+    continue from chunk to chunk, so the chunks concatenate bit for bit to
+    the single full-length draw. The samples are taken before post-DUT gain
+    and depend only on the seed, the source, the DUT, n_samples and the
+    sample rate, never on ref_amplitude or post_dut_gain_linear, so a sweep
+    over those two draws them once per seed (common random numbers) and
+    keeps each state's chunks as a tuple.
     """
     seeds = _sub_seeds(cfg.seed, 6)
     for state, (seed_src, seed_dut) in (("hot", seeds[0:2]), ("cold", seeds[2:4])):
+        yield _state_chunks(cfg, state, seed_src, seed_dut)
+
+
+def _state_chunks(
+    cfg: ExperimentConfig, state: str, seed_src: int, seed_dut: int
+) -> Iterator[np.ndarray]:
+    """Lazily draw one state's DUT output, chunk by chunk, from two continuing generators."""
+    rng_src, rng_dut = np.random.default_rng(seed_src), np.random.default_rng(seed_dut)
+    for start in range(0, cfg.n_samples, _CHUNK_SAMPLES):
+        n = min(_CHUNK_SAMPLES, cfg.n_samples - start)
         yield apply_dut(
-            cfg.dut,
-            source_output(cfg.source, state, cfg.n_samples, cfg.sample_rate_hz, seed_src),
-            seed_dut,
+            cfg.dut, source_output(cfg.source, state, n, cfg.sample_rate_hz, rng_src), rng_dut
         ).samples
 
 
-def _observed(cfg: ExperimentConfig, records: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Lazily map each analog record to itself times sqrt(cfg.post_dut_gain_linear).
-
-    The reference in _comparator_bits carries the same factor, as a single
-    multiplication each, so the comparator decisions are invariant under
-    post-DUT gain changes. Folding the factors into one product would change
-    the rounding and flip bits. map, unlike a for loop in a generator, keeps
-    no reference to a record once it is scaled, so the record can be freed.
-    """
-    return map(functools.partial(np.multiply, math.sqrt(cfg.post_dut_gain_linear)), records)
-
-
 def _comparator_bits(
-    cfg: ExperimentConfig, observed: Iterable[np.ndarray]
+    cfg: ExperimentConfig, records: Iterable[Iterable[np.ndarray]]
 ) -> tuple[BitStream, BitStream]:
-    """Slice the hot and cold observed records against cfg's square-wave reference.
+    """Slice the hot and cold chunked analog records against cfg's square-wave reference.
 
-    The records already carry the post-DUT gain (_observed). The reference
+    Each chunk is scaled by sqrt(post_dut_gain_linear), and the reference
     amplitude is cfg.ref_amplitude times the analytic cold-state RMS at the
-    comparator, times the same sqrt(post_dut_gain_linear).
+    comparator, times the same factor, as a single multiplication each, so
+    the comparator decisions are invariant under post-DUT gain changes.
+    Folding the factors into one product would change the rounding and flip
+    bits. Only one chunk's float temporaries are alive at a time; the
+    decisions go straight into each state's int8 bitstream.
     """
     post_amp = math.sqrt(cfg.post_dut_gain_linear)
     ref_base = cfg.ref_amplitude * _comparator_cold_rms(cfg)
     reference = square_wave(
         cfg.n_samples, cfg.sample_rate_hz, cfg.f_ref_hz, post_amp * ref_base
-    )
-    # As in _observed, map drops each record once it is digitized, before
-    # the next one is drawn.
-    hot, cold = map(
-        lambda rec: digitize(SampledSignal(cfg.sample_rate_hz, rec), reference), observed
-    )
+    ).samples
+    hot, cold = (_digitize_chunks(cfg, post_amp, reference, chunks) for chunks in records)
     return hot, cold
+
+
+def _digitize_chunks(
+    cfg: ExperimentConfig, post_amp: float, reference: np.ndarray, chunks: Iterable[np.ndarray]
+) -> BitStream:
+    """Comparator bits of one state's chunks, each scaled by post_amp."""
+    fs = cfg.sample_rate_hz
+    bits = np.empty(cfg.n_samples, dtype=np.int8)
+    start = 0
+    for chunk in chunks:
+        stop = start + chunk.size
+        bits[start:stop] = digitize(
+            SampledSignal(fs, post_amp * chunk), SampledSignal(fs, reference[start:stop])
+        ).bits
+        start = stop
+    return BitStream(fs, bits)
 
 
 def simulate_bitstreams(cfg: ExperimentConfig) -> tuple[BitStream, BitStream]:
     """Synthesize the (hot, cold) comparator bitstreams for a configuration.
 
     Builds the reference, then draws, scales and digitizes the hot and the
-    cold record in turn. The sweep studies run the same steps but draw (and,
-    for the ref-amplitude sweep, scale) the records once per seed and reuse
+    cold record in turn, _CHUNK_SAMPLES samples at a time, so the float
+    working memory is the reference plus one chunk's temporaries. The sweep
+    studies run the same steps but draw each seed's chunks once and reuse
     them for every sweep point, so their bits equal this function's for
     each point's config.
     """
-    return _comparator_bits(cfg, _observed(cfg, _analog_records(cfg)))
+    return _comparator_bits(cfg, _analog_records(cfg))
 
 
 def run_y_factor_experiment(
@@ -402,13 +417,11 @@ def sweep_reference_amplitude(
     errors = [[] for _ in fractions]
     for k in range(n_seeds):
         seed_cfg = replace(cfg, seed=cfg.seed + k)
-        # Only ref_amplitude changes between fractions, so the gain-scaled
-        # records serve them all.
-        observed = tuple(_observed(seed_cfg, _analog_records(seed_cfg)))
+        records = tuple(tuple(chunks) for chunks in _analog_records(seed_cfg))
         for fraction, fraction_errors in zip(fractions, errors):
             run_cfg = replace(seed_cfg, ref_amplitude=fraction)
             out = analyze_bitstreams(
-                *_comparator_bits(run_cfg, observed),
+                *_comparator_bits(run_cfg, records),
                 run_cfg,
                 window=window,
                 overlap_fraction=overlap_fraction,
@@ -480,12 +493,12 @@ def gain_sensitivity_study(
     def y_nf(c: ExperimentConfig, bits) -> float:
         return analyze_bitstreams(*bits, c, window=window, overlap_fraction=overlap_fraction).nf_db
 
-    records = tuple(_analog_records(cfg))
-    base_bits = _comparator_bits(cfg, _observed(cfg, records))
+    records = tuple(tuple(chunks) for chunks in _analog_records(cfg))
+    base_bits = _comparator_bits(cfg, records)
     base_y = y_nf(cfg, base_bits)
     rows = []
     for ratio, c in zip(gain_ratios, drifted):
-        bits = _comparator_bits(c, _observed(c, records))
+        bits = _comparator_bits(c, records)
         same = all(np.array_equal(a.bits, b.bits) for a, b in zip(bits, base_bits))
         yfac = base_y if same else y_nf(c, bits)
         rows.append(

@@ -27,7 +27,10 @@ __all__ = [
 
 
 def _as_readonly_f64(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise ParameterError(f"samples must be real, got dtype {arr.dtype}")
+    arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 1:
         raise ShapeError(f"samples must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -87,10 +90,15 @@ class NoiseSourceSpec:
         raise ParameterError(f"state must be 'hot' or 'cold', got {state!r}")
 
 
-def gaussian_noise(n: int, sigma: float, seed: int, sample_rate_hz: float = 1.0) -> SampledSignal:
+def gaussian_noise(
+    n: int, sigma: float, seed: int | np.random.Generator, sample_rate_hz: float = 1.0
+) -> SampledSignal:
     """White Gaussian noise with standard deviation ``sigma``.
 
     The same ``(n, sigma, seed)`` always reproduces the same samples.
+    ``seed`` may also be a ``numpy.random.Generator``, whose stream the draw
+    continues: consecutive draws from one generator concatenate to a single
+    draw of their total length, bit for bit.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -165,9 +173,13 @@ def source_output(
     state: str,
     n: int,
     sample_rate_hz: float,
-    seed: int,
+    seed: int | np.random.Generator,
 ) -> SampledSignal:
-    """Noise record for one source state, variance power_scale * T(state)."""
+    """Noise record for one source state, variance power_scale * T(state).
+
+    ``seed`` may be a ``numpy.random.Generator``, whose stream the draw
+    continues (see gaussian_noise), so a record can be drawn in chunks.
+    """
     t_state = src.state_temperature_k(state)
     sigma = math.sqrt(src.power_scale * t_state)
     return gaussian_noise(n, sigma, seed, sample_rate_hz=sample_rate_hz)

@@ -30,6 +30,11 @@ def test_bitstream_validation():
     assert bs.bits.dtype == np.int8
     with pytest.raises(ParameterError):
         BitStream(10.0, [1, 0, -1])
+    # Checked before the int8 cast, which would wrap or truncate these to +-1.
+    for bad in ([257, -1], [1.5, -1.0], [1.0, -1.9], np.array([65535, 255], dtype=np.uint16)):
+        with pytest.raises(ParameterError):
+            BitStream(10.0, bad)
+    assert BitStream(10.0, [1.0, -1.0]).bits.tolist() == [1, -1]
     with pytest.raises(ParameterError):
         BitStream(10.0, [])
     with pytest.raises(ShapeError):

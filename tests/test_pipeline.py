@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,17 +13,23 @@ from nfbist import (
     ExperimentConfig,
     NoiseSourceSpec,
     ParameterError,
+    SampledSignal,
     ShapeError,
     analyze_bitstreams,
+    apply_dut,
+    digitize,
     dut_from_nf,
     gain_sensitivity_study,
     ideal_y,
     run_direct_experiment,
     run_y_factor_experiment,
     simulate_bitstreams,
+    source_output,
+    square_wave,
     sweep_reference_amplitude,
     th_uncertainty_study,
 )
+from nfbist.pipeline import _CHUNK_SAMPLES
 
 SOURCE = NoiseSourceSpec(t_hot_k=10_000.0, t_cold_k=1_000.0)
 
@@ -122,6 +129,56 @@ def test_simulate_bitstreams_fingerprint():
     assert hashlib.sha256(cold.bits.tobytes()).hexdigest() == (
         "83653516ab527bdc86cc459064a406c727fed933899d065f62304c8830f2a58c"
     )
+    # The default 1e6-sample record spans several simulation chunks.
+    hot, cold = simulate_bitstreams(make_config(seed=1))
+    assert hashlib.sha256(hot.bits.tobytes()).hexdigest() == (
+        "c063d9d91de3a54cb197fd3e0cccc7e361e9e7edc5b6303a9812ea35eb5f0d5e"
+    )
+    assert hashlib.sha256(cold.bits.tobytes()).hexdigest() == (
+        "57c275cfde93589e155b6c1164f101216839f3faa81c5a0c405de5a33fe8af59"
+    )
+
+
+@pytest.mark.parametrize(
+    "n_samples",
+    [3 * _CHUNK_SAMPLES + 7, _CHUNK_SAMPLES, _CHUNK_SAMPLES - 2],
+    ids=["3chunks+7", "1chunk", "1chunk-2"],
+)
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(post_dut_gain_linear=2.5), dict(dut=DutSpec(gain_linear=2.0, added_noise_power=0.0))],
+    ids=["gain2.5", "noiseless_dut"],
+)
+def test_simulate_bitstreams_equals_full_array_formula(n_samples, overrides):
+    # The chunked chain must give the bits of one full-length pass through
+    # the layer functions.
+    cfg = make_config(seed=9, n_samples=n_samples, fft_size=2_000, **overrides)
+    fs, n, src, dut = cfg.sample_rate_hz, cfg.n_samples, cfg.source, cfg.dut
+    post_amp = math.sqrt(cfg.post_dut_gain_linear)
+    cold_rms = math.sqrt(dut.gain_linear * src.t_cold_k + dut.added_noise_power)
+    reference = square_wave(n, fs, cfg.f_ref_hz, post_amp * (cfg.ref_amplitude * cold_rms))
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(4, dtype=np.uint64)
+    expected = []
+    for state, seed_src, seed_dut in (("hot", *seeds[0:2]), ("cold", *seeds[2:4])):
+        record = apply_dut(dut, source_output(src, state, n, fs, int(seed_src)), int(seed_dut))
+        expected.append(digitize(SampledSignal(fs, post_amp * record.samples), reference))
+    for got, want in zip(simulate_bitstreams(cfg), expected):
+        np.testing.assert_array_equal(got.bits, want.bits)
+
+
+def test_simulate_bitstreams_working_memory_is_bounded():
+    # Only the reference (8 MiB at 1e6 samples), the int8 bits and one chunk's
+    # float temporaries may be alive at a time; two full-length float64
+    # records would already exceed the bound.
+    cfg = make_config(seed=2)
+    simulate_bitstreams(cfg)  # warm-up: fills the square-wave pattern cache
+    tracemalloc.start()
+    try:
+        simulate_bitstreams(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_simulate_bitstreams_gain_invariance():
@@ -337,13 +394,13 @@ def test_gain_sensitivity_study_analyses_changed_bits(monkeypatch):
 
     cfg = make_config(seed=5, **CRN_CONFIG)
     flipped_gain = cfg.post_dut_gain_linear * 2.0
-    observed = pipeline._observed
+    digitize_chunks = pipeline._digitize_chunks
 
-    def flip_at_one_gain(c, records):
+    def flip_at_one_gain(c, post_amp, reference, chunks):
         sign = -1.0 if c.post_dut_gain_linear == flipped_gain else 1.0
-        return (sign * rec for rec in observed(c, records))
+        return digitize_chunks(c, post_amp, reference, (sign * chunk for chunk in chunks))
 
-    monkeypatch.setattr(pipeline, "_observed", flip_at_one_gain)
+    monkeypatch.setattr(pipeline, "_digitize_chunks", flip_at_one_gain)
     base = run_y_factor_experiment(cfg).nf_db
     flipped = run_y_factor_experiment(replace(cfg, post_dut_gain_linear=flipped_gain)).nf_db
     assert flipped != base

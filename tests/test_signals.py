@@ -35,6 +35,10 @@ def test_sampled_signal_rejects_bad_input():
         SampledSignal(0.0, [1.0])
     with pytest.raises(ParameterError):
         SampledSignal(-5.0, [1.0])
+    # A complex array would lose its imaginary parts in the float64 cast.
+    for values in (np.array([1 + 2j, 3j]), [1 + 2j, 3j], np.zeros(3, dtype=np.complex64)):
+        with pytest.raises(ParameterError):
+            SampledSignal(1.0, values)
 
 
 def test_gaussian_noise_reproducible():
