@@ -8,7 +8,7 @@ noise algebra.
 __version__ = "0.1.0"
 
 from .capture import read_capture, write_capture
-from .digitizer import BitStream, arcsine_map, decimate, digitize, empirical_autocorr
+from .digitizer import BitStream, arcsine_map, digitize, empirical_autocorr
 from .dut import (
     DutSpec,
     OpampNoiseModel,
@@ -25,7 +25,6 @@ from .errors import (
     DegenerateReferenceError,
     InsufficientDataError,
     NfbistError,
-    NonphysicalResultWarning,
     ParameterError,
     ShapeError,
     SingularYError,
@@ -33,17 +32,11 @@ from .errors import (
 from .nfcore import (
     BOLTZMANN_J_PER_K,
     T0_K,
-    direct_gain_error,
-    f_direct,
-    f_from_snr,
-    f_from_y_powers,
     f_from_y_temps,
     f_to_nf,
     friis_cascade,
     ideal_y,
     nf_to_f,
-    snr_db,
-    y_factor,
 )
 from .pipeline import (
     ExperimentConfig,
@@ -61,7 +54,6 @@ from .signals import (
     NoiseSourceSpec,
     SampledSignal,
     gaussian_noise,
-    mix,
     source_output,
     square_wave,
 )
@@ -83,7 +75,6 @@ __all__ = [
     "NoiseSourceSpec",
     "gaussian_noise",
     "square_wave",
-    "mix",
     "source_output",
     "DutSpec",
     "OpampNoiseModel",
@@ -93,7 +84,6 @@ __all__ = [
     "opamp_noise_figure",
     "BitStream",
     "digitize",
-    "decimate",
     "arcsine_map",
     "empirical_autocorr",
     "Spectrum",
@@ -103,15 +93,9 @@ __all__ = [
     "band_width_hz",
     "PowerRatioResult",
     "power_ratio_detail",
-    "snr_db",
-    "f_from_snr",
     "f_to_nf",
     "nf_to_f",
-    "f_direct",
-    "direct_gain_error",
-    "y_factor",
     "f_from_y_temps",
-    "f_from_y_powers",
     "ideal_y",
     "friis_cascade",
     "ExperimentConfig",
@@ -136,5 +120,4 @@ __all__ = [
     "ConfigError",
     "CaptureFormatError",
     "CaptureCorruptError",
-    "NonphysicalResultWarning",
 ]

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .pipeline import (
     ExperimentConfig,
-    MeasurementResult,
     analyze_bitstreams,
     gain_sensitivity_study,
     run_y_factor_experiment,
@@ -132,7 +131,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError([f"{path}: not valid JSON ({exc})"]) from exc
     if not isinstance(data, dict):
         raise ConfigError([f"{path}: top level must be a JSON object"])
@@ -166,12 +165,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Effective configuration with every default materialized."""
     out = dataclasses.asdict(cfg)
     out["band"] = list(out["band"])
-    return out
-
-
-def _result_to_dict(result: MeasurementResult) -> dict:
-    out = dataclasses.asdict(result)
-    out["warnings"] = list(out["warnings"])
     return out
 
 
@@ -214,7 +207,7 @@ def cmd_simulate(args) -> int:
     streams = dict(zip(("hot", "cold"), simulate_bitstreams(cfg)))
 
     report = _report_scaffold(cfg)
-    report["result"] = _result_to_dict(result)
+    report["result"] = dataclasses.asdict(result)
     report["outputs"] = {}
     for state, bits in streams.items():
         spectrum = psd(
@@ -250,7 +243,7 @@ def cmd_analyze(args) -> int:
     )
     report = _report_scaffold(cfg)
     report["inputs"] = {"hot": str(args.hot), "cold": str(args.cold)}
-    report["result"] = _result_to_dict(result)
+    report["result"] = dataclasses.asdict(result)
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_positive
 from .signals import SampledSignal
 
 __all__ = [
     "BitStream",
     "digitize",
-    "decimate",
     "arcsine_map",
     "empirical_autocorr",
 ]
@@ -34,8 +33,7 @@ class BitStream:
 
     def __post_init__(self):
         rate = float(self.sample_rate_hz)
-        if not math.isfinite(rate) or rate <= 0.0:
-            raise ParameterError(f"sample_rate_hz must be positive, got {self.sample_rate_hz!r}")
+        check_positive("sample_rate_hz", rate)
         arr = np.asarray(self.bits)
         if arr.ndim != 1:
             raise ShapeError(f"bits must be one-dimensional, got shape {arr.shape}")
@@ -72,16 +70,6 @@ def digitize(signal: SampledSignal, reference: SampledSignal) -> BitStream:
     bits = (signal.samples - reference.samples >= 0.0).view(np.int8) * np.int8(2)
     bits -= 1
     return BitStream(signal.sample_rate_hz, bits)
-
-
-def decimate(bits: BitStream, factor: int) -> BitStream:
-    """Keep every factor-th bit, dividing the sample rate accordingly."""
-    if int(factor) != factor or factor < 1:
-        raise ParameterError(f"factor must be a positive integer, got {factor!r}")
-    factor = int(factor)
-    if factor == 1:
-        return bits
-    return BitStream(bits.sample_rate_hz / factor, bits.bits[::factor])
 
 
 def arcsine_map(rho):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, check_non_negative, check_positive
-from .nfcore import BOLTZMANN_J_PER_K
+from .nfcore import BOLTZMANN_J_PER_K, T0_K, f_to_nf, nf_to_f
 from .signals import SampledSignal
 
 __all__ = [
@@ -51,7 +51,7 @@ class OpampNoiseModel:
     in_a_per_rthz: float
     rs_ohm: float
     req_ohm: float = 0.0
-    temperature_k: float = 290.0
+    temperature_k: float = T0_K
 
     def __post_init__(self):
         for name in ("en_v_per_rthz", "in_a_per_rthz", "rs_ohm", "req_ohm"):
@@ -83,7 +83,7 @@ def apply_dut(
 def dut_from_nf(
     nf_db: float,
     gain_linear: float,
-    t0_k: float = 290.0,
+    t0_k: float = T0_K,
     power_scale: float = 1.0,
 ) -> DutSpec:
     """Build a DUT whose nominal noise figure is ``nf_db``.
@@ -94,12 +94,12 @@ def dut_from_nf(
     check_non_negative("nf_db", nf_db)
     check_positive("t0_k", t0_k)
     check_positive("power_scale", power_scale)
-    f = 10.0 ** (nf_db / 10.0)
+    f = nf_to_f(nf_db)
     na = (f - 1.0) * power_scale * t0_k * gain_linear
     return DutSpec(gain_linear=gain_linear, added_noise_power=na)
 
 
-def nominal_f(dut: DutSpec, t0_k: float = 290.0, power_scale: float = 1.0) -> float:
+def nominal_f(dut: DutSpec, t0_k: float = T0_K, power_scale: float = 1.0) -> float:
     """Noise factor implied by the DUT parameters at reference temperature."""
     check_positive("t0_k", t0_k)
     check_positive("power_scale", power_scale)
@@ -121,4 +121,4 @@ def opamp_noise_figure(model: OpampNoiseModel) -> float:
         + (model.in_a_per_rthz * model.rs_ohm) ** 2
         + four_kt * model.req_ohm
     )
-    return 10.0 * math.log10(numerator / (four_kt * model.rs_ohm))
+    return f_to_nf(numerator / (four_kt * model.rs_ohm))

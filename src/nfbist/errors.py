@@ -1,5 +1,5 @@
-"""Exception and warning types shared across the package, and the two domain
-checks that scalar parameter validation goes through."""
+"""Exception types shared across the package, and the two domain checks that
+scalar parameter validation goes through."""
 
 import math
 
@@ -66,11 +66,3 @@ class CaptureFormatError(NfbistError):
 
 class CaptureCorruptError(NfbistError):
     """Capture file is truncated or internally inconsistent."""
-
-
-class NonphysicalResultWarning(UserWarning):
-    """A computed noise factor fell below 1 (or below 0).
-
-    Measurement noise can legitimately produce such values, so they are
-    returned for downstream statistics rather than rejected.
-    """

@@ -15,7 +15,6 @@ method immune to gain error, unlike the direct method.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .digitizer import BitStream, digitize
 from .dut import DutSpec, apply_dut, nominal_f
-from .errors import NonphysicalResultWarning, ParameterError, ShapeError, check_positive
+from .errors import ParameterError, ShapeError, check_positive
 from .nfcore import f_from_y_temps, f_to_nf, ideal_y
 from .signals import NoiseSourceSpec, SampledSignal, gaussian_noise, source_output, square_wave
 from .spectral import band_power, band_width_hz, power_ratio_detail, psd
@@ -41,7 +40,6 @@ __all__ = [
     "gain_sensitivity_study",
 ]
 
-SEARCH_HALFWIDTH_BINS = 5
 # Samples per simulation chunk: 1 MiB of float64.
 _CHUNK_SAMPLES = 1 << 17
 
@@ -151,10 +149,19 @@ def _comparator_cold_rms(cfg: ExperimentConfig) -> float:
     return math.sqrt(dut.gain_linear * src.power_scale * src.t_cold_k + dut.added_noise_power)
 
 
-def _nf_and_warnings(f: float) -> tuple[float, list[str]]:
+def _nf_and_notes(f: float, context: str) -> tuple[float, list[str]]:
+    """NF in dB for a measured noise factor, with the notes a nonphysical F earns.
+
+    F below 1 is kept (measurement noise can produce it) and noted; F <= 0
+    has no decibel form, so nf_db is NaN.
+    """
+    notes = []
+    if f < 1.0:
+        notes.append(f"{context}: noise factor {f:.6g} is below 1 (nonphysical)")
     if f > 0.0:
-        return f_to_nf(f), []
-    return float("nan"), [f"noise factor {f:.6g} is not positive; nf_db undefined"]
+        return f_to_nf(f), notes
+    notes.append(f"noise factor {f:.6g} is not positive; nf_db undefined")
+    return float("nan"), notes
 
 
 def _analog_records(cfg: ExperimentConfig) -> Iterator[Iterator[np.ndarray]]:
@@ -243,17 +250,9 @@ def run_y_factor_experiment(
     overlap_fraction: float = 0.0,
 ) -> MeasurementResult:
     """Simulate hot and cold 1-bit acquisitions and estimate F from their ratio."""
-    hot, cold = simulate_bitstreams(cfg)
-    notes = []
-    if cfg.ref_amplitude > 1.0:
-        notes.append(
-            f"reference amplitude is {cfg.ref_amplitude:g} of the cold-state RMS; "
-            "levels above 1 distort the comparator statistics"
-        )
-    result = analyze_bitstreams(
-        hot, cold, cfg, window=window, overlap_fraction=overlap_fraction
+    return analyze_bitstreams(
+        *simulate_bitstreams(cfg), cfg, window=window, overlap_fraction=overlap_fraction
     )
-    return replace(result, warnings=tuple(notes) + result.warnings)
 
 
 def analyze_bitstreams(
@@ -268,7 +267,8 @@ def analyze_bitstreams(
     cfg supplies the FFT size, the reference frequency, the measurement
     band and the source temperatures. Both bitstreams must be sampled at
     cfg.sample_rate_hz, since the reference and the band are placed on
-    that rate's frequency grid.
+    that rate's frequency grid. Every note about the result goes into its
+    warnings field; none is raised as a Python warning.
     """
     if hot.sample_rate_hz != cold.sample_rate_hz:
         raise ShapeError(
@@ -287,10 +287,14 @@ def analyze_bitstreams(
         cfg.band,
         cfg.f_ref_hz,
         ref_exclusion_halfwidth_bins=cfg.ref_exclusion_halfwidth_bins,
-        search_halfwidth_bins=SEARCH_HALFWIDTH_BINS,
     )
 
     notes = []
+    if cfg.ref_amplitude > 1.0:
+        notes.append(
+            f"reference amplitude is {cfg.ref_amplitude:g} of the cold-state RMS; "
+            "levels above 1 distort the comparator statistics"
+        )
     if detail.y < 1.0:
         notes.append(
             f"measured Y = {detail.y:.6g} is below 1; hot and cold may be swapped"
@@ -299,15 +303,8 @@ def analyze_bitstreams(
         notes.append(
             f"hot/cold segment counts differ: {spec_hot.n_segments} vs {spec_cold.n_segments}"
         )
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        f = f_from_y_temps(
-            detail.y, cfg.source.t_hot_k, cfg.source.t_cold_k, cfg.source.t0_k
-        )
-    notes.extend(
-        str(w.message) for w in caught if issubclass(w.category, NonphysicalResultWarning)
-    )
-    nf_db, nf_notes = _nf_and_warnings(f)
+    f = f_from_y_temps(detail.y, cfg.source.t_hot_k, cfg.source.t_cold_k, cfg.source.t0_k)
+    nf_db, nf_notes = _nf_and_notes(f, "f_from_y_temps")
     return MeasurementResult(
         f=f,
         nf_db=nf_db,
@@ -352,17 +349,13 @@ def _direct_result(
     src = cfg.source
     input_band_power_t0 = src.power_scale * src.t0_k * width / (cfg.sample_rate_hz / 2.0)
     f = measured / (input_band_power_t0 * assumed_gain_linear)
-
-    notes = []
-    if f < 1.0:
-        notes.append(f"direct method: noise factor {f:.6g} is below 1 (nonphysical)")
-    nf_db, nf_notes = _nf_and_warnings(f)
+    nf_db, notes = _nf_and_notes(f, "direct method")
     return MeasurementResult(
         f=f,
         nf_db=nf_db,
         n_segments=spectrum.n_segments,
         band_power_cold=measured,
-        warnings=tuple(notes + nf_notes),
+        warnings=tuple(notes),
     )
 
 
@@ -409,8 +402,7 @@ def sweep_reference_amplitude(
         raise ParameterError("at least one amplitude fraction is required")
     if any(not (math.isfinite(a) and a > 0.0) for a in fractions):
         raise ParameterError(f"amplitude fractions must be finite and positive, got {fractions}")
-    if n_seeds < 1:
-        raise ParameterError(f"n_seeds must be >= 1, got {n_seeds}")
+    n_seeds = _integer_field("n_seeds", n_seeds, 1)
     src = cfg.source
     f_nominal = nominal_f(cfg.dut, t0_k=src.t0_k, power_scale=src.power_scale)
     y_ideal = ideal_y(f_nominal, src.t_hot_k, src.t_cold_k, src.t0_k)

@@ -2,8 +2,8 @@
 
 Noise powers follow a temperature-proportional convention: a source in a
 given state produces zero-mean white Gaussian samples whose variance is
-``power_scale * temperature``. Absolute watt-level powers (k*T*B) only enter
-the picture in :mod:`nfbist.nfcore`, where the direct method needs them.
+``power_scale * temperature``. Boltzmann's constant enters only the op-amp
+noise-figure formula in :mod:`nfbist.dut`.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError, check_positive
+from .nfcore import T0_K
 
 __all__ = [
     "SampledSignal",
     "NoiseSourceSpec",
     "gaussian_noise",
     "square_wave",
-    "mix",
     "source_output",
 ]
 
@@ -71,7 +71,7 @@ class NoiseSourceSpec:
 
     t_hot_k: float
     t_cold_k: float
-    t0_k: float = 290.0
+    t0_k: float = T0_K
     power_scale: float = 1.0
 
     def __post_init__(self):
@@ -155,17 +155,6 @@ def _first_half_mask(n: int, sample_rate_hz: float, f0_hz: float, phase_rad: flo
     mask = cycle < 0.5
     mask.setflags(write=False)
     return mask
-
-
-def mix(a: SampledSignal, b: SampledSignal) -> SampledSignal:
-    """Element-wise sum of two signals on the same time grid."""
-    if a.sample_rate_hz != b.sample_rate_hz:
-        raise ShapeError(
-            f"sample rates differ: {a.sample_rate_hz} vs {b.sample_rate_hz}"
-        )
-    if len(a) != len(b):
-        raise ShapeError(f"lengths differ: {len(a)} vs {len(b)}")
-    return SampledSignal(a.sample_rate_hz, a.samples + b.samples)
 
 
 def source_output(

@@ -26,6 +26,7 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
     ShapeError,
+    check_positive,
 )
 from .signals import SampledSignal
 
@@ -68,8 +69,7 @@ class Spectrum:
             )
         if self.n_segments < 1:
             raise ParameterError(f"n_segments must be >= 1, got {self.n_segments}")
-        if self.bin_width_hz <= 0.0:
-            raise ParameterError(f"bin_width_hz must be positive, got {self.bin_width_hz}")
+        check_positive("bin_width_hz", self.bin_width_hz)
         freq.setflags(write=False)
         dens.setflags(write=False)
         object.__setattr__(self, "freq_hz", freq)
@@ -239,7 +239,6 @@ def power_ratio_detail(
     band: tuple[float, float],
     f_ref_hz: float,
     ref_exclusion_halfwidth_bins: int = 3,
-    search_halfwidth_bins: int = 5,
 ) -> PowerRatioResult:
     """Hot/cold band-power ratio after reference-peak normalization.
 
@@ -254,8 +253,8 @@ def power_ratio_detail(
         raise ParameterError(
             f"ref_exclusion_halfwidth_bins must be >= 0, got {ref_exclusion_halfwidth_bins}"
         )
-    bin_hot, peak_hot = find_reference_peak(hot, f_ref_hz, search_halfwidth_bins)
-    bin_cold, peak_cold = find_reference_peak(cold, f_ref_hz, search_halfwidth_bins)
+    bin_hot, peak_hot = find_reference_peak(hot, f_ref_hz)
+    bin_cold, peak_cold = find_reference_peak(cold, f_ref_hz)
     for peak in (peak_hot, peak_cold):
         if peak <= 0.0:
             raise DegenerateReferenceError(

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -232,6 +234,13 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"source": "\xff"}')
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_config_missing_band_exits_2(tmp_path, capsys):
     cfg = {k: v for k, v in BASE_CONFIG.items() if k != "band"}
     path = tmp_path / "config.json"
@@ -342,6 +351,22 @@ def test_sweep_th_error_non_finite_point_exits_4(tmp_path, point):
     ]
     assert main(args) == 4
     assert not out_csv.exists()
+
+
+def test_sweep_th_error_nonphysical_f_keeps_stderr_empty(tmp_path):
+    # -5% on the hot temperature of a 0.5 dB device perturbs F below 1.
+    cfg_path = write_config(tmp_path, dut={"gain_linear": 1.0, "nf_db": 0.5})
+    out_csv = tmp_path / "th.csv"
+    args = [
+        "sweep", "--config", str(cfg_path), "--kind", "th-error",
+        "--out", str(out_csv), "--points=-0.05,0.05",
+    ]
+    run = subprocess.run(
+        [sys.executable, "-m", "nfbist.cli", *args], capture_output=True, text=True
+    )
+    assert run.returncode == 0
+    assert run.stderr == ""
+    assert [r[0] for r in read_rows(out_csv)] == ["th_rel_error", "-0.05", "0.05"]
 
 
 def test_psd_command_matches_library(tmp_path):

@@ -12,7 +12,6 @@ from nfbist import (
     SampledSignal,
     ShapeError,
     arcsine_map,
-    decimate,
     digitize,
     empirical_autocorr,
     gaussian_noise,
@@ -85,18 +84,6 @@ def test_digitize_matches_where_formula():
         expected = np.where(x - r >= 0.0, 1, -1).astype(np.int8)
     np.testing.assert_array_equal(bits, expected)
     assert bits.dtype == np.int8
-
-
-def test_decimate():
-    bs = BitStream(100.0, [1, -1, 1, -1, 1, -1, 1, -1])
-    out = decimate(bs, 2)
-    np.testing.assert_array_equal(out.bits, [1, 1, 1, 1])
-    assert out.sample_rate_hz == 50.0
-    assert decimate(bs, 1) is bs
-    with pytest.raises(ParameterError):
-        decimate(bs, 0)
-    with pytest.raises(ParameterError):
-        decimate(bs, 2.5)
 
 
 def test_arcsine_map_values():

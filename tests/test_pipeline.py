@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -221,8 +222,11 @@ def test_run_y_factor_repeatable():
 
 
 def test_overdriven_reference_warns():
-    result = run_y_factor_experiment(make_config(ref_amplitude=1.5, seed=0, **FAST))
+    cfg = make_config(ref_amplitude=1.5, seed=0, **FAST)
+    result = run_y_factor_experiment(cfg)
     assert any("above 1" in w for w in result.warnings)
+    # The note is made by the analysis, so re-analysed bits carry it too.
+    assert analyze_bitstreams(*simulate_bitstreams(cfg), cfg) == result
 
 
 def test_analyze_matches_simulation():
@@ -238,11 +242,30 @@ def test_analyze_matches_simulation():
 def test_analyze_swapped_inputs_warns():
     cfg = make_config(seed=0, **FAST)
     hot, cold = simulate_bitstreams(cfg)
-    result = analyze_bitstreams(cold, hot, cfg)  # deliberately swapped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = analyze_bitstreams(cold, hot, cfg)  # deliberately swapped
     assert result.y < 1.0
-    assert any("below 1" in w for w in result.warnings)
-    # The nonphysical F is reported, not raised.
-    assert result.f < 1.0
+    # The nonphysical F is reported as notes on the result, not raised.
+    assert result.f < 0.0
+    assert math.isnan(result.nf_db)
+    assert result.warnings == (
+        f"measured Y = {result.y:.6g} is below 1; hot and cold may be swapped",
+        f"f_from_y_temps: noise factor {result.f:.6g} is below 1 (nonphysical)",
+        f"noise factor {result.f:.6g} is not positive; nf_db undefined",
+    )
+
+
+def test_direct_method_notes_nonphysical_f():
+    # Assuming 20x the actual gain puts the direct-method F near 10/20.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_direct_experiment(make_config(seed=0, **FAST), 20.0)
+    assert 0.0 < result.f < 1.0
+    assert result.nf_db < 0.0
+    assert result.warnings == (
+        f"direct method: noise factor {result.f:.6g} is below 1 (nonphysical)",
+    )
 
 
 def test_analyze_rejects_rate_mismatch():
@@ -296,8 +319,9 @@ def test_sweep_reference_amplitude_structure():
         sweep_reference_amplitude(cfg, [])
     with pytest.raises(ParameterError):
         sweep_reference_amplitude(cfg, [0.0])
-    with pytest.raises(ParameterError):
-        sweep_reference_amplitude(cfg, [0.1], n_seeds=0)
+    for bad_seeds in (0, 2.5, True, "3"):
+        with pytest.raises(ParameterError):
+            sweep_reference_amplitude(cfg, [0.1], n_seeds=bad_seeds)
     for bad in (math.nan, math.inf):
         with pytest.raises(ParameterError):
             sweep_reference_amplitude(cfg, [0.1, bad])

@@ -11,7 +11,6 @@ from nfbist import (
     SampledSignal,
     ShapeError,
     gaussian_noise,
-    mix,
     source_output,
     square_wave,
 )
@@ -124,22 +123,6 @@ def test_square_wave_matches_mod_formula(rate, f0, phase):
         np.testing.assert_array_equal(samples, expected)
         samples.setflags(write=True)
         samples[:] = 0.0
-
-
-def test_mix_adds_samples():
-    a = SampledSignal(10.0, [1.0, 2.0])
-    b = SampledSignal(10.0, [0.5, -2.0])
-    out = mix(a, b)
-    np.testing.assert_array_equal(out.samples, [1.5, 0.0])
-    assert out.sample_rate_hz == 10.0
-
-
-def test_mix_rejects_mismatches():
-    a = SampledSignal(10.0, [1.0, 2.0])
-    with pytest.raises(ShapeError):
-        mix(a, SampledSignal(20.0, [1.0, 2.0]))
-    with pytest.raises(ShapeError):
-        mix(a, SampledSignal(10.0, [1.0, 2.0, 3.0]))
 
 
 def test_noise_source_spec_validation():

@@ -22,7 +22,6 @@ from nfbist import (
     find_reference_peak,
     gaussian_noise,
     ideal_y,
-    mix,
     power_ratio_detail,
     psd,
     square_wave,
@@ -180,6 +179,9 @@ def test_spectrum_constructor_validation():
         Spectrum(np.arange(4.0), np.ones(4), fft_size=8, n_segments=1, bin_width_hz=1.0)
     with pytest.raises(ParameterError):
         Spectrum(np.arange(5.0), np.ones(5), fft_size=8, n_segments=0, bin_width_hz=1.0)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            Spectrum(np.arange(5.0), np.ones(5), fft_size=8, n_segments=1, bin_width_hz=bad)
 
 
 def test_find_reference_peak_lone_bin():
@@ -208,7 +210,7 @@ def test_find_reference_peak_stable_across_noise_levels():
     bins = []
     for k, sigma in enumerate((1.0, 3.0)):
         noise = gaussian_noise(n, sigma, seed=21 + k, sample_rate_hz=fs)
-        s = psd(digitize(mix(noise, tone), zeros), fft)
+        s = psd(digitize(SampledSignal(fs, noise.samples + tone.samples), zeros), fft)
         bins.append(find_reference_peak(s, 3000.0)[0])
     assert bins[0] == bins[1] == 600
 
@@ -221,7 +223,7 @@ def test_one_bit_tone_power_follows_erf_compression():
     zeros = SampledSignal(fs, np.zeros(n))
     for k, sigma in enumerate((1.0, 3.0)):
         noise = gaussian_noise(n, sigma, seed=11 + k, sample_rate_hz=fs)
-        s = psd(digitize(mix(noise, tone), zeros), fft)
+        s = psd(digitize(SampledSignal(fs, noise.samples + tone.samples), zeros), fft)
         _, peak_power = find_reference_peak(s, 3000.0)
         expected = (8.0 / math.pi**2) * math.erf(amp / (sigma * math.sqrt(2.0))) ** 2
         assert peak_power == pytest.approx(expected, rel=0.05)
