@@ -9,13 +9,18 @@ from hypothesis import given, strategies as st
 from nfbist import (
     BOLTZMANN_J_PER_K,
     T0_K,
+    DutSpec,
+    OpampNoiseModel,
     ParameterError,
     SingularYError,
+    dut_from_nf,
     f_from_y_temps,
     f_to_nf,
     friis_cascade,
     ideal_y,
     nf_to_f,
+    nominal_f,
+    opamp_noise_figure,
 )
 
 
@@ -105,6 +110,18 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
         lambda v: ideal_y(2.0, 10_000.0, 1_000.0, v),
         lambda v: friis_cascade([(v, 10.0)]),
         lambda v: friis_cascade([(2.0, v)]),
+        lambda v: friis_cascade([(2.0, 10.0), (v, 10.0)]),
+        lambda v: dut_from_nf(v, 10.0),
+        lambda v: dut_from_nf(3.0, v),
+        lambda v: dut_from_nf(3.0, 10.0, v),
+        lambda v: dut_from_nf(3.0, 10.0, T0_K, v),
+        lambda v: nominal_f(DutSpec(10.0, 2_900.0), v),
+        lambda v: nominal_f(DutSpec(10.0, 2_900.0), T0_K, v),
+        lambda v: opamp_noise_figure(OpampNoiseModel(v, 1e-12, 1_000.0)),
+        lambda v: opamp_noise_figure(OpampNoiseModel(4e-9, v, 1_000.0)),
+        lambda v: opamp_noise_figure(OpampNoiseModel(4e-9, 1e-12, v)),
+        lambda v: opamp_noise_figure(OpampNoiseModel(4e-9, 1e-12, 1_000.0, v)),
+        lambda v: opamp_noise_figure(OpampNoiseModel(4e-9, 1e-12, 1_000.0, 0.0, v)),
     ],
 )
 def test_non_finite_arguments_rejected(call, bad):
