@@ -43,6 +43,7 @@ from .pipeline import (
     GainSensitivityRow,
     MeasurementResult,
     analyze_bitstreams,
+    analyze_spectra,
     gain_sensitivity_study,
     run_direct_experiment,
     run_y_factor_experiment,
@@ -105,6 +106,7 @@ __all__ = [
     "run_y_factor_experiment",
     "run_direct_experiment",
     "analyze_bitstreams",
+    "analyze_spectra",
     "sweep_reference_amplitude",
     "th_uncertainty_study",
     "gain_sensitivity_study",

@@ -32,14 +32,15 @@ from .errors import (
 from .pipeline import (
     ExperimentConfig,
     analyze_bitstreams,
+    analyze_spectra,
     gain_sensitivity_study,
-    run_y_factor_experiment,
+    run_y_factor_experiment,  # not called here; perfbench/tracing.PATCHES wraps this binding
     simulate_bitstreams,
     sweep_reference_amplitude,
     th_uncertainty_study,
 )
 from .signals import NoiseSourceSpec
-from .spectral import Spectrum, psd
+from .spectral import MAX_OVERLAP_FRACTION, Spectrum, psd
 
 __all__ = ["main", "load_experiment_config", "config_to_dict", "write_spectrum_csv"]
 
@@ -200,21 +201,21 @@ def cmd_simulate(args) -> int:
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    result = run_y_factor_experiment(
-        cfg, window=args.window, overlap_fraction=args.segments_overlap
-    )
-    # Same seed, so these are exactly the bitstreams behind `result`.
+    # One simulation and one PSD per state; the report, the spectrum CSVs
+    # and the captures are all written from these objects.
     streams = dict(zip(("hot", "cold"), simulate_bitstreams(cfg)))
+    spectra = {
+        state: psd(bits, cfg.fft_size, window=args.window, overlap_fraction=args.segments_overlap)
+        for state, bits in streams.items()
+    }
+    result = analyze_spectra(spectra["hot"], spectra["cold"], cfg)
 
     report = _report_scaffold(cfg)
     report["result"] = dataclasses.asdict(result)
     report["outputs"] = {}
     for state, bits in streams.items():
-        spectrum = psd(
-            bits, cfg.fft_size, window=args.window, overlap_fraction=args.segments_overlap
-        )
         csv_path = out_dir / f"spectrum_{state}.csv"
-        write_spectrum_csv(csv_path, spectrum)
+        write_spectrum_csv(csv_path, spectra[state])
         report["outputs"][f"spectrum_{state}_csv"] = str(csv_path)
         if args.save_captures:
             cap_path = out_dir / f"capture_{state}.nfb"
@@ -316,6 +317,32 @@ def cmd_psd(args) -> int:
     return EXIT_OK
 
 
+def _overlap_fraction(text: str) -> float:
+    """--segments-overlap value: a number in [0, MAX_OVERLAP_FRACTION], so not NaN."""
+    try:
+        value = float(text)
+        ok = 0.0 <= value <= MAX_OVERLAP_FRACTION
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(
+            f"must be a number in [0, {MAX_OVERLAP_FRACTION}], got {text!r}"
+        )
+    return value
+
+
+def _seed_count(text: str) -> int:
+    """--seeds value: an integer >= 1."""
+    try:
+        value = int(text)
+        ok = value >= 1
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_common_analysis_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--window",
@@ -325,9 +352,10 @@ def _add_common_analysis_flags(parser: argparse.ArgumentParser):
     )
     parser.add_argument(
         "--segments-overlap",
-        type=float,
+        type=_overlap_fraction,
         default=None,
-        help="segment overlap fraction 0..0.75 (default: 0, or 0.5 with --window hann)",
+        help=f"segment overlap fraction 0..{MAX_OVERLAP_FRACTION} "
+        "(default: 0, or 0.5 with --window hann)",
     )
 
 
@@ -368,7 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--points", default=None, help="comma-separated sweep points (kind-specific units)"
     )
     p_sw.add_argument(
-        "--seeds", type=int, default=10, help="seeds per point for ref-amplitude (default 10)"
+        "--seeds",
+        type=_seed_count,
+        default=10,
+        help="seeds per point for ref-amplitude (default 10)",
     )
     _add_common_analysis_flags(p_sw)
     p_sw.set_defaults(func=cmd_sweep)

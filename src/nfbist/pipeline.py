@@ -25,7 +25,7 @@ from .dut import DutSpec, apply_dut, nominal_f
 from .errors import ParameterError, ShapeError, check_positive
 from .nfcore import f_from_y_temps, f_to_nf, ideal_y
 from .signals import NoiseSourceSpec, SampledSignal, gaussian_noise, source_output, square_wave
-from .spectral import band_power, band_width_hz, power_ratio_detail, psd
+from .spectral import Spectrum, band_power, band_width_hz, power_ratio_detail, psd
 
 __all__ = [
     "ExperimentConfig",
@@ -35,6 +35,7 @@ __all__ = [
     "run_y_factor_experiment",
     "run_direct_experiment",
     "analyze_bitstreams",
+    "analyze_spectra",
     "sweep_reference_amplitude",
     "th_uncertainty_study",
     "gain_sensitivity_study",
@@ -267,8 +268,9 @@ def analyze_bitstreams(
     cfg supplies the FFT size, the reference frequency, the measurement
     band and the source temperatures. Both bitstreams must be sampled at
     cfg.sample_rate_hz, since the reference and the band are placed on
-    that rate's frequency grid. Every note about the result goes into its
-    warnings field; none is raised as a Python warning.
+    that rate's frequency grid. Computes both PSDs and passes them to
+    analyze_spectra. Every note about the result goes into its warnings
+    field; none is raised as a Python warning.
     """
     if hot.sample_rate_hz != cold.sample_rate_hz:
         raise ShapeError(
@@ -281,6 +283,27 @@ def analyze_bitstreams(
         )
     spec_hot = psd(hot, cfg.fft_size, window=window, overlap_fraction=overlap_fraction)
     spec_cold = psd(cold, cfg.fft_size, window=window, overlap_fraction=overlap_fraction)
+    return analyze_spectra(spec_hot, spec_cold, cfg)
+
+
+def analyze_spectra(
+    spec_hot: Spectrum, spec_cold: Spectrum, cfg: ExperimentConfig
+) -> MeasurementResult:
+    """Spectral Y-factor analysis of two existing spectra.
+
+    The second half of analyze_bitstreams, for callers that keep the
+    spectra: reference-peak normalization, the band-power ratio Y, the
+    notes, F and NF. Both spectra must lie on cfg's grid (cfg.fft_size
+    points at cfg.sample_rate_hz, the grid psd puts them on), since the
+    reference and the band are read at that grid's bins.
+    """
+    width = cfg.sample_rate_hz / cfg.fft_size
+    for state, spec in (("hot", spec_hot), ("cold", spec_cold)):
+        if spec.fft_size != cfg.fft_size or spec.bin_width_hz != width:
+            raise ShapeError(
+                f"{state} spectrum is not on the config's grid: fft {spec.fft_size} vs "
+                f"{cfg.fft_size}, bin width {spec.bin_width_hz} vs {width} Hz"
+            )
     detail = power_ratio_detail(
         spec_hot,
         spec_cold,

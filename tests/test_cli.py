@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config validation, exit codes."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,8 +9,15 @@ import sys
 import numpy as np
 import pytest
 
-from nfbist import BitStream, psd, read_capture, write_capture
-from nfbist.cli import main
+from nfbist import (
+    BitStream,
+    psd,
+    read_capture,
+    run_y_factor_experiment,
+    simulate_bitstreams,
+    write_capture,
+)
+from nfbist.cli import load_experiment_config, main, write_spectrum_csv
 
 # Small records keep each invocation fast; 2000-point FFT on 100k samples
 # still averages 50 segments.
@@ -138,6 +146,87 @@ def test_simulate_hann_window(tmp_path):
     report = json.loads((out_dir / "report.json").read_text())
     # Default overlap for hann is 0.5: (100000 - 1000) // 1000 segments.
     assert report["result"]["n_segments"] == 99
+
+
+@pytest.mark.parametrize(
+    "flags, window, overlap",
+    [([], "rectangular", 0.0), (["--window", "hann"], "hann", 0.5)],
+    ids=["rect", "hann"],
+)
+def test_simulate_outputs_equal_library_calls(tmp_path, flags, window, overlap):
+    # Every output of `simulate` is what the library gives for the config:
+    # the report's result, both spectrum CSVs and both captures.
+    cfg_path = write_config(tmp_path)
+    out_dir = tmp_path / "run"
+    args = ["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--save-captures"]
+    assert main(args + flags) == 0
+
+    cfg = load_experiment_config(cfg_path)
+    expected = dataclasses.asdict(run_y_factor_experiment(cfg, window, overlap))
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["result"] == json.loads(json.dumps(expected))
+
+    for state, bits in zip(("hot", "cold"), simulate_bitstreams(cfg)):
+        want_csv = tmp_path / f"want_{state}.csv"
+        write_spectrum_csv(want_csv, psd(bits, cfg.fft_size, window, overlap))
+        assert (out_dir / f"spectrum_{state}.csv").read_bytes() == want_csv.read_bytes()
+        capture = read_capture(out_dir / f"capture_{state}.nfb")
+        assert capture.sample_rate_hz == bits.sample_rate_hz
+        np.testing.assert_array_equal(capture.bits, bits.bits)
+
+
+def test_simulate_runs_one_simulation_and_one_psd_per_state(tmp_path, monkeypatch):
+    # Counted under both names a call can go through: the CLI's own binding
+    # and the one library functions such as run_y_factor_experiment use.
+    from nfbist import cli, pipeline
+
+    calls = {"simulate_bitstreams": 0, "psd": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (cli, pipeline):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(module, name))
+    cfg_path = write_config(tmp_path)
+    for k in range(2):
+        args = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / f"run{k}")]
+        assert main(args + ["--save-captures"] * k) == 0
+    assert calls == {"simulate_bitstreams": 2, "psd": 4}
+
+
+@pytest.mark.parametrize("overlap", ["0.9", "-0.1", "nan", "inf", "half"])
+def test_simulate_bad_overlap_exits_2_before_any_work(tmp_path, overlap, capsys):
+    out_dir = tmp_path / "run"
+    args = [
+        "simulate", "--config", str(write_config(tmp_path)), "--out", str(out_dir),
+        f"--segments-overlap={overlap}",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "--segments-overlap" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2", "1.5", "abc"])
+def test_sweep_bad_seed_count_exits_2_before_any_work(tmp_path, seeds, capsys):
+    out_csv = tmp_path / "out" / "amp.csv"
+    args = [
+        "sweep", "--config", str(write_config(tmp_path)), "--kind", "ref-amplitude",
+        "--out", str(out_csv), f"--seeds={seeds}",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out_csv.parent.exists()
 
 
 def test_analyze_round_trips_simulated_captures(tmp_path):

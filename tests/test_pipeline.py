@@ -1,5 +1,6 @@
 """End-to-end experiment pipeline: simulation, analysis and studies."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -17,11 +18,13 @@ from nfbist import (
     SampledSignal,
     ShapeError,
     analyze_bitstreams,
+    analyze_spectra,
     apply_dut,
     digitize,
     dut_from_nf,
     gain_sensitivity_study,
     ideal_y,
+    psd,
     run_direct_experiment,
     run_y_factor_experiment,
     simulate_bitstreams,
@@ -283,6 +286,42 @@ def test_analyze_rejects_config_rate_mismatch():
     hot, cold = simulate_bitstreams(slow)
     with pytest.raises(ShapeError, match="sample rates differ"):
         analyze_bitstreams(hot, cold, replace(slow, sample_rate_hz=50_000.0))
+
+
+@pytest.mark.parametrize(
+    "analysis, swap",
+    [(dict(), False), (dict(window="hann", overlap_fraction=0.5), False), (dict(), True)],
+    ids=["rect", "hann50", "swapped"],
+)
+def test_analyze_spectra_equals_analyze_bitstreams(analysis, swap):
+    cfg = make_config(seed=3, **FAST)
+    hot, cold = simulate_bitstreams(cfg)
+    if swap:
+        hot, cold = cold, hot
+    spectra = [psd(bits, cfg.fft_size, **analysis) for bits in (hot, cold)]
+    got = analyze_spectra(*spectra, cfg)
+    want = analyze_bitstreams(hot, cold, cfg, **analysis)
+    for name in (f.name for f in dataclasses.fields(want)):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a == b or (math.isnan(a) and math.isnan(b)), name
+    if swap:
+        assert got.y < 1.0 and math.isnan(got.nf_db)
+        assert any("swapped" in w for w in got.warnings)
+
+
+def test_analyze_spectra_rejects_spectra_off_the_config_grid():
+    # A spectrum on another grid would put the reference and the band on the
+    # wrong bins and give a wrong NF without any note.
+    cfg = make_config(seed=0, **FAST)
+    hot, cold = simulate_bitstreams(cfg)
+    spec_hot, spec_cold = psd(hot, cfg.fft_size), psd(cold, cfg.fft_size)
+    coarse = psd(cold, cfg.fft_size // 2)
+    slow = psd(type(cold)(cfg.sample_rate_hz / 5.0, cold.bits), cfg.fft_size)
+    for bad in (coarse, slow):
+        with pytest.raises(ShapeError, match="config's grid"):
+            analyze_spectra(spec_hot, bad, cfg)
+        with pytest.raises(ShapeError, match="config's grid"):
+            analyze_spectra(bad, spec_cold, cfg)
 
 
 def test_direct_method_recovers_f():
