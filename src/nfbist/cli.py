@@ -28,6 +28,7 @@ from .errors import (
     CaptureFormatError,
     ConfigError,
     NfbistError,
+    check_integer,
 )
 from .pipeline import (
     ExperimentConfig,
@@ -50,21 +51,9 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 _WINDOW_CHOICES = {"rect": "rectangular", "hann": "hann"}
-_SOURCE_KEYS = {"t_hot_k", "t_cold_k", "t0_k", "power_scale"}
-_DUT_KEYS = {"gain_linear", "added_noise_power", "nf_db"}
-_TOP_KEYS = {
-    "source",
-    "dut",
-    "sample_rate_hz",
-    "n_samples",
-    "fft_size",
-    "f_ref_hz",
-    "ref_amplitude",
-    "band",
-    "ref_exclusion_halfwidth_bins",
-    "post_dut_gain_linear",
-    "seed",
-}
+_SOURCE_KEYS = {f.name for f in dataclasses.fields(NoiseSourceSpec)}
+_DUT_KEYS = {f.name for f in dataclasses.fields(DutSpec)} | {"nf_db"}
+_TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 _REQUIRED_KEYS = ("source", "dut", "band")
 
 DEFAULT_AMPLITUDE_FRACTIONS = (0.02, 0.1, 0.25, 0.4, 1.0, 1.5)
@@ -187,13 +176,8 @@ def _report_scaffold(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _apply_seed_override(cfg: ExperimentConfig, seed) -> ExperimentConfig:
-    if seed is None:
-        return cfg
-    try:
-        return dataclasses.replace(cfg, seed=seed)
-    except NfbistError as exc:
-        raise ConfigError([f"--seed: {exc}"]) from exc
+def _apply_seed_override(cfg: ExperimentConfig, seed: int | None) -> ExperimentConfig:
+    return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
 
 
 def cmd_simulate(args) -> int:
@@ -331,15 +315,25 @@ def _overlap_fraction(text: str) -> float:
     return value
 
 
-def _seed_count(text: str) -> int:
-    """--seeds value: an integer >= 1."""
-    try:
-        value = int(text)
-        ok = value >= 1
-    except ValueError:
-        ok = False
-    if not ok:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+def _integer_flag(minimum: int):
+    """argparse type for an integer flag value >= minimum, checked by check_integer."""
+
+    def parse(text: str) -> int:
+        try:
+            return check_integer("value", int(text), minimum)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {text!r}"
+            ) from None
+
+    return parse
+
+
+def _fft_size(text: str) -> int:
+    """--fft-size value: an even integer >= 2, as psd requires."""
+    value = _integer_flag(2)(text)
+    if value % 2 != 0:
+        raise argparse.ArgumentTypeError(f"must be even, got {text!r}")
     return value
 
 
@@ -370,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a Y-factor experiment from a config")
     p_sim.add_argument("--config", type=pathlib.Path, required=True)
     p_sim.add_argument("--out", type=pathlib.Path, required=True, help="output directory")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_sim.add_argument(
+        "--seed", type=_integer_flag(0), default=None, help="override the config seed"
+    )
     p_sim.add_argument(
         "--save-captures", action="store_true", help="also write hot/cold NFB1 captures"
     )
@@ -391,13 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("ref-amplitude", "th-error", "gain"), required=True
     )
     p_sw.add_argument("--out", type=pathlib.Path, required=True, help="output CSV path")
-    p_sw.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_sw.add_argument(
+        "--seed", type=_integer_flag(0), default=None, help="override the config seed"
+    )
     p_sw.add_argument(
         "--points", default=None, help="comma-separated sweep points (kind-specific units)"
     )
     p_sw.add_argument(
         "--seeds",
-        type=_seed_count,
+        type=_integer_flag(1),
         default=10,
         help="seeds per point for ref-amplitude (default 10)",
     )
@@ -406,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_psd = sub.add_parser("psd", help="PSD of a capture file")
     p_psd.add_argument("--capture", type=pathlib.Path, required=True)
-    p_psd.add_argument("--fft-size", type=int, default=10_000, dest="fft_size")
+    p_psd.add_argument("--fft-size", type=_fft_size, default=10_000, dest="fft_size")
     p_psd.add_argument("--out", type=pathlib.Path, required=True, help="output CSV path")
     _add_common_analysis_flags(p_psd)
     p_psd.set_defaults(func=cmd_psd)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, check_positive
+from .errors import ParameterError, ShapeError, check_integer, check_positive
 from .signals import SampledSignal
 
 __all__ = [
@@ -101,9 +101,7 @@ def empirical_autocorr(x, max_lag: int) -> np.ndarray:
         if values.ndim != 1:
             raise ShapeError(f"input must be one-dimensional, got shape {values.shape}")
     n = values.size
-    if int(max_lag) != max_lag or max_lag < 0:
-        raise ParameterError(f"max_lag must be a non-negative integer, got {max_lag!r}")
-    max_lag = int(max_lag)
+    max_lag = check_integer("max_lag", max_lag, 0)
     if max_lag >= n:
         raise ParameterError(f"max_lag must be < n = {n}, got {max_lag}")
     denom = float(np.dot(values, values))

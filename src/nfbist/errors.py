@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the two domain checks that
+"""Exception types shared across the package, and the domain checks that
 scalar parameter validation goes through."""
 
 import math
+
+import numpy as np
 
 
 class NfbistError(Exception):
@@ -26,6 +28,25 @@ def check_non_negative(name: str, value) -> None:
     """Raise ParameterError unless value is finite and >= 0 (NaN fails too)."""
     if not (math.isfinite(value) and value >= 0.0):
         raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def check_integer(name: str, value, minimum: int) -> int:
+    """value as an int if it is an integral number >= minimum, not a bool.
+
+    Integral floats (1000.0) and numpy integers are accepted and returned as
+    int; NaN, inf, fractions, strings and bools raise ParameterError.
+    """
+    try:
+        ok = (
+            not isinstance(value, (bool, np.bool_))
+            and int(value) == value
+            and value >= minimum
+        )
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class ShapeError(NfbistError, ValueError):

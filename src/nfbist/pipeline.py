@@ -22,7 +22,7 @@ import numpy as np
 
 from .digitizer import BitStream, digitize
 from .dut import DutSpec, apply_dut, nominal_f
-from .errors import ParameterError, ShapeError, check_positive
+from .errors import ParameterError, ShapeError, check_integer, check_positive
 from .nfcore import f_from_y_temps, f_to_nf, ideal_y
 from .signals import NoiseSourceSpec, SampledSignal, gaussian_noise, source_output, square_wave
 from .spectral import Spectrum, band_power, band_width_hz, power_ratio_detail, psd
@@ -75,7 +75,7 @@ class ExperimentConfig:
             ("ref_exclusion_halfwidth_bins", 0),
             ("seed", 0),
         ):
-            object.__setattr__(self, name, _integer_field(name, getattr(self, name), minimum))
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
         if self.fft_size % 2 != 0:
             raise ParameterError(f"fft_size must be even, got {self.fft_size!r}")
         if self.n_samples < self.fft_size:
@@ -95,21 +95,6 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "band", band)
         check_positive("post_dut_gain_linear", self.post_dut_gain_linear)
-
-
-def _integer_field(name: str, value, minimum: int) -> int:
-    """value as an int if it is an integral number >= minimum, not a bool."""
-    try:
-        ok = (
-            not isinstance(value, (bool, np.bool_))
-            and int(value) == value
-            and value >= minimum
-        )
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -294,15 +279,14 @@ def analyze_spectra(
     The second half of analyze_bitstreams, for callers that keep the
     spectra: reference-peak normalization, the band-power ratio Y, the
     notes, F and NF. Both spectra must lie on cfg's grid (cfg.fft_size
-    points at cfg.sample_rate_hz, the grid psd puts them on), since the
-    reference and the band are read at that grid's bins.
+    and cfg.sample_rate_hz), since the reference and the band are read at
+    that grid's bins.
     """
-    width = cfg.sample_rate_hz / cfg.fft_size
     for state, spec in (("hot", spec_hot), ("cold", spec_cold)):
-        if spec.fft_size != cfg.fft_size or spec.bin_width_hz != width:
+        if (spec.fft_size, spec.sample_rate_hz) != (cfg.fft_size, cfg.sample_rate_hz):
             raise ShapeError(
                 f"{state} spectrum is not on the config's grid: fft {spec.fft_size} vs "
-                f"{cfg.fft_size}, bin width {spec.bin_width_hz} vs {width} Hz"
+                f"{cfg.fft_size}, sample rate {spec.sample_rate_hz} vs {cfg.sample_rate_hz} Hz"
             )
     detail = power_ratio_detail(
         spec_hot,
@@ -425,7 +409,7 @@ def sweep_reference_amplitude(
         raise ParameterError("at least one amplitude fraction is required")
     if any(not (math.isfinite(a) and a > 0.0) for a in fractions):
         raise ParameterError(f"amplitude fractions must be finite and positive, got {fractions}")
-    n_seeds = _integer_field("n_seeds", n_seeds, 1)
+    n_seeds = check_integer("n_seeds", n_seeds, 1)
     src = cfg.source
     f_nominal = nominal_f(cfg.dut, t0_k=src.t0_k, power_scale=src.power_scale)
     y_ideal = ideal_y(f_nominal, src.t_hot_k, src.t_cold_k, src.t0_k)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, check_positive
+from .errors import ParameterError, ShapeError, check_integer, check_positive
 from .nfcore import T0_K
 
 __all__ = [
@@ -100,13 +100,12 @@ def gaussian_noise(
     continues: consecutive draws from one generator concatenate to a single
     draw of their total length, bit for bit.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    n = check_integer("n", n, 1)
     if not math.isfinite(sigma) or sigma < 0.0:
         raise ParameterError(f"sigma must be finite and >= 0, got {sigma!r}")
     # normal(0, 1) rather than standard_normal: 0.0 + 1.0 * z maps -0.0 to
     # +0.0, and the seeded samples must stay the same.
-    samples = np.random.default_rng(seed).normal(0.0, 1.0, int(n))
+    samples = np.random.default_rng(seed).normal(0.0, 1.0, n)
     samples *= sigma
     return SampledSignal(sample_rate_hz, samples)
 
@@ -124,16 +123,16 @@ def square_wave(
     t=0 for zero phase), which makes sample values unambiguous even when a
     sample lands exactly on a transition.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    n = check_integer("n", n, 1)
     check_positive("sample_rate_hz", sample_rate_hz)
     if not (0.0 < f0_hz < sample_rate_hz / 2.0):
         raise ParameterError(
             f"f0_hz must lie in (0, sample_rate/2) = (0, {sample_rate_hz / 2.0}), got {f0_hz}"
         )
-    if not math.isfinite(amplitude):
-        raise ParameterError(f"amplitude must be finite, got {amplitude!r}")
-    mask = _first_half_mask(int(n), sample_rate_hz, f0_hz, phase_rad)
+    for name, value in (("amplitude", amplitude), ("phase_rad", phase_rad)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+    mask = _first_half_mask(n, sample_rate_hz, f0_hz, phase_rad)
     return SampledSignal(sample_rate_hz, np.where(mask, amplitude, -amplitude))
 
 

@@ -13,6 +13,7 @@ bins around the reference, and ratios the remaining in-band power.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,6 +27,7 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
     ShapeError,
+    check_integer,
     check_positive,
 )
 from .signals import SampledSignal
@@ -42,6 +44,9 @@ __all__ = [
 
 _WINDOWS = ("rectangular", "hann")
 MAX_OVERLAP_FRACTION = 0.75
+# find_reference_peak looks for the strongest bin this many bins either side
+# of the bin nearest the nominal reference frequency.
+_PEAK_SEARCH_HALFWIDTH_BINS = 5
 # psd transforms this many bytes of windowed float64 segments at a time, so
 # its temporaries stay small and are reused from the heap instead of being
 # mapped afresh for every call.
@@ -50,38 +55,42 @@ _PSD_BLOCK_BYTES = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """One-sided PSD on a uniform frequency grid from DC to Nyquist."""
+    """One-sided PSD on the uniform grid of an fft_size-point transform at
+    sample_rate_hz, from DC to Nyquist."""
 
-    freq_hz: np.ndarray
     psd: np.ndarray
     fft_size: int
     n_segments: int
-    bin_width_hz: float
+    sample_rate_hz: float
 
     def __post_init__(self):
-        freq = np.asarray(self.freq_hz, dtype=np.float64)
+        fft_size = check_integer("fft_size", self.fft_size, 2)
+        n_segments = check_integer("n_segments", self.n_segments, 1)
+        check_positive("sample_rate_hz", self.sample_rate_hz)
         dens = np.asarray(self.psd, dtype=np.float64)
-        if freq.ndim != 1 or dens.ndim != 1 or freq.size != dens.size:
-            raise ShapeError("freq_hz and psd must be one-dimensional and equally long")
-        if freq.size != self.fft_size // 2 + 1:
+        if dens.ndim != 1 or dens.size != fft_size // 2 + 1:
             raise ShapeError(
-                f"expected fft_size/2 + 1 = {self.fft_size // 2 + 1} bins, got {freq.size}"
+                f"psd must hold fft_size/2 + 1 = {fft_size // 2 + 1} bins, got shape {dens.shape}"
             )
-        if self.n_segments < 1:
-            raise ParameterError(f"n_segments must be >= 1, got {self.n_segments}")
-        check_positive("bin_width_hz", self.bin_width_hz)
-        freq.setflags(write=False)
         dens.setflags(write=False)
-        object.__setattr__(self, "freq_hz", freq)
         object.__setattr__(self, "psd", dens)
+        object.__setattr__(self, "fft_size", fft_size)
+        object.__setattr__(self, "n_segments", n_segments)
+        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
+
+    @functools.cached_property
+    def freq_hz(self) -> np.ndarray:
+        freq = np.fft.rfftfreq(self.fft_size, 1 / self.sample_rate_hz)
+        freq.setflags(write=False)
+        return freq
+
+    @property
+    def bin_width_hz(self) -> float:
+        return self.sample_rate_hz / self.fft_size
 
     @property
     def nyquist_hz(self) -> float:
         return float(self.freq_hz[-1])
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return self.bin_width_hz * self.fft_size
 
     def total_power(self) -> float:
         """Riemann-sum power across the whole spectrum."""
@@ -107,9 +116,7 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
     mean over segments) step for step, so the result equals it bit for bit.
     """
     values, sample_rate_hz = _signal_values(x)
-    if int(fft_size) != fft_size or fft_size < 2:
-        raise ParameterError(f"fft_size must be an integer >= 2, got {fft_size!r}")
-    fft_size = int(fft_size)
+    fft_size = check_integer("fft_size", fft_size, 2)
     if fft_size % 2 != 0:
         raise ParameterError(f"fft_size must be even, got {fft_size}")
     if fft_size > values.size:
@@ -140,76 +147,56 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
         spec = np.fft.rfft(segments[start : start + rows] * win)
         power[:, start : start + rows] = (spec.real**2 + spec.imag**2).T
     power[1:-1] *= 2
-    return Spectrum(
-        freq_hz=np.fft.rfftfreq(fft_size, 1 / sample_rate_hz),
-        psd=power.mean(axis=-1),
-        fft_size=fft_size,
-        n_segments=n_segments,
-        bin_width_hz=sample_rate_hz / fft_size,
-    )
+    return Spectrum(power.mean(axis=-1), fft_size, n_segments, sample_rate_hz)
 
 
-def find_reference_peak(
-    s: Spectrum,
-    f_ref_hz: float,
-    search_halfwidth_bins: int = 5,
-) -> tuple[int, float]:
+def find_reference_peak(s: Spectrum, f_ref_hz: float) -> tuple[int, float]:
     """Locate the injected reference peak near f_ref_hz.
 
-    The peak bin is the strongest bin within +-search_halfwidth_bins of the
-    bin nearest f_ref_hz; the returned power integrates that bin plus one
-    guard bin each side, which keeps the estimate stable when the reference
-    does not land exactly on a bin center and leaks into its neighbours.
+    The peak bin is the strongest bin within +-5 bins of the bin nearest
+    f_ref_hz; the returned power integrates that bin plus one guard bin each
+    side, which keeps the estimate stable when the reference does not land
+    exactly on a bin center and leaks into its neighbours.
     """
     if not (0.0 <= f_ref_hz <= s.nyquist_hz):
         raise ParameterError(
             f"f_ref_hz must lie in [0, {s.nyquist_hz}], got {f_ref_hz}"
         )
-    if search_halfwidth_bins < 0:
-        raise ParameterError(f"search_halfwidth_bins must be >= 0, got {search_halfwidth_bins}")
     center = int(round(f_ref_hz / s.bin_width_hz))
-    lo = center - search_halfwidth_bins
-    hi = center + search_halfwidth_bins
-    if lo < 0 or hi >= s.freq_hz.size:
+    lo = center - _PEAK_SEARCH_HALFWIDTH_BINS
+    hi = center + _PEAK_SEARCH_HALFWIDTH_BINS
+    if lo < 0 or hi >= s.psd.size:
         raise ParameterError(
-            f"search window [{lo}, {hi}] falls outside the spectrum (0..{s.freq_hz.size - 1})"
+            f"search window [{lo}, {hi}] falls outside the spectrum (0..{s.psd.size - 1})"
         )
     best_bin = lo + int(np.argmax(s.psd[lo : hi + 1]))
     g_lo = max(best_bin - 1, 0)
-    g_hi = min(best_bin + 1, s.freq_hz.size - 1)
+    g_hi = min(best_bin + 1, s.psd.size - 1)
     peak_power = float(s.psd[g_lo : g_hi + 1].sum() * s.bin_width_hz)
     return best_bin, peak_power
 
 
-def _band_mask(s: Spectrum, f_lo_hz: float, f_hi_hz: float, excluded) -> np.ndarray:
+def _band_mask(s: Spectrum, f_lo_hz: float, f_hi_hz: float) -> np.ndarray:
+    """Bins whose center lies in [f_lo, f_hi]."""
     if not (0.0 <= f_lo_hz < f_hi_hz <= s.nyquist_hz):
         raise ParameterError(
             f"band must satisfy 0 <= f_lo < f_hi <= {s.nyquist_hz}, got [{f_lo_hz}, {f_hi_hz}]"
         )
     mask = (s.freq_hz >= f_lo_hz) & (s.freq_hz <= f_hi_hz)
-    half = 0.5 * s.bin_width_hz
-    for ex_lo, ex_hi in excluded:
-        if ex_lo > ex_hi:
-            raise ParameterError(f"excluded interval [{ex_lo}, {ex_hi}] is reversed")
-        overlap = (s.freq_hz + half > ex_lo) & (s.freq_hz - half < ex_hi)
-        mask &= ~overlap
     if not mask.any():
-        raise DegenerateBandError(
-            f"no bins remain in [{f_lo_hz}, {f_hi_hz}] Hz after exclusions"
-        )
+        raise DegenerateBandError(f"no bin center lies in [{f_lo_hz}, {f_hi_hz}] Hz")
     return mask
 
 
-def band_power(s: Spectrum, f_lo_hz: float, f_hi_hz: float, excluded=()) -> float:
-    """Integrated power over [f_lo, f_hi], skipping bins that touch any
-    excluded (f_lo, f_hi) interval."""
-    mask = _band_mask(s, f_lo_hz, f_hi_hz, excluded)
+def band_power(s: Spectrum, f_lo_hz: float, f_hi_hz: float) -> float:
+    """Integrated power of the bins whose center lies in [f_lo, f_hi]."""
+    mask = _band_mask(s, f_lo_hz, f_hi_hz)
     return float(s.psd[mask].sum() * s.bin_width_hz)
 
 
-def band_width_hz(s: Spectrum, f_lo_hz: float, f_hi_hz: float, excluded=()) -> float:
+def band_width_hz(s: Spectrum, f_lo_hz: float, f_hi_hz: float) -> float:
     """Effective integration width (bin count times bin width) of band_power."""
-    mask = _band_mask(s, f_lo_hz, f_hi_hz, excluded)
+    mask = _band_mask(s, f_lo_hz, f_hi_hz)
     return float(mask.sum() * s.bin_width_hz)
 
 
@@ -226,10 +213,10 @@ class PowerRatioResult(NamedTuple):
 
 
 def _check_same_grid(hot: Spectrum, cold: Spectrum):
-    if hot.fft_size != cold.fft_size or hot.bin_width_hz != cold.bin_width_hz:
+    if (hot.fft_size, hot.sample_rate_hz) != (cold.fft_size, cold.sample_rate_hz):
         raise ShapeError(
             "spectra are on different grids: "
-            f"fft {hot.fft_size}/{cold.fft_size}, bin {hot.bin_width_hz}/{cold.bin_width_hz}"
+            f"fft {hot.fft_size}/{cold.fft_size}, rate {hot.sample_rate_hz}/{cold.sample_rate_hz} Hz"
         )
 
 
@@ -243,16 +230,14 @@ def power_ratio_detail(
     """Hot/cold band-power ratio after reference-peak normalization.
 
     Each spectrum is divided by its own reference-peak power, so both peaks
-    carry unit power, the bins within +-ref_exclusion_halfwidth_bins of
-    either peak are dropped from the band (whether or not the reference sits
-    inside it), and the remaining band powers are ratioed. The returned band
-    powers are the normalized ones, so y = band_power_hot / band_power_cold.
+    carry unit power, exactly the bins within +-ref_exclusion_halfwidth_bins
+    of either peak bin are dropped from the band (whether or not the
+    reference sits inside it), and the remaining band powers are ratioed.
+    The returned band powers are the normalized ones, so
+    y = band_power_hot / band_power_cold.
     """
     _check_same_grid(hot, cold)
-    if ref_exclusion_halfwidth_bins < 0:
-        raise ParameterError(
-            f"ref_exclusion_halfwidth_bins must be >= 0, got {ref_exclusion_halfwidth_bins}"
-        )
+    half = check_integer("ref_exclusion_halfwidth_bins", ref_exclusion_halfwidth_bins, 0)
     bin_hot, peak_hot = find_reference_peak(hot, f_ref_hz)
     bin_cold, peak_cold = find_reference_peak(cold, f_ref_hz)
     for peak in (peak_hot, peak_cold):
@@ -263,15 +248,14 @@ def power_ratio_detail(
 
     # Both integrations must skip the same bins, so exclude around each
     # spectrum's own peak in both (they coincide in normal operation).
-    half = ref_exclusion_halfwidth_bins
-    excluded = []
-    for b in sorted({bin_hot, bin_cold}):
-        lo = max(b - half, 0)
-        hi = min(b + half, hot.freq_hz.size - 1)
-        excluded.append(
-            (hot.freq_hz[lo] - 0.5 * hot.bin_width_hz, hot.freq_hz[hi] + 0.5 * hot.bin_width_hz)
+    mask = _band_mask(hot, band[0], band[1])
+    for b in {bin_hot, bin_cold}:
+        mask[max(b - half, 0) : b + half + 1] = False
+    if not mask.any():
+        raise DegenerateBandError(
+            f"no bins remain in [{band[0]}, {band[1]}] Hz after excluding "
+            f"+-{half} bins around the reference peak"
         )
-    mask = _band_mask(hot, band[0], band[1], excluded)
     bp_hot = float((hot.psd[mask] * (1.0 / peak_hot)).sum() * hot.bin_width_hz)
     bp_cold = float((cold.psd[mask] * (1.0 / peak_cold)).sum() * cold.bin_width_hz)
     return PowerRatioResult(

@@ -112,7 +112,9 @@ def test_config_negative_seed_exits_2(tmp_path, capsys):
 def test_negative_seed_override_exits_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     args = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path), "--seed", "-1"]
-    assert main(args) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
 
 
@@ -227,6 +229,35 @@ def test_sweep_bad_seed_count_exits_2_before_any_work(tmp_path, seeds, capsys):
     assert exc.value.code == 2
     assert "--seeds" in capsys.readouterr().err
     assert not out_csv.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("psd", "--fft-size", "3"),
+        ("psd", "--fft-size", "0"),
+        ("psd", "--fft-size", "-2"),
+        ("psd", "--fft-size", "2000.5"),
+        ("simulate", "--seed", "-1"),
+        ("simulate", "--seed", "1.5"),
+        ("sweep", "--seed", "nan"),
+    ],
+)
+def test_bad_integer_flag_exits_2_before_any_work(tmp_path, command, flag, value, capsys):
+    # The capture and the config do not exist: a bad flag must stop the run
+    # before they are read (that would exit 3).
+    missing = str(tmp_path / "missing")
+    out = tmp_path / "out" / "result"
+    inputs = {
+        "psd": ["--capture", missing],
+        "simulate": ["--config", missing],
+        "sweep": ["--config", missing, "--kind", "gain"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, "--out", str(out), f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_analyze_round_trips_simulated_captures(tmp_path):

@@ -129,8 +129,10 @@ def test_empirical_autocorr_accepts_bitstream():
 def test_empirical_autocorr_validation():
     with pytest.raises(ParameterError):
         empirical_autocorr(np.ones(4), max_lag=4)
-    with pytest.raises(ParameterError):
-        empirical_autocorr(np.ones(4), max_lag=-1)
+    # A bool is not a lag (True would run as max_lag=1).
+    for bad in (-1, 1.5, math.nan, math.inf, True, "1"):
+        with pytest.raises(ParameterError):
+            empirical_autocorr(np.ones(4), max_lag=bad)
     with pytest.raises(ParameterError):
         empirical_autocorr(np.zeros(4), max_lag=1)
     with pytest.raises(ShapeError):

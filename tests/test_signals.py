@@ -66,13 +66,33 @@ def test_gaussian_noise_zero_sigma():
     np.testing.assert_array_equal(sig.samples, np.zeros(16))
 
 
+# Sample counts that are not integers >= 1. Each must raise ParameterError,
+# not be truncated (2.5 -> 2) or escape as a plain ValueError or TypeError.
+BAD_COUNTS = [0, -1, 2.5, math.nan, math.inf, -math.inf, True, "3"]
+
+
 def test_gaussian_noise_validation():
-    with pytest.raises(ParameterError):
-        gaussian_noise(0, 1.0, seed=0)
+    for bad_n in BAD_COUNTS:
+        with pytest.raises(ParameterError):
+            gaussian_noise(bad_n, 1.0, seed=0)
     with pytest.raises(ParameterError):
         gaussian_noise(10, -1.0, seed=0)
     with pytest.raises(ParameterError):
         gaussian_noise(10, float("nan"), seed=0)
+    assert gaussian_noise(3.0, 1.0, seed=0).samples.size == 3
+
+
+@pytest.mark.parametrize("n", BAD_COUNTS)
+def test_square_wave_rejects_bad_length(n):
+    with pytest.raises(ParameterError):
+        square_wave(n, 8.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_square_wave_rejects_non_finite_phase(phase):
+    # A NaN phase would otherwise make every sample -amplitude.
+    with pytest.raises(ParameterError):
+        square_wave(16, 8.0, 1.0, 1.0, phase_rad=phase)
 
 
 def test_square_wave_exact_pattern():

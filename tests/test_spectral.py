@@ -28,17 +28,11 @@ from nfbist import (
 )
 
 
-def _flat_spectrum(psd_values, bin_width=1.0):
+def _flat_spectrum(psd_values):
+    # A sample rate equal to the FFT size gives 1 Hz bins.
     values = np.asarray(psd_values, dtype=float)
     fft_size = 2 * (values.size - 1)
-    freq = np.arange(values.size) * bin_width
-    return Spectrum(
-        freq_hz=freq,
-        psd=values,
-        fft_size=fft_size,
-        n_segments=1,
-        bin_width_hz=bin_width,
-    )
+    return Spectrum(values, fft_size, n_segments=1, sample_rate_hz=float(fft_size))
 
 
 def test_psd_parseval_rectangular():
@@ -66,9 +60,14 @@ def test_psd_grid_properties():
     assert s.freq_hz.size == 5001
     assert s.bin_width_hz == pytest.approx(5.0)
     assert s.nyquist_hz == pytest.approx(25_000.0)
-    assert s.sample_rate_hz == pytest.approx(50_000.0)
+    assert s.sample_rate_hz == 50_000.0
     assert s.n_segments == 10
     np.testing.assert_allclose(np.diff(s.freq_hz), 5.0, rtol=1e-12)
+    # The grid is derived from (fft_size, sample_rate_hz), once per spectrum.
+    assert s.freq_hz is s.freq_hz
+    assert np.array_equal(s.freq_hz, np.fft.rfftfreq(10_000, 1 / 50_000.0))
+    with pytest.raises(ValueError):
+        s.freq_hz[0] = 1.0
 
 
 def test_psd_accepts_bitstream():
@@ -162,6 +161,9 @@ def test_psd_validation():
     sig = gaussian_noise(1000, 1.0, seed=0)
     with pytest.raises(ParameterError):
         psd(sig, 999)  # odd
+    for bad in (0, 100.5, math.nan, math.inf, True, "100"):
+        with pytest.raises(ParameterError):
+            psd(sig, bad)
     with pytest.raises(InsufficientDataError):
         psd(sig, 2048)
     with pytest.raises(ParameterError):
@@ -174,31 +176,38 @@ def test_psd_validation():
 
 def test_spectrum_constructor_validation():
     with pytest.raises(ShapeError):
-        Spectrum(np.arange(5.0), np.ones(4), fft_size=8, n_segments=1, bin_width_hz=1.0)
+        Spectrum(np.ones(4), fft_size=8, n_segments=1, sample_rate_hz=8.0)
     with pytest.raises(ShapeError):
-        Spectrum(np.arange(4.0), np.ones(4), fft_size=8, n_segments=1, bin_width_hz=1.0)
-    with pytest.raises(ParameterError):
-        Spectrum(np.arange(5.0), np.ones(5), fft_size=8, n_segments=0, bin_width_hz=1.0)
+        Spectrum(np.ones((5, 1)), fft_size=8, n_segments=1, sample_rate_hz=8.0)
+    for bad in (0, -1, 2.5, math.nan, math.inf, True, "3"):
+        with pytest.raises(ParameterError):
+            Spectrum(np.ones(5), fft_size=8, n_segments=bad, sample_rate_hz=8.0)
+    for bad in (1, 8.5, math.nan, True):
+        with pytest.raises(ParameterError):
+            Spectrum(np.ones(5), fft_size=bad, n_segments=1, sample_rate_hz=8.0)
     for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError):
-            Spectrum(np.arange(5.0), np.ones(5), fft_size=8, n_segments=1, bin_width_hz=bad)
+            Spectrum(np.ones(5), fft_size=8, n_segments=1, sample_rate_hz=bad)
 
 
 def test_find_reference_peak_lone_bin():
-    s = _flat_spectrum([0, 0, 0, 0, 0, 0, 7.0, 0, 0, 0, 0])
-    bin_idx, power = find_reference_peak(s, 6.0, search_halfwidth_bins=2)
-    assert bin_idx == 6
+    # The search covers +-5 bins around the nominal bin 6: a lone bin 5
+    # away is found, and its empty neighbours add nothing to its power.
+    s = _flat_spectrum(np.r_[np.zeros(11), 7.0, np.zeros(9)])
+    bin_idx, power = find_reference_peak(s, 6.0)
+    assert bin_idx == 11
     assert power == pytest.approx(7.0, abs=1e-12)
 
 
 def test_find_reference_peak_window_bounds():
     s = _flat_spectrum(np.ones(11))
     with pytest.raises(ParameterError):
-        find_reference_peak(s, 1.0, search_halfwidth_bins=5)  # window past DC
+        find_reference_peak(s, 4.0)  # window [-1, 9] past DC
+    with pytest.raises(ParameterError):
+        find_reference_peak(s, 6.0)  # window [1, 11] past Nyquist
     with pytest.raises(ParameterError):
         find_reference_peak(s, 20.0)  # beyond Nyquist
-    with pytest.raises(ParameterError):
-        find_reference_peak(s, 5.0, search_halfwidth_bins=-1)
+    assert find_reference_peak(s, 5.0)[0] == 0  # window [0, 10]; ties go to the first
 
 
 def test_find_reference_peak_stable_across_noise_levels():
@@ -230,26 +239,47 @@ def test_one_bit_tone_power_follows_erf_compression():
 
 
 def test_band_power_hand_values():
-    s = _flat_spectrum(np.ones(11))
+    s = _flat_spectrum(np.arange(11.0))
     # Band edges are bin-center inclusive: bins 2, 3, 4, 5.
-    assert band_power(s, 2.0, 5.0) == pytest.approx(4.0, abs=1e-12)
+    assert band_power(s, 2.0, 5.0) == pytest.approx(14.0, abs=1e-12)
     assert band_width_hz(s, 2.0, 5.0) == pytest.approx(4.0, abs=1e-12)
-    # A point exclusion knocks out the single bin that straddles it.
-    assert band_power(s, 2.0, 5.0, excluded=[(3.0, 3.0)]) == pytest.approx(3.0)
-    # An interval exclusion removes every bin it touches (here 2 and 3).
-    assert band_power(s, 2.0, 5.0, excluded=[(2.4, 2.6)]) == pytest.approx(2.0)
+    # Bins 3 and 4, their centers inside [2.4, 4.6].
+    assert band_power(s, 2.4, 4.6) == pytest.approx(7.0, abs=1e-12)
+    assert band_width_hz(s, 2.4, 4.6) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_band_power_degenerate_and_invalid():
     s = _flat_spectrum(np.ones(11))
     with pytest.raises(DegenerateBandError):
-        band_power(s, 2.0, 5.0, excluded=[(0.0, 10.0)])
+        band_power(s, 2.2, 2.8)  # between two bin centers
+    with pytest.raises(DegenerateBandError):
+        band_width_hz(s, 2.2, 2.8)
     with pytest.raises(ParameterError):
         band_power(s, 5.0, 2.0)
     with pytest.raises(ParameterError):
         band_power(s, 0.0, 20.0)
-    with pytest.raises(ParameterError):
-        band_power(s, 2.0, 5.0, excluded=[(4.0, 3.0)])
+    # The exclusion around the reference peak (bin 15) covers the whole
+    # band [12, 18].
+    peaked = _flat_spectrum(np.r_[np.ones(15), 9.0, np.ones(15)])
+    with pytest.raises(DegenerateBandError):
+        power_ratio_detail(peaked, peaked, (12.0, 18.0), 15.0, ref_exclusion_halfwidth_bins=3)
+    assert power_ratio_detail(peaked, peaked, (12.0, 18.0), 15.0, 2).y == 1.0
+    for bad in (-1, 1.5, math.nan, True):
+        with pytest.raises(ParameterError):
+            power_ratio_detail(peaked, peaked, (12.0, 18.0), 15.0, bad)
+
+
+def test_power_ratio_excludes_exactly_the_bins_around_the_peak():
+    # 48 kHz over 10 000 points gives 4.8 Hz bins. The band (2500, 3500) Hz
+    # holds bins 521..729, 209 of them; the reference at 3000 Hz peaks in
+    # bin 625, and dropping +-3 bins around it leaves 209 - 7 = 202.
+    values = np.ones(5001)
+    values[625] = 100.0
+    s = Spectrum(values, fft_size=10_000, n_segments=1, sample_rate_hz=48_000.0)
+    detail = power_ratio_detail(s, s, (2500.0, 3500.0), 3000.0, ref_exclusion_halfwidth_bins=3)
+    assert detail.peak_bin_hot == detail.peak_bin_cold == 625
+    in_band_bins = detail.band_power_hot * detail.peak_power_hot / s.bin_width_hz
+    assert in_band_bins == pytest.approx(202.0, rel=1e-12)
 
 
 def test_power_ratio_recovers_analog_hot_cold_ratio():
