@@ -160,11 +160,12 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def write_spectrum_csv(path, spectrum: Spectrum) -> None:
     """Write freq_hz,psd rows with full float precision."""
+    # The bytes csv.writer gives: float reprs never need quoting.
+    rows = "".join(
+        f"{f!r},{p!r}\r\n" for f, p in zip(spectrum.freq_hz.tolist(), spectrum.psd.tolist())
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "psd"])
-        for f, p in zip(spectrum.freq_hz, spectrum.psd):
-            writer.writerow([repr(float(f)), repr(float(p))])
+        fh.write("freq_hz,psd\r\n" + rows)
 
 
 def _report_scaffold(cfg: ExperimentConfig) -> dict:

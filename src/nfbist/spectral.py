@@ -14,6 +14,8 @@ bins around the reference, and ratios the remaining in-band power.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,7 +51,8 @@ MAX_OVERLAP_FRACTION = 0.75
 _PEAK_SEARCH_HALFWIDTH_BINS = 5
 # psd transforms this many bytes of windowed float64 segments at a time, so
 # its temporaries stay small and are reused from the heap instead of being
-# mapped afresh for every call.
+# mapped afresh for every call. With a worker thread the two threads share
+# the budget, each transforming half-size blocks.
 _PSD_BLOCK_BYTES = 1 << 20
 
 
@@ -72,6 +75,8 @@ class Spectrum:
             raise ShapeError(
                 f"psd must hold fft_size/2 + 1 = {fft_size // 2 + 1} bins, got shape {dens.shape}"
             )
+        if not (np.isfinite(dens).all() and dens.min() >= 0.0):
+            raise ParameterError("psd must hold finite, non-negative densities")
         dens.setflags(write=False)
         object.__setattr__(self, "psd", dens)
         object.__setattr__(self, "fft_size", fft_size)
@@ -129,25 +134,68 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
         raise ParameterError(
             f"overlap_fraction must lie in [0, {MAX_OVERLAP_FRACTION}], got {overlap_fraction}"
         )
-    noverlap = int(round(fft_size * overlap_fraction))
-    step = fft_size - noverlap
-    if window == "hann":
-        win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, fft_size + 1)[:-1])
-    else:
-        win = np.ones(fft_size)
-    # Builtin sum adds sequentially, as welch does; np.sum would pair terms.
-    win = win * (1 / np.sqrt(sum(win**2) / (1 / sample_rate_hz)))
+    step = fft_size - int(round(fft_size * overlap_fraction))
+    win = _scaled_window(window, fft_size, sample_rate_hz)
     segments = sliding_window_view(values, fft_size)[::step]
     n_segments = segments.shape[0]
     # welch averages contiguous (freq, segment) rows; filling that layout
     # keeps numpy's pairwise summation order and so every result bit.
     power = np.empty((fft_size // 2 + 1, n_segments))
     rows = max(1, _PSD_BLOCK_BYTES // (8 * fft_size))
-    for start in range(0, n_segments, rows):
-        spec = np.fft.rfft(segments[start : start + rows] * win)
-        power[:, start : start + rows] = (spec.real**2 + spec.imag**2).T
+    if n_segments <= rows or _usable_cores() < 2:
+        _fill_power(power, segments, win, 0, n_segments, rows)
+    else:
+        # Each row's transform is independent of the others in its block, so
+        # a worker fills the first half of the columns while this thread
+        # fills the rest; np.fft.rfft releases the GIL.
+        rows = max(1, rows // 2)
+        split = n_segments // 2
+        failure = []
+
+        def fill_first_half():
+            try:
+                _fill_power(power, segments, win, 0, split, rows)
+            except BaseException as exc:  # re-raised by the calling thread
+                failure.append(exc)
+
+        worker = threading.Thread(target=fill_first_half, name="nfbist-psd")
+        worker.start()
+        try:
+            _fill_power(power, segments, win, split, n_segments, rows)
+        finally:
+            worker.join()
+        if failure:
+            raise failure[0]
     power[1:-1] *= 2
     return Spectrum(power.mean(axis=-1), fft_size, n_segments, sample_rate_hz)
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_power(power, segments, win, start, stop, rows):
+    """Fill power[:, start:stop] with the periodograms of those segments,
+    transforming at most rows segments at a time."""
+    for lo in range(start, stop, rows):
+        hi = min(lo + rows, stop)
+        spec = np.fft.rfft(segments[lo:hi] * win)
+        power[:, lo:hi] = (spec.real**2 + spec.imag**2).T
+
+
+@functools.lru_cache(maxsize=4)
+def _scaled_window(window: str, fft_size: int, sample_rate_hz: float) -> np.ndarray:
+    """Read-only analysis window scaled to a density, as welch scales it."""
+    if window == "hann":
+        win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, fft_size + 1)[:-1])
+    else:
+        win = np.ones(fft_size)
+    # Builtin sum adds sequentially, as welch does; np.sum would pair terms.
+    win = win * (1 / np.sqrt(sum(win**2) / (1 / sample_rate_hz)))
+    win.setflags(write=False)
+    return win
 
 
 def find_reference_peak(s: Spectrum, f_ref_hz: float) -> tuple[int, float]:
@@ -258,6 +306,10 @@ def power_ratio_detail(
         )
     bp_hot = float((hot.psd[mask] * (1.0 / peak_hot)).sum() * hot.bin_width_hz)
     bp_cold = float((cold.psd[mask] * (1.0 / peak_cold)).sum() * cold.bin_width_hz)
+    if bp_cold == 0.0:
+        raise DegenerateBandError(
+            f"the cold spectrum carries no normalized power in [{band[0]}, {band[1]}] Hz"
+        )
     return PowerRatioResult(
         y=bp_hot / bp_cold,
         peak_bin_hot=bin_hot,

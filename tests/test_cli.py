@@ -43,6 +43,24 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+def test_write_spectrum_csv_bytes_match_csv_writer(tmp_path):
+    # Pins the file to the csv.writer form: header, repr floats, CRLF endings.
+    sig = simulate_bitstreams(load_experiment_config(write_config(tmp_path)))[0]
+    spectrum = psd(sig, 2_000, "hann", 0.5)
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["freq_hz", "psd"])
+        for f, p in zip(spectrum.freq_hz, spectrum.psd):
+            writer.writerow([repr(float(f)), repr(float(p))])
+    got = tmp_path / "got.csv"
+    write_spectrum_csv(got, spectrum)
+    data = got.read_bytes()
+    assert data == want.read_bytes()
+    assert data.startswith(b"freq_hz,psd\r\n0.0,") and data.endswith(b"\r\n")
+    assert data.count(b"\r\n") == 1 + spectrum.psd.size
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from nfbist import (
     psd,
     square_wave,
 )
+from nfbist import spectral
 
 
 def _flat_spectrum(psd_values):
@@ -149,8 +151,99 @@ def test_psd_bitstream_equals_float_signal(window, overlap, fft_size):
         assert np.array_equal(s.psd, _single_pass_psd(values, fs, fft_size, window, overlap))
 
 
+def _split_input(n_segments, fft_size, overlap):
+    step = fft_size - int(round(fft_size * overlap))
+    fs, n = 50_000.0, (n_segments - 1) * step + fft_size
+    noise = gaussian_noise(n, 1.0, seed=8, sample_rate_hz=fs)
+    return noise, digitize(noise, square_wave(n, fs, 3000.0, 0.25))
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("window, overlap", [("rectangular", 0.0), ("hann", 0.5), ("hann", 0.75)])
+@pytest.mark.parametrize("fft_size", [2_000, 10_000])
+def test_psd_split_across_threads_matches_single_pass(monkeypatch, cores, window, overlap, fft_size):
+    # Segment counts: one (never split), exactly one full row block (not
+    # split), one block plus a segment (the smallest split) and three blocks.
+    rows = spectral._PSD_BLOCK_BYTES // (8 * fft_size)
+    monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
+    calls = []
+    fill_power = spectral._fill_power
+
+    def recording_fill(power, segments, win, start, stop, block_rows):
+        calls.append((threading.current_thread() is threading.main_thread(), start, stop, block_rows))
+        fill_power(power, segments, win, start, stop, block_rows)
+
+    monkeypatch.setattr(spectral, "_fill_power", recording_fill)
+    for n_segments in (1, rows, rows + 1, 3 * rows):
+        noise, bits = _split_input(n_segments, fft_size, overlap)
+        for sig, values in ((noise, noise.samples), (bits, bits.bits.astype(np.float64))):
+            calls.clear()
+            s = psd(sig, fft_size, window=window, overlap_fraction=overlap)
+            assert s.n_segments == n_segments
+            want = _single_pass_psd(values, sig.sample_rate_hz, fft_size, window, overlap)
+            assert np.array_equal(s.psd, want)
+            if cores == 2 and n_segments > rows:
+                half = n_segments // 2
+                assert sorted(calls) == [
+                    (False, 0, half, rows // 2),
+                    (True, half, n_segments, rows // 2),
+                ]
+            else:
+                assert calls == [(True, 0, n_segments, rows)]
+
+
+def test_psd_worker_failure_propagates(monkeypatch):
+    monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
+    caller = threading.current_thread()
+    rfft = np.fft.rfft
+
+    def failing_in_worker(a, *args, **kwargs):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("rfft failed in the worker")
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", failing_in_worker)
+    sig = gaussian_noise(200_000, 1.0, seed=0, sample_rate_hz=50_000.0)  # 100 segments
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="in the worker"):
+        psd(sig, 2_000)
+    assert threading.active_count() == threads_before
+
+
+def test_psd_concurrent_callers_get_serial_bytes(monkeypatch):
+    # Two user threads, each with its own worker: four threads on at most
+    # two cores, switching as often as the interpreter allows.
+    sig = gaussian_noise(400_000, 1.0, seed=9, sample_rate_hz=50_000.0)
+    args = [(2_000, "rectangular", 0.0), (10_000, "hann", 0.5)]
+    monkeypatch.setattr(spectral, "_usable_cores", lambda: 1)
+    serial = [psd(sig, *a).psd.tobytes() for a in args]
+    monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
+    results = [[], []]
+
+    def run(k):
+        for _ in range(5):
+            results[k].append(psd(sig, *args[k]).psd.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[serial[0]] * 5, [serial[1]] * 5]
+
+
 def test_import_loads_no_scipy():
-    code = "import sys, nfbist; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # Nor concurrent.futures: psd's worker is a plain threading.Thread.
+    code = (
+        "import sys, nfbist; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
@@ -188,6 +281,11 @@ def test_spectrum_constructor_validation():
     for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError):
             Spectrum(np.ones(5), fft_size=8, n_segments=1, sample_rate_hz=bad)
+    for bad in (math.inf, math.nan, -math.inf, -1.0, -1e-300):
+        values = np.ones(5)
+        values[2] = bad
+        with pytest.raises(ParameterError):
+            Spectrum(values, fft_size=8, n_segments=1, sample_rate_hz=8.0)
 
 
 def test_find_reference_peak_lone_bin():
@@ -332,3 +430,18 @@ def test_power_ratio_detail_rejects_zero_reference_peak():
     cold = _flat_spectrum(np.ones(21))
     with pytest.raises(DegenerateReferenceError):
         power_ratio_detail(hot, cold, band=(2.0, 6.0), f_ref_hz=15.0)
+
+
+def test_power_ratio_detail_rejects_empty_cold_band():
+    # An inf in the peak bin would normalize every band bin to 0 and end in
+    # 0/0; the spectrum itself refuses it.
+    values = np.ones(21)
+    values[10] = math.inf
+    with pytest.raises(ParameterError):
+        _flat_spectrum(values)
+    # A finite cold spectrum with no power in the band would divide by 0.
+    hot = _flat_spectrum(np.ones(21))
+    cold = _flat_spectrum(np.r_[np.zeros(8), np.ones(13)])
+    with pytest.raises(DegenerateBandError):
+        power_ratio_detail(hot, cold, band=(2.0, 6.0), f_ref_hz=15.0)
+    assert power_ratio_detail(cold, hot, band=(2.0, 6.0), f_ref_hz=15.0).y == 0.0
