@@ -246,14 +246,17 @@ def cmd_analyze(args) -> int:
 
 def _parse_points(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        points = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError([f"--points: {exc}"]) from exc
+    if not points:
+        raise ConfigError([f"--points: no sweep points in {text!r}"])
+    return points
 
 
 def cmd_sweep(args) -> int:
+    points = _parse_points(args.points) if args.points is not None else None
     cfg = _apply_seed_override(load_experiment_config(args.config), args.seed)
-    points = _parse_points(args.points) if args.points else None
     rows: list[list] = []
     if args.kind == "ref-amplitude":
         fractions = points if points is not None else list(DEFAULT_AMPLITUDE_FRACTIONS)

@@ -21,10 +21,20 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .digitizer import BitStream, digitize
-from .dut import DutSpec, apply_dut, nominal_f
+from .dut import (
+    DutSpec,
+    apply_dut,  # not called here; perfbench/tracing.PATCHES wraps this binding
+    nominal_f,
+)
 from .errors import ParameterError, ShapeError, check_integer, check_positive
 from .nfcore import f_from_y_temps, f_to_nf, ideal_y
-from .signals import NoiseSourceSpec, SampledSignal, gaussian_noise, source_output, square_wave
+from .signals import (
+    NoiseSourceSpec,
+    SampledSignal,
+    gaussian_noise,
+    source_output,  # not called here; perfbench/tracing.PATCHES wraps this binding
+    square_wave,
+)
 from .spectral import Spectrum, band_power, band_width_hz, power_ratio_detail, psd
 
 __all__ = [
@@ -129,10 +139,16 @@ def _sub_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in state]
 
 
-def _comparator_cold_rms(cfg: ExperimentConfig) -> float:
-    """Analytic cold-state RMS at the comparator, before post-DUT gain."""
+def _sigma(cfg: ExperimentConfig, temperature_k: float) -> float:
+    """RMS of the DUT output, before post-DUT gain, for a source at temperature_k.
+
+    The DUT amplifies white Gaussian noise of variance power_scale * T by
+    gain_linear and adds independent white Gaussian noise of variance
+    added_noise_power, so its output is one white Gaussian of variance
+    gain_linear * power_scale * T + added_noise_power.
+    """
     src, dut = cfg.source, cfg.dut
-    return math.sqrt(dut.gain_linear * src.power_scale * src.t_cold_k + dut.added_noise_power)
+    return math.sqrt(dut.gain_linear * src.power_scale * temperature_k + dut.added_noise_power)
 
 
 def _nf_and_notes(f: float, context: str) -> tuple[float, list[str]]:
@@ -153,30 +169,28 @@ def _nf_and_notes(f: float, context: str) -> tuple[float, list[str]]:
 def _analog_records(cfg: ExperimentConfig) -> Iterator[Iterator[np.ndarray]]:
     """Yield the hot, then the cold DUT output for cfg's seed, each as lazy chunks.
 
-    Each state's record comes as consecutive chunks of _CHUNK_SAMPLES
-    samples (the last one shorter). The state's source and DUT generators
-    continue from chunk to chunk, so the chunks concatenate bit for bit to
-    the single full-length draw. The samples are taken before post-DUT gain
-    and depend only on the seed, the source, the DUT, n_samples and the
-    sample rate, never on ref_amplitude or post_dut_gain_linear, so a sweep
-    over those two draws them once per seed (common random numbers) and
-    keeps each state's chunks as a tuple.
+    Each state's DUT output is drawn directly as white Gaussian noise of
+    RMS _sigma(cfg, T) from one generator per state. Its record comes as
+    consecutive chunks of _CHUNK_SAMPLES samples (the last one shorter);
+    the generator continues from chunk to chunk, so the chunks concatenate
+    bit for bit to the single full-length draw. The samples are taken
+    before post-DUT gain and depend only on the seed, the source, the DUT,
+    n_samples and the sample rate, never on ref_amplitude or
+    post_dut_gain_linear, so a sweep over those two draws them once per
+    seed (common random numbers) and keeps each state's chunks as a tuple.
     """
     seeds = _sub_seeds(cfg.seed, 6)
-    for state, (seed_src, seed_dut) in (("hot", seeds[0:2]), ("cold", seeds[2:4])):
-        yield _state_chunks(cfg, state, seed_src, seed_dut)
+    src = cfg.source
+    for temperature_k, seed in ((src.t_hot_k, seeds[0]), (src.t_cold_k, seeds[2])):
+        yield _state_chunks(cfg, _sigma(cfg, temperature_k), seed)
 
 
-def _state_chunks(
-    cfg: ExperimentConfig, state: str, seed_src: int, seed_dut: int
-) -> Iterator[np.ndarray]:
-    """Lazily draw one state's DUT output, chunk by chunk, from two continuing generators."""
-    rng_src, rng_dut = np.random.default_rng(seed_src), np.random.default_rng(seed_dut)
+def _state_chunks(cfg: ExperimentConfig, sigma: float, seed: int) -> Iterator[np.ndarray]:
+    """Lazily draw one state's DUT output of RMS sigma, chunk by chunk, from one generator."""
+    rng = np.random.default_rng(seed)
     for start in range(0, cfg.n_samples, _CHUNK_SAMPLES):
         n = min(_CHUNK_SAMPLES, cfg.n_samples - start)
-        yield apply_dut(
-            cfg.dut, source_output(cfg.source, state, n, cfg.sample_rate_hz, rng_src), rng_dut
-        ).samples
+        yield gaussian_noise(n, sigma, rng, sample_rate_hz=cfg.sample_rate_hz).samples
 
 
 def _comparator_bits(
@@ -193,7 +207,7 @@ def _comparator_bits(
     decisions go straight into each state's int8 bitstream.
     """
     post_amp = math.sqrt(cfg.post_dut_gain_linear)
-    ref_base = cfg.ref_amplitude * _comparator_cold_rms(cfg)
+    ref_base = cfg.ref_amplitude * _sigma(cfg, cfg.source.t_cold_k)
     reference = square_wave(
         cfg.n_samples, cfg.sample_rate_hz, cfg.f_ref_hz, post_amp * ref_base
     ).samples
@@ -328,14 +342,15 @@ def analyze_spectra(
 def _direct_record(cfg: ExperimentConfig) -> np.ndarray:
     """DUT output samples for the direct method's matched load at T0.
 
-    Like the Y-factor records they are drawn before post-DUT gain, so they
-    depend on the seed but not on post_dut_gain_linear.
+    One white Gaussian draw of RMS _sigma(cfg, T0). Like the Y-factor
+    records it is taken before post-DUT gain, so it depends on the seed
+    but not on post_dut_gain_linear.
     """
     seeds = _sub_seeds(cfg.seed, 6)
-    src = cfg.source
-    sigma_t0 = math.sqrt(src.power_scale * src.t0_k)
-    raw = gaussian_noise(cfg.n_samples, sigma_t0, seeds[4], sample_rate_hz=cfg.sample_rate_hz)
-    return apply_dut(cfg.dut, raw, seeds[5]).samples
+    sigma_t0 = _sigma(cfg, cfg.source.t0_k)
+    return gaussian_noise(
+        cfg.n_samples, sigma_t0, seeds[4], sample_rate_hz=cfg.sample_rate_hz
+    ).samples
 
 
 def _direct_result(
@@ -437,6 +452,8 @@ def th_uncertainty_study(cfg: ExperimentConfig, rel_errors) -> list[tuple[float,
     (rel_error, delta_nf_db) pairs. Purely analytic, no simulation.
     """
     rel_errors = [float(e) for e in rel_errors]
+    if not rel_errors:
+        raise ParameterError("at least one relative hot-temperature error is required")
     if any(not (math.isfinite(e) and e > -1.0) for e in rel_errors):
         raise ParameterError(
             f"rel_errors must be finite and keep the hot temperature positive, got {rel_errors}"
@@ -474,6 +491,8 @@ def gain_sensitivity_study(
     run_direct_experiment and run_y_factor_experiment run per ratio.
     """
     gain_ratios = [float(r) for r in gain_ratios]
+    if not gain_ratios:
+        raise ParameterError("at least one gain ratio is required")
     if any(not (r > 0.0) for r in gain_ratios):
         raise ParameterError(f"gain ratios must be positive, got {gain_ratios}")
     assumed = cfg.dut.gain_linear * cfg.post_dut_gain_linear

@@ -479,6 +479,19 @@ def test_sweep_bad_points_exits_2(tmp_path):
     assert main(args) == 2
 
 
+@pytest.mark.parametrize("kind", ["ref-amplitude", "th-error", "gain"])
+@pytest.mark.parametrize("points", [",", ""])
+def test_sweep_empty_points_exits_2(tmp_path, kind, points):
+    # Checked before the config is read: a missing config would exit 3.
+    out_csv = tmp_path / "x.csv"
+    args = [
+        "sweep", "--config", str(tmp_path / "missing.json"), "--kind", kind,
+        "--out", str(out_csv), "--points", points,
+    ]
+    assert main(args) == 2
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("point", ["nan", "inf"])
 def test_sweep_th_error_non_finite_point_exits_4(tmp_path, point):
     cfg_path = write_config(tmp_path)

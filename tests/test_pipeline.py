@@ -19,21 +19,20 @@ from nfbist import (
     ShapeError,
     analyze_bitstreams,
     analyze_spectra,
-    apply_dut,
     digitize,
     dut_from_nf,
     gain_sensitivity_study,
+    gaussian_noise,
     ideal_y,
     psd,
     run_direct_experiment,
     run_y_factor_experiment,
     simulate_bitstreams,
-    source_output,
     square_wave,
     sweep_reference_amplitude,
     th_uncertainty_study,
 )
-from nfbist.pipeline import _CHUNK_SAMPLES
+from nfbist.pipeline import _CHUNK_SAMPLES, _analog_records, _direct_record
 
 SOURCE = NoiseSourceSpec(t_hot_k=10_000.0, t_cold_k=1_000.0)
 
@@ -123,23 +122,23 @@ def test_simulate_bitstreams_deterministic():
 
 def test_simulate_bitstreams_fingerprint():
     # Pins the seed -> bits mapping of the whole simulation chain (sub-seeds,
-    # noise draws, DUT, reference, comparator), so a refactor that changes
+    # DUT-output draws, reference, comparator), so a refactor that changes
     # any rounding on the way shows up here.
     cfg = make_config(seed=1, post_dut_gain_linear=2.5, **FAST)
     hot, cold = simulate_bitstreams(cfg)
     assert hashlib.sha256(hot.bits.tobytes()).hexdigest() == (
-        "ed615564a7433874bbb5dd2011e74cf343be7c2036e796b5608ce750279a42dc"
+        "192ea11ad4e19b77f660c9f8400f3673d27c081848d5a00064caeace710cd78c"
     )
     assert hashlib.sha256(cold.bits.tobytes()).hexdigest() == (
-        "83653516ab527bdc86cc459064a406c727fed933899d065f62304c8830f2a58c"
+        "6d65fde74a334af793230a2f66515d3bc089178427497f09e5caf201f9f14298"
     )
     # The default 1e6-sample record spans several simulation chunks.
     hot, cold = simulate_bitstreams(make_config(seed=1))
     assert hashlib.sha256(hot.bits.tobytes()).hexdigest() == (
-        "c063d9d91de3a54cb197fd3e0cccc7e361e9e7edc5b6303a9812ea35eb5f0d5e"
+        "b142359a66ac58616dae64c7bc370130c5a937ab71f9dfb1dcd5faa9cf68460c"
     )
     assert hashlib.sha256(cold.bits.tobytes()).hexdigest() == (
-        "57c275cfde93589e155b6c1164f101216839f3faa81c5a0c405de5a33fe8af59"
+        "399554809c1b2c49d086179b9503e57e5c80641a5e2dcb688c180993e412ff2a"
     )
 
 
@@ -154,20 +153,58 @@ def test_simulate_bitstreams_fingerprint():
     ids=["gain2.5", "noiseless_dut"],
 )
 def test_simulate_bitstreams_equals_full_array_formula(n_samples, overrides):
-    # The chunked chain must give the bits of one full-length pass through
-    # the layer functions.
+    # The chunked chain must give the bits of one full-length DUT-output draw
+    # per state: white Gaussian noise of RMS sqrt(g * P * T + na) from that
+    # state's sub-seed (hot 0, cold 2), then post-DUT gain and the comparator.
     cfg = make_config(seed=9, n_samples=n_samples, fft_size=2_000, **overrides)
     fs, n, src, dut = cfg.sample_rate_hz, cfg.n_samples, cfg.source, cfg.dut
     post_amp = math.sqrt(cfg.post_dut_gain_linear)
-    cold_rms = math.sqrt(dut.gain_linear * src.t_cold_k + dut.added_noise_power)
-    reference = square_wave(n, fs, cfg.f_ref_hz, post_amp * (cfg.ref_amplitude * cold_rms))
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(4, dtype=np.uint64)
+
+    def sigma(t):
+        return math.sqrt(dut.gain_linear * src.power_scale * t + dut.added_noise_power)
+
+    ref_level = post_amp * (cfg.ref_amplitude * sigma(src.t_cold_k))
+    reference = square_wave(n, fs, cfg.f_ref_hz, ref_level)
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(6, dtype=np.uint64)
     expected = []
-    for state, seed_src, seed_dut in (("hot", *seeds[0:2]), ("cold", *seeds[2:4])):
-        record = apply_dut(dut, source_output(src, state, n, fs, int(seed_src)), int(seed_dut))
+    for t, seed in ((src.t_hot_k, seeds[0]), (src.t_cold_k, seeds[2])):
+        record = gaussian_noise(n, sigma(t), int(seed), sample_rate_hz=fs)
         expected.append(digitize(SampledSignal(fs, post_amp * record.samples), reference))
     for got, want in zip(simulate_bitstreams(cfg), expected):
         np.testing.assert_array_equal(got.bits, want.bits)
+
+
+def _dut_output_records(cfg):
+    """The hot, cold and direct-method (T0) DUT-output records of cfg's seed."""
+    hot, cold = (np.concatenate(tuple(chunks)) for chunks in _analog_records(cfg))
+    return {"hot": hot, "cold": cold, "direct": _direct_record(cfg)}
+
+
+# A non-unit gain and power scale, so every term of g * P * T + na counts.
+STAT_CONFIG = make_config(
+    source=NoiseSourceSpec(t_hot_k=10_000.0, t_cold_k=1_000.0, power_scale=0.5),
+    dut=dut_from_nf(10.0, 4.0, power_scale=0.5),
+    seed=5,
+)
+
+
+def test_dut_output_variance_matches_gain_source_and_added_noise():
+    cfg = STAT_CONFIG
+    src, dut, n = cfg.source, cfg.dut, cfg.n_samples
+    temperatures = {"hot": src.t_hot_k, "cold": src.t_cold_k, "direct": src.t0_k}
+    for state, record in _dut_output_records(cfg).items():
+        variance = dut.gain_linear * src.power_scale * temperatures[state] + dut.added_noise_power
+        # Zero-mean Gaussian: mean(x^2) has standard error variance * sqrt(2 / n).
+        standard_error = variance * math.sqrt(2.0 / n)
+        assert abs(np.mean(record**2) - variance) < 4.0 * standard_error, state
+
+
+def test_dut_output_records_are_uncorrelated():
+    # Hot, cold and direct draw from distinct sub-seeds (0, 2 and 4).
+    records = _dut_output_records(STAT_CONFIG)
+    bound = 5.0 / math.sqrt(STAT_CONFIG.n_samples)
+    for a, b in (("hot", "cold"), ("hot", "direct"), ("cold", "direct")):
+        assert abs(np.corrcoef(records[a], records[b])[0, 1]) < bound, (a, b)
 
 
 def test_simulate_bitstreams_working_memory_is_bounded():
@@ -199,13 +236,16 @@ def test_simulate_bitstreams_gain_invariance():
 
 def test_run_y_factor_reference_window():
     # Near the upper edge of the useful reference range the estimate still
-    # tracks the ideal ratio 3.4931 closely at the full record length.
-    for seed in (0, 2, 4):
-        cfg = make_config(ref_amplitude=0.45, seed=seed)
-        result = run_y_factor_experiment(cfg)
-        assert 3.46 <= result.y <= 3.66
+    # tracks the ideal ratio at the full record length: criterion 2's bound
+    # on the mean ratio error over ten seeds.
+    y_ideal = ideal_y(10.0, SOURCE.t_hot_k, SOURCE.t_cold_k)
+    ratio_errors = []
+    for seed in range(10):
+        result = run_y_factor_experiment(make_config(ref_amplitude=0.45, seed=seed))
+        ratio_errors.append(abs(result.y - y_ideal) / y_ideal)
         assert result.n_segments == 100
         assert result.f == pytest.approx(10.0, abs=1.5)
+    assert np.mean(ratio_errors) <= 0.05
 
 
 def test_run_y_factor_result_fields():
@@ -388,6 +428,8 @@ def test_th_uncertainty_study_closed_form():
     for bad in (-1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError):
             th_uncertainty_study(cfg, [0.05, bad])
+    with pytest.raises(ParameterError):
+        th_uncertainty_study(cfg, [])
 
 
 def test_gain_sensitivity_study_contrast():
@@ -400,6 +442,8 @@ def test_gain_sensitivity_study_contrast():
     assert by_key[("y_factor", round(10 ** 0.1, 6))] == 0.0
     with pytest.raises(ParameterError):
         gain_sensitivity_study(cfg, [0.0])
+    with pytest.raises(ParameterError):
+        gain_sensitivity_study(cfg, [])
 
 
 def test_sweep_error_metric_uses_ideal_ratio():
