@@ -31,8 +31,7 @@ _HEADER = struct.Struct("<4sIdQ")
 
 def write_capture(path, bits: BitStream) -> None:
     """Write a bitstream to ``path`` in NFB1 format."""
-    ones = (bits.bits > 0).astype(np.uint8)
-    payload = np.packbits(ones, bitorder="little").tobytes()
+    payload = np.packbits(bits.bits > 0, bitorder="little").tobytes()
     header = _HEADER.pack(MAGIC, VERSION, bits.sample_rate_hz, bits.bits.size)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -68,5 +67,8 @@ def read_capture(path) -> BitStream:
     ones = np.unpackbits(packed, bitorder="little")
     if ones[n_bits:].any():
         raise CaptureCorruptError(f"{path}: nonzero padding bits after the payload")
-    bits = ones[:n_bits].astype(np.int8) * 2 - 1
+    # Map the freshly unpacked 0/1 bytes to -1/+1 where they lie.
+    bits = ones[:n_bits].view(np.int8)
+    bits *= 2
+    bits -= 1
     return BitStream(sample_rate_hz, bits)

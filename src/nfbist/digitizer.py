@@ -23,6 +23,9 @@ __all__ = [
     "empirical_autocorr",
 ]
 
+# BitStream checks its values this many at a time.
+_CHECK_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class BitStream:
@@ -40,9 +43,11 @@ class BitStream:
         if arr.size == 0:
             raise ParameterError("bitstream must contain at least one bit")
         # Validate the values as given: a cast first would wrap 257 to 1 and
-        # truncate 1.5 to 1.
-        if not np.all((arr == 1) | (arr == -1)):
-            raise ParameterError("bits must only contain +1 and -1")
+        # truncate 1.5 to 1. Blocks keep the boolean temporaries small.
+        for start in range(0, arr.size, _CHECK_BLOCK):
+            block = arr[start : start + _CHECK_BLOCK]
+            if not np.all((block == 1) | (block == -1)):
+                raise ParameterError("bits must only contain +1 and -1")
         arr = np.ascontiguousarray(arr, dtype=np.int8)
         arr.setflags(write=False)
         object.__setattr__(self, "sample_rate_hz", rate)

@@ -203,43 +203,37 @@ def _comparator_bits(
     comparator, times the same factor, as a single multiplication each, so
     the comparator decisions are invariant under post-DUT gain changes.
     Folding the factors into one product would change the rounding and flip
-    bits. Only one chunk's float temporaries are alive at a time; the
-    decisions go straight into each state's int8 bitstream.
+    bits. The records come in _CHUNK_SAMPLES-sample chunks, and the hot and
+    cold records advance in lockstep: each chunk's reference samples are
+    built once for both states, so only one chunk's float temporaries are
+    alive at a time and the decisions go straight into each state's int8
+    bitstream.
     """
+    fs, n = cfg.sample_rate_hz, cfg.n_samples
     post_amp = math.sqrt(cfg.post_dut_gain_linear)
     ref_base = cfg.ref_amplitude * _sigma(cfg, cfg.source.t_cold_k)
-    reference = square_wave(
-        cfg.n_samples, cfg.sample_rate_hz, cfg.f_ref_hz, post_amp * ref_base
-    ).samples
-    hot, cold = (_digitize_chunks(cfg, post_amp, reference, chunks) for chunks in records)
-    return hot, cold
-
-
-def _digitize_chunks(
-    cfg: ExperimentConfig, post_amp: float, reference: np.ndarray, chunks: Iterable[np.ndarray]
-) -> BitStream:
-    """Comparator bits of one state's chunks, each scaled by post_amp."""
-    fs = cfg.sample_rate_hz
-    bits = np.empty(cfg.n_samples, dtype=np.int8)
-    start = 0
-    for chunk in chunks:
-        stop = start + chunk.size
-        bits[start:stop] = digitize(
-            SampledSignal(fs, post_amp * chunk), SampledSignal(fs, reference[start:stop])
-        ).bits
-        start = stop
-    return BitStream(fs, bits)
+    hot, cold = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8)
+    states = [(bits, iter(chunks)) for bits, chunks in zip((hot, cold), records)]
+    for start in range(0, n, _CHUNK_SAMPLES):
+        stop = min(start + _CHUNK_SAMPLES, n)
+        reference = square_wave(n, fs, cfg.f_ref_hz, post_amp * ref_base, start=start, stop=stop)
+        for bits, chunks in states:
+            # Each float temporary is dropped as soon as the next step has used it.
+            bits[start:stop] = digitize(
+                SampledSignal(fs, post_amp * next(chunks)), reference
+            ).bits
+    return BitStream(fs, hot), BitStream(fs, cold)
 
 
 def simulate_bitstreams(cfg: ExperimentConfig) -> tuple[BitStream, BitStream]:
     """Synthesize the (hot, cold) comparator bitstreams for a configuration.
 
-    Builds the reference, then draws, scales and digitizes the hot and the
-    cold record in turn, _CHUNK_SAMPLES samples at a time, so the float
-    working memory is the reference plus one chunk's temporaries. The sweep
-    studies run the same steps but draw each seed's chunks once and reuse
-    them for every sweep point, so their bits equal this function's for
-    each point's config.
+    Draws, scales and digitizes the hot and the cold record side by side,
+    _CHUNK_SAMPLES samples at a time, against the same chunk of the
+    reference, so the float working memory is a few chunks whatever the
+    record length. The sweep studies run the same steps but draw each
+    seed's chunks once and reuse them for every sweep point, so their bits
+    equal this function's for each point's config.
     """
     return _comparator_bits(cfg, _analog_records(cfg))
 
@@ -485,9 +479,9 @@ def gain_sensitivity_study(
 
     Each method's analog records are drawn once (post-DUT gain is applied
     after them) and reused for every ratio, and each distinct input is
-    analysed once: the direct method once per distinct post-DUT gain, the
-    Y-factor method only where a ratio's bits differ from the base bits
-    (equal bits give an equal analysis). The rows equal those of
+    digitized and analysed once: both methods once per distinct post-DUT
+    gain, and the Y-factor method only where that gain's bits differ from
+    the base bits (equal bits give an equal analysis). The rows equal those of
     run_direct_experiment and run_y_factor_experiment run per ratio.
     """
     gain_ratios = [float(r) for r in gain_ratios]
@@ -514,13 +508,16 @@ def gain_sensitivity_study(
     records = tuple(tuple(chunks) for chunks in _analog_records(cfg))
     base_bits = _comparator_bits(cfg, records)
     base_y = y_nf(cfg, base_bits)
+    y_factor_nf = {cfg.post_dut_gain_linear: base_y}  # by post-DUT gain
+    for c in drifted:
+        gain = c.post_dut_gain_linear
+        if gain not in y_factor_nf:
+            bits = _comparator_bits(c, records)
+            same = all(np.array_equal(a.bits, b.bits) for a, b in zip(bits, base_bits))
+            y_factor_nf[gain] = base_y if same else y_nf(c, bits)
     rows = []
     for ratio, c in zip(gain_ratios, drifted):
-        bits = _comparator_bits(c, records)
-        same = all(np.array_equal(a.bits, b.bits) for a, b in zip(bits, base_bits))
-        yfac = base_y if same else y_nf(c, bits)
-        rows.append(
-            GainSensitivityRow("direct", ratio, direct_nf[c.post_dut_gain_linear] - base_direct)
-        )
-        rows.append(GainSensitivityRow("y_factor", ratio, yfac - base_y))
+        gain = c.post_dut_gain_linear
+        rows.append(GainSensitivityRow("direct", ratio, direct_nf[gain] - base_direct))
+        rows.append(GainSensitivityRow("y_factor", ratio, y_factor_nf[gain] - base_y))
     return rows

@@ -3,7 +3,10 @@
 Spectra are one-sided power spectral densities calibrated so the Riemann
 sum psd * bin_width recovers total signal power. Segments are rectangular
 and non-overlapping by default (a Hann window with fractional overlap is
-available for leakage-sensitive work).
+available for leakage-sensitive work). The segment periodograms are summed
+as they are computed, in numpy's pairwise order, so a spectrum takes memory
+for a few blocks of segments and O(log n) partial sums, not for every
+segment, and still equals the mean of all periodograms bit for bit.
 
 Hot/cold spectra from a 1-bit digitizer cannot be compared directly because
 the comparator erases absolute levels. ``power_ratio_detail`` therefore
@@ -14,6 +17,7 @@ bins around the reference, and ratios the remaining in-band power.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -50,9 +54,8 @@ MAX_OVERLAP_FRACTION = 0.75
 # of the bin nearest the nominal reference frequency.
 _PEAK_SEARCH_HALFWIDTH_BINS = 5
 # psd transforms this many bytes of windowed float64 segments at a time, so
-# its temporaries stay small and are reused from the heap instead of being
-# mapped afresh for every call. With a worker thread the two threads share
-# the budget, each transforming half-size blocks.
+# its buffers stay small whatever the record length. With a worker thread
+# the two threads share the budget, each transforming half-size blocks.
 _PSD_BLOCK_BYTES = 1 << 20
 
 
@@ -119,6 +122,10 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
     that sum(psd) * bin_width equals the record's total power. The
     arithmetic follows scipy.signal.welch (periodic Hann, no detrending,
     mean over segments) step for step, so the result equals it bit for bit.
+
+    The periodograms are folded into running sums as they are computed, in
+    the order numpy's mean adds a contiguous row (see _SegmentSums), so the
+    working memory is a few blocks of segments whatever the record length.
     """
     values, sample_rate_hz = _signal_values(x)
     fft_size = check_integer("fft_size", fft_size, 2)
@@ -135,39 +142,49 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
             f"overlap_fraction must lie in [0, {MAX_OVERLAP_FRACTION}], got {overlap_fraction}"
         )
     step = fft_size - int(round(fft_size * overlap_fraction))
+    if step < 1:
+        raise ParameterError(
+            f"overlap_fraction {overlap_fraction} leaves no hop between {fft_size}-sample segments"
+        )
     win = _scaled_window(window, fft_size, sample_rate_hz)
     segments = sliding_window_view(values, fft_size)[::step]
-    n_segments = segments.shape[0]
-    # welch averages contiguous (freq, segment) rows; filling that layout
-    # keeps numpy's pairwise summation order and so every result bit.
-    power = np.empty((fft_size // 2 + 1, n_segments))
+    n = segments.shape[0]
+    total = np.empty(fft_size // 2 + 1)
     rows = max(1, _PSD_BLOCK_BYTES // (8 * fft_size))
-    if n_segments <= rows or _usable_cores() < 2:
-        _fill_power(power, segments, win, 0, n_segments, rows)
+    lanes = _lane_count(n)
+    if n <= rows or lanes == 0 or _usable_cores() < 2:
+        _SegmentSums(segments, win, rows, n).sum_range(0, n, total)
     else:
-        # Each row's transform is independent of the others in its block, so
-        # a worker fills the first half of the columns while this thread
-        # fills the rest; np.fft.rfft releases the GIL.
+        # Each thread owns whole sums, in buffers allocated here (a worker's
+        # own temporaries would come from a separate malloc arena), and
+        # transforms half-size blocks; np.fft.rfft releases the GIL.
         rows = max(1, rows // 2)
-        split = n_segments // 2
-        failure = []
-
-        def fill_first_half():
-            try:
-                _fill_power(power, segments, win, 0, split, rows)
-            except BaseException as exc:  # re-raised by the calling thread
-                failure.append(exc)
-
-        worker = threading.Thread(target=fill_first_half, name="nfbist-psd")
-        worker.start()
-        try:
-            _fill_power(power, segments, win, split, n_segments, rows)
-        finally:
-            worker.join()
-        if failure:
-            raise failure[0]
-    power[1:-1] *= 2
-    return Spectrum(power.mean(axis=-1), fft_size, n_segments, sample_rate_hz)
+        if n > _LEAF_SEGMENTS:
+            # The two top-level subtrees of numpy's pairwise order.
+            half = _pairwise_split(n)
+            worker = _SegmentSums(segments, win, rows, half)
+            caller = _SegmentSums(segments, win, rows, n - half)
+            right = np.empty_like(total)
+            _in_two_threads(
+                lambda: worker.sum_range(0, half, total),
+                lambda: caller.sum_range(half, n - half, right),
+            )
+            total += right
+        else:
+            # One leaf: the worker sums lanes 0-3, this thread lanes 4-7.
+            worker, caller = (_SegmentSums(segments, win, rows, n) for _ in range(2))
+            sums = caller.lanes
+            sums.fill(0.0)
+            _in_two_threads(
+                lambda: worker.fold_lanes(sums, 0, lanes, 0, _LANES // 2),
+                lambda: caller.fold_lanes(sums, 0, lanes, _LANES // 2, _LANES),
+            )
+            np.copyto(total, caller.finish_leaf(0, lanes, n))
+    # Doubling is exact, so doubling the sums equals summing doubled
+    # periodograms; the mean then divides by the count, as np.mean does.
+    total[1:-1] *= 2
+    total /= n
+    return Spectrum(total, fft_size, n, sample_rate_hz)
 
 
 def _usable_cores() -> int:
@@ -176,13 +193,150 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_power(power, segments, win, start, stop, rows):
-    """Fill power[:, start:stop] with the periodograms of those segments,
-    transforming at most rows segments at a time."""
-    for lo in range(start, stop, rows):
-        hi = min(lo + rows, stop)
-        spec = np.fft.rfft(segments[lo:hi] * win)
-        power[:, lo:hi] = (spec.real**2 + spec.imag**2).T
+def _in_two_threads(in_worker, in_caller):
+    """Run in_worker on a new thread and in_caller on this one; re-raise
+    the worker's exception here after both have finished."""
+    failure = []
+
+    def run():
+        try:
+            in_worker()
+        except BaseException as exc:  # re-raised by the calling thread
+            failure.append(exc)
+
+    worker = threading.Thread(target=run, name="nfbist-psd")
+    worker.start()
+    try:
+        in_caller()
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
+
+
+# numpy adds a contiguous float64 row pairwise (pairwise_sum in
+# loops_utils.h.src): a row of at most _LEAF_SEGMENTS items is summed in
+# _LANES running sums, r[j] += a[i + j], which are then combined as
+# ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the items past the
+# last whole group of _LANES are added one by one; a row of fewer than
+# _LANES items is a plain running sum from zero; a longer row is split at
+# _pairwise_split(n) and its halves' sums are added, left + right.
+_LANES = 8
+_LEAF_SEGMENTS = 128
+
+
+def _pairwise_split(n: int) -> int:
+    half = n // 2
+    return half - half % _LANES
+
+
+def _lane_count(n: int) -> int:
+    """How many of a leaf's n items go into the lane sums."""
+    return n - n % _LANES if n >= _LANES else 0
+
+
+@functools.lru_cache(maxsize=256)
+def _open_partials(n: int) -> int:
+    """How many partial sums _SegmentSums.sum_range holds at once for n
+    segments: one for each enclosing split whose right half is split again."""
+    if n <= _LEAF_SEGMENTS:
+        return 0
+    half = _pairwise_split(n)
+    right = n - half
+    return max(_open_partials(half), _open_partials(right) + (right > _LEAF_SEGMENTS))
+
+
+class _SegmentSums:
+    """One thread's buffers for transforming segments and summing their
+    periodograms in numpy's pairwise order, segment by segment.
+
+    The sum of n periodograms equals the contiguous (freq, segment) array's
+    sum over its last axis bit for bit, so their mean equals np.mean's. Only
+    rows segments are transformed at a time, and a partial sum is held for
+    each open split, so memory grows with log(n), not with n.
+    """
+
+    def __init__(self, segments, win, rows, n_segments):
+        fft_size = win.size
+        n_freq = fft_size // 2 + 1
+        self.segments = segments
+        self.win = win
+        self.rows = rows
+        # The windowed block; once transformed, its memory holds the powers.
+        self.windowed = np.empty(rows * fft_size)
+        self.spectra = np.empty(rows * n_freq, dtype=np.complex128)
+        self.lanes = np.empty((_LANES, n_freq))
+        self.partials = np.empty((_open_partials(n_segments), n_freq))
+
+    def periodograms(self, segs: np.ndarray) -> np.ndarray:
+        """|rfft(segment * win)|^2 of a block of at most rows segments,
+        shaped like the block without its last axis."""
+        fft_size = self.win.size
+        n_freq = fft_size // 2 + 1
+        shape = segs.shape[:-1]
+        count = math.prod(shape)
+        windowed = self.windowed[: count * fft_size].reshape(*shape, fft_size)
+        np.multiply(segs, self.win, out=windowed)
+        spectra = self.spectra[: count * n_freq].reshape(*shape, n_freq)
+        np.fft.rfft(windowed, out=spectra)
+        parts = spectra.view(np.float64)
+        np.square(parts, out=parts)
+        power = self.windowed[: count * n_freq].reshape(*shape, n_freq)
+        np.add(parts[..., 0::2], parts[..., 1::2], out=power)
+        return power
+
+    def sum_range(self, lo: int, n: int, out: np.ndarray, depth: int = 0):
+        """out = the pairwise sum of the periodograms of segments lo .. lo + n - 1."""
+        if n <= _LEAF_SEGMENTS:
+            np.copyto(out, self.leaf_sum(lo, n))
+            return
+        half = _pairwise_split(n)
+        self.sum_range(lo, half, out, depth)
+        if n - half <= _LEAF_SEGMENTS:
+            out += self.leaf_sum(lo + half, n - half)
+        else:
+            right = self.partials[depth]
+            self.sum_range(lo + half, n - half, right, depth + 1)
+            out += right
+
+    def leaf_sum(self, lo: int, n: int) -> np.ndarray:
+        """The sum of at most _LEAF_SEGMENTS segments' periodograms, held in self.lanes."""
+        lanes = _lane_count(n)
+        self.lanes.fill(0.0)
+        self.fold_lanes(self.lanes, lo, lanes, 0, _LANES)
+        return self.finish_leaf(lo, lanes, n)
+
+    def fold_lanes(self, sums: np.ndarray, lo: int, lanes: int, first: int, stop: int):
+        """Add segment lo + i to sums[i % _LANES] for i < lanes, for the
+        sums first .. stop - 1 only, in increasing i."""
+        if lanes == 0:
+            return
+        fft_size = self.win.size
+        width = stop - first
+        groups = self.segments[lo : lo + lanes].reshape(-1, _LANES, fft_size)[:, first:stop]
+        per_block = max(1, self.rows // width)
+        # Huge segments: split each group's lanes into near-equal blocks.
+        lane_block = -(-width // -(-width // self.rows))
+        for g in range(0, groups.shape[0], per_block):
+            for a in range(0, width, lane_block):
+                power = self.periodograms(groups[g : g + per_block, a : a + lane_block])
+                lane = first + a
+                for group_power in power:
+                    sums[lane : lane + group_power.shape[0]] += group_power
+
+    def finish_leaf(self, lo: int, lanes: int, n: int) -> np.ndarray:
+        """Combine a leaf's filled lane sums, then add its remaining segments
+        lo + lanes .. lo + n - 1 one by one; returns the sum, self.lanes[0]."""
+        r = self.lanes
+        if lanes:
+            np.add(r[0::2], r[1::2], out=r[0::2])
+            np.add(r[0::4], r[2::4], out=r[0::4])
+            r[0] += r[4]
+        total = r[0]
+        for a in range(lo + lanes, lo + n, self.rows):
+            for power in self.periodograms(self.segments[a : min(a + self.rows, lo + n)]):
+                total += power
+        return total
 
 
 @functools.lru_cache(maxsize=4)

@@ -64,6 +64,21 @@ def test_file_layout(tmp_path):
     assert raw[HEADER.size + 1] == 0b00000001
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 1000, 100_003])
+def test_payload_equals_uint8_packing(tmp_path, n):
+    # The bool decisions are packed directly; the bytes must equal packing
+    # a 0/1 uint8 copy, the form the format was defined with.
+    bits = _random_bits(n, seed=n)
+    path = tmp_path / "cap.nfb"
+    write_capture(path, bits)
+    ones = (bits.bits > 0).astype(np.uint8)
+    want = HEADER.pack(b"NFB1", 1, bits.sample_rate_hz, n) + np.packbits(ones, bitorder="little").tobytes()
+    assert path.read_bytes() == want
+    back = read_capture(path)
+    assert back.bits.dtype == np.int8
+    np.testing.assert_array_equal(back.bits, bits.bits)
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.nfb"
     _write_raw(path, magic=b"XXXX")

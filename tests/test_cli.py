@@ -538,3 +538,15 @@ def test_psd_command_matches_library(tmp_path):
     got_psd = np.array([float(r[1]) for r in rows[1:]])
     np.testing.assert_array_equal(got_freq, expected.freq_hz)
     np.testing.assert_array_equal(got_psd, expected.psd)
+
+
+def test_psd_command_without_a_hop_exits_4(tmp_path, capsys):
+    # A 2-point FFT at 75% overlap rounds to an overlap of both samples.
+    cap_path = tmp_path / "cap.nfb"
+    write_capture(cap_path, BitStream(50_000.0, np.ones(100, dtype=np.int8)))
+    args = ["psd", "--capture", str(cap_path), "--fft-size", "2", "--window", "hann"]
+    args += ["--segments-overlap", "0.75", "--out", str(tmp_path / "psd.csv")]
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "psd.csv").exists()

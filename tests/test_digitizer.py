@@ -1,6 +1,7 @@
 """Comparator digitizer, bitstream container and the arcsine law."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,25 @@ def test_bitstream_validation():
         BitStream(10.0, np.ones((2, 2)))
     with pytest.raises(ParameterError):
         BitStream(0.0, [1, -1])
+
+
+def test_bitstream_check_works_in_bounded_blocks():
+    # The +-1 check must not build full-length boolean temporaries: 1e7 bits
+    # would take 10 MB for each of the two comparisons and their union.
+    bits = np.ones(10_000_000, dtype=np.int8)
+    bits[1::3] = -1
+    tracemalloc.start()
+    try:
+        BitStream(50_000.0, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # A bad value in the last block is still found.
+    bad = bits.copy()
+    bad[-1] = 0
+    with pytest.raises(ParameterError):
+        BitStream(50_000.0, bad)
 
 
 def test_digitize_threshold_and_ties():

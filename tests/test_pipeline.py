@@ -222,6 +222,20 @@ def test_simulate_bitstreams_working_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
+def test_simulate_bitstreams_working_memory_is_a_few_chunks():
+    # No full-length float reference: the int8 bits (2 MB at 1e6 samples)
+    # and a few chunks' float temporaries.
+    cfg = make_config(seed=2)
+    simulate_bitstreams(cfg)  # warm-up: fills the square-wave pattern cache
+    tracemalloc.start()
+    try:
+        simulate_bitstreams(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_simulate_bitstreams_gain_invariance():
     """Post-DUT gain rescales waveform and reference by the same factor,
     so every comparator decision survives unchanged."""
@@ -501,15 +515,35 @@ def test_gain_sensitivity_study_analyses_changed_bits(monkeypatch):
 
     cfg = make_config(seed=5, **CRN_CONFIG)
     flipped_gain = cfg.post_dut_gain_linear * 2.0
-    digitize_chunks = pipeline._digitize_chunks
+    comparator_bits = pipeline._comparator_bits
 
-    def flip_at_one_gain(c, post_amp, reference, chunks):
+    def flip_at_one_gain(c, records):
         sign = -1.0 if c.post_dut_gain_linear == flipped_gain else 1.0
-        return digitize_chunks(c, post_amp, reference, (sign * chunk for chunk in chunks))
+        return comparator_bits(c, [(sign * chunk for chunk in state) for state in records])
 
-    monkeypatch.setattr(pipeline, "_digitize_chunks", flip_at_one_gain)
+    monkeypatch.setattr(pipeline, "_comparator_bits", flip_at_one_gain)
     base = run_y_factor_experiment(cfg).nf_db
     flipped = run_y_factor_experiment(replace(cfg, post_dut_gain_linear=flipped_gain)).nf_db
     assert flipped != base
     rows = gain_sensitivity_study(cfg, [1.0, 2.0])
     assert [r.nf_bias_db for r in rows if r.method == "y_factor"] == [0.0, flipped - base]
+
+
+def test_gain_sensitivity_study_digitizes_each_post_dut_gain_once(monkeypatch):
+    # Ratio 1.0 keeps the base config's post-DUT gain, so the default ratios
+    # need the base bits and two drifted pairs: three comparator passes.
+    from nfbist import pipeline
+    from nfbist.cli import DEFAULT_GAIN_RATIOS
+
+    passes = []
+    comparator_bits = pipeline._comparator_bits
+
+    def counting(c, records):
+        passes.append(c.post_dut_gain_linear)
+        return comparator_bits(c, records)
+
+    monkeypatch.setattr(pipeline, "_comparator_bits", counting)
+    cfg = make_config(seed=5, **CRN_CONFIG)
+    gain_sensitivity_study(cfg, DEFAULT_GAIN_RATIOS)
+    assert len(passes) == 3
+    assert len(set(passes)) == 3

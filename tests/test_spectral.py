@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,33 +164,93 @@ def _split_input(n_segments, fft_size, overlap):
 @pytest.mark.parametrize("fft_size", [2_000, 10_000])
 def test_psd_split_across_threads_matches_single_pass(monkeypatch, cores, window, overlap, fft_size):
     # Segment counts: one (never split), exactly one full row block (not
-    # split), one block plus a segment (the smallest split) and three blocks.
+    # split), one block plus a segment (the smallest split) and three blocks
+    # (one pairwise leaf at fft 10 000, two subtrees at fft 2 000).
     rows = spectral._PSD_BLOCK_BYTES // (8 * fft_size)
     monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
-    calls = []
-    fill_power = spectral._fill_power
+    first_call = {}  # each thread's first entry into the summation: its share
 
-    def recording_fill(power, segments, win, start, stop, block_rows):
-        calls.append((threading.current_thread() is threading.main_thread(), start, stop, block_rows))
-        fill_power(power, segments, win, start, stop, block_rows)
+    def recording(method, describe):
+        def wrapper(self, *args):
+            on_main = threading.current_thread() is threading.main_thread()
+            first_call.setdefault(on_main, (method.__name__, *describe(*args), self.rows))
+            return method(self, *args)
 
-    monkeypatch.setattr(spectral, "_fill_power", recording_fill)
+        return wrapper
+
+    sums = spectral._SegmentSums
+    monkeypatch.setattr(sums, "sum_range", recording(sums.sum_range, lambda lo, n, *_: (lo, n)))
+    monkeypatch.setattr(
+        sums, "fold_lanes", recording(sums.fold_lanes, lambda _s, _lo, _n, first, stop: (first, stop))
+    )
     for n_segments in (1, rows, rows + 1, 3 * rows):
         noise, bits = _split_input(n_segments, fft_size, overlap)
         for sig, values in ((noise, noise.samples), (bits, bits.bits.astype(np.float64))):
-            calls.clear()
+            first_call.clear()
             s = psd(sig, fft_size, window=window, overlap_fraction=overlap)
             assert s.n_segments == n_segments
             want = _single_pass_psd(values, sig.sample_rate_hz, fft_size, window, overlap)
             assert np.array_equal(s.psd, want)
-            if cores == 2 and n_segments > rows:
-                half = n_segments // 2
-                assert sorted(calls) == [
-                    (False, 0, half, rows // 2),
-                    (True, half, n_segments, rows // 2),
-                ]
+            if cores == 2 and n_segments > rows and n_segments > 128:
+                half = n_segments // 2 - n_segments // 2 % 8
+                assert first_call == {
+                    False: ("sum_range", 0, half, rows // 2),
+                    True: ("sum_range", half, n_segments - half, rows // 2),
+                }
+            elif cores == 2 and n_segments > rows:
+                assert first_call == {
+                    False: ("fold_lanes", 0, 4, rows // 2),
+                    True: ("fold_lanes", 4, 8, rows // 2),
+                }
             else:
-                assert calls == [(True, 0, n_segments, rows)]
+                assert first_call == {True: ("sum_range", 0, n_segments, rows)}
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["default_blocks", "3_row_blocks"])
+def test_psd_sums_segments_in_numpys_mean_order(monkeypatch, cores, block_rows):
+    # psd adds each periodogram into running sums instead of averaging the
+    # (freq, segment) array. The counts reach every branch of numpy's
+    # pairwise order (under 8 items, 8 lanes with and without leftovers,
+    # one split and many), so a numpy change to that order fails here.
+    fft_size, fs = 16, 1_000.0
+    monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
+    if block_rows is not None:
+        monkeypatch.setattr(spectral, "_PSD_BLOCK_BYTES", block_rows * 8 * fft_size)
+    rng = np.random.default_rng(12)
+    counts = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 130, 255, 256, 257, 1398]
+    counts += [8191, 8192, 8193, 20_000]
+    for n_segments in counts:
+        # Segment levels spread over six decades, so every addition rounds.
+        scale = np.repeat(10.0 ** rng.uniform(-3.0, 3.0, n_segments), fft_size)
+        values = rng.standard_normal(n_segments * fft_size) * scale
+        s = psd(SampledSignal(fs, values), fft_size)
+        assert s.n_segments == n_segments
+        assert np.array_equal(s.psd, _single_pass_psd(values, fs, fft_size, "rectangular", 0.0))
+
+
+def test_psd_memory_does_not_grow_with_the_record():
+    # Only blocks of segments and O(log n) partial sums are held, so ten
+    # times the record costs at most 10% more working memory.
+    rng = np.random.default_rng(13)
+    peaks = {}
+    for n in (1_000_000, 10_000_000):
+        sig = SampledSignal(50_000.0, rng.standard_normal(n))
+        for fft_size, window, overlap in (
+            (10_000, "rectangular", 0.0),
+            (10_000, "hann", 0.5),
+            (2_000, "rectangular", 0.0),
+        ):
+            tracemalloc.start()
+            try:
+                psd(sig, fft_size, window=window, overlap_fraction=overlap)
+                peaks[n, fft_size, window] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        del sig
+    for (n, *analysis), peak in peaks.items():
+        if n == 10_000_000:
+            assert peak <= 1.1 * peaks[(1_000_000, *analysis)], analysis
 
 
 def test_psd_worker_failure_propagates(monkeypatch):
@@ -265,6 +326,8 @@ def test_psd_validation():
         psd(sig, 100, overlap_fraction=0.9)
     with pytest.raises(ParameterError):
         psd(np.zeros(1000), 100)  # must be SampledSignal or BitStream
+    with pytest.raises(ParameterError, match="no hop"):
+        psd(sig, 2, window="hann", overlap_fraction=0.75)  # round(1.5) = 2 leaves a hop of 0
 
 
 def test_spectrum_constructor_validation():
