@@ -34,6 +34,7 @@ from .pipeline import (
     ExperimentConfig,
     analyze_bitstreams,
     analyze_spectra,
+    check_sweep_points,
     gain_sensitivity_study,
     run_y_factor_experiment,  # not called here; perfbench/tracing.PATCHES wraps this binding
     simulate_bitstreams,
@@ -207,17 +208,7 @@ def cmd_simulate(args) -> int:
             write_capture(cap_path, bits)
             report["outputs"][f"capture_{state}"] = str(cap_path)
 
-    report_path = out_dir / "report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {report_path}")
-    print(f"y = {result.y!r}")
-    print(f"f = {result.f!r}")
-    print(f"nf_db = {result.nf_db!r}")
-    for note in result.warnings:
-        print(f"warning: {note}", file=sys.stderr)
-    return EXIT_OK
+    return _finish_report(report, result, out_dir / "report.json")
 
 
 def cmd_analyze(args) -> int:
@@ -232,10 +223,17 @@ def cmd_analyze(args) -> int:
     report["result"] = dataclasses.asdict(result)
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
+    return _finish_report(report, result, args.out)
+
+
+def _finish_report(report: dict, result, report_path) -> int:
+    """Write the report JSON to report_path unless it is None, then print
+    Y, F and NF, and each of the result's warnings to stderr."""
+    if report_path is not None:
+        with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-        print(f"wrote {args.out}")
+        print(f"wrote {report_path}")
     print(f"y = {result.y!r}")
     print(f"f = {result.f!r}")
     print(f"nf_db = {result.nf_db!r}")
@@ -244,18 +242,17 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _parse_points(text: str) -> list[float]:
+def _sweep_points(kind: str, text: str) -> list[float]:
+    """--points value: the comma-separated points, checked as the study checks them."""
     try:
-        points = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
+        return check_sweep_points(kind, [float(v) for v in text.split(",") if v.strip()])
+    except ValueError as exc:  # a ParameterError is a ValueError too
         raise ConfigError([f"--points: {exc}"]) from exc
-    if not points:
-        raise ConfigError([f"--points: no sweep points in {text!r}"])
-    return points
 
 
 def cmd_sweep(args) -> int:
-    points = _parse_points(args.points) if args.points is not None else None
+    # Checked before any input is read, as argparse checks the other flags.
+    points = _sweep_points(args.kind, args.points) if args.points is not None else None
     cfg = _apply_seed_override(load_experiment_config(args.config), args.seed)
     rows: list[list] = []
     if args.kind == "ref-amplitude":

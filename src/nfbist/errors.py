@@ -14,19 +14,25 @@ class ParameterError(NfbistError, ValueError):
     """A scalar argument is outside its documented domain."""
 
 
+def _is_bool(value) -> bool:
+    # bool is an int subclass, so True would otherwise pass as the number 1.
+    return isinstance(value, (bool, np.bool_))
+
+
 def check_positive(name: str, value) -> None:
-    """Raise ParameterError unless value is finite and > 0.
+    """Raise ParameterError unless value is finite and > 0, and not a bool.
 
     Written as a negated conjunction so that NaN, which fails every
     comparison, is rejected rather than slipping past a ``value <= 0`` test.
     """
-    if not (math.isfinite(value) and value > 0.0):
+    if _is_bool(value) or not (math.isfinite(value) and value > 0.0):
         raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
 
 def check_non_negative(name: str, value) -> None:
-    """Raise ParameterError unless value is finite and >= 0 (NaN fails too)."""
-    if not (math.isfinite(value) and value >= 0.0):
+    """Raise ParameterError unless value is finite and >= 0 (NaN fails too),
+    and not a bool."""
+    if _is_bool(value) or not (math.isfinite(value) and value >= 0.0):
         raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
@@ -38,7 +44,7 @@ def check_integer(name: str, value, minimum: int) -> int:
     """
     try:
         ok = (
-            not isinstance(value, (bool, np.bool_))
+            not _is_bool(value)
             and int(value) == value
             and value >= minimum
         )

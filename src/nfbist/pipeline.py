@@ -26,7 +26,7 @@ from .dut import (
     apply_dut,  # not called here; perfbench/tracing.PATCHES wraps this binding
     nominal_f,
 )
-from .errors import ParameterError, ShapeError, check_integer, check_positive
+from .errors import ParameterError, ShapeError, check_integer, check_non_negative, check_positive
 from .nfcore import f_from_y_temps, f_to_nf, ideal_y
 from .signals import (
     NoiseSourceSpec,
@@ -93,11 +93,14 @@ class ExperimentConfig:
                 f"n_samples ({self.n_samples}) must be >= fft_size ({self.fft_size})"
             )
         nyquist = self.sample_rate_hz / 2.0
-        if not (0.0 < self.f_ref_hz < nyquist):
+        check_positive("f_ref_hz", self.f_ref_hz)
+        if not self.f_ref_hz < nyquist:
             raise ParameterError(
                 f"f_ref_hz must lie in (0, {nyquist}), got {self.f_ref_hz}"
             )
         check_positive("ref_amplitude", self.ref_amplitude)
+        for edge in self.band:
+            check_non_negative("band edge", edge)
         band = tuple(float(f) for f in self.band)
         if len(band) != 2 or not (0.0 <= band[0] < band[1] <= nyquist):
             raise ParameterError(
@@ -125,6 +128,28 @@ class MeasurementResult:
     band_power_hot: float | None = None
     band_power_cold: float | None = None
     warnings: tuple[str, ...] = field(default_factory=tuple)
+
+
+# Each study's sweep points, by the name the CLI gives the study: what one
+# point is, and the value every point must exceed.
+_SWEEP_POINTS = {
+    "ref-amplitude": ("amplitude fraction", 0.0),
+    "th-error": ("relative hot-temperature error", -1.0),
+    "gain": ("gain ratio", 0.0),
+}
+
+
+def check_sweep_points(kind: str, points) -> list[float]:
+    """The points of a sweep study as floats: at least one, each finite and
+    above the study's floor (a positive amplitude fraction or gain ratio; a
+    hot-temperature error that keeps the hot temperature positive)."""
+    name, floor = _SWEEP_POINTS[kind]
+    points = [float(p) for p in points]
+    if not points:
+        raise ParameterError(f"at least one {name} is required")
+    if any(not (math.isfinite(p) and p > floor) for p in points):
+        raise ParameterError(f"each {name} must be finite and > {floor:g}, got {points}")
+    return points
 
 
 class GainSensitivityRow(NamedTuple):
@@ -413,11 +438,7 @@ def sweep_reference_amplitude(
     simulate_bitstreams at that point's config, so every row is the same
     as running each experiment on its own.
     """
-    fractions = [float(a) for a in fractions]
-    if not fractions:
-        raise ParameterError("at least one amplitude fraction is required")
-    if any(not (math.isfinite(a) and a > 0.0) for a in fractions):
-        raise ParameterError(f"amplitude fractions must be finite and positive, got {fractions}")
+    fractions = check_sweep_points("ref-amplitude", fractions)
     n_seeds = check_integer("n_seeds", n_seeds, 1)
     src = cfg.source
     f_nominal = nominal_f(cfg.dut, t0_k=src.t0_k, power_scale=src.power_scale)
@@ -445,13 +466,7 @@ def th_uncertainty_study(cfg: ExperimentConfig, rel_errors) -> list[tuple[float,
     temperature-to-F conversion with Th scaled by (1 + rel_error); returns
     (rel_error, delta_nf_db) pairs. Purely analytic, no simulation.
     """
-    rel_errors = [float(e) for e in rel_errors]
-    if not rel_errors:
-        raise ParameterError("at least one relative hot-temperature error is required")
-    if any(not (math.isfinite(e) and e > -1.0) for e in rel_errors):
-        raise ParameterError(
-            f"rel_errors must be finite and keep the hot temperature positive, got {rel_errors}"
-        )
+    rel_errors = check_sweep_points("th-error", rel_errors)
     src = cfg.source
     f_nominal = nominal_f(cfg.dut, t0_k=src.t0_k, power_scale=src.power_scale)
     y_true = ideal_y(f_nominal, src.t_hot_k, src.t_cold_k, src.t0_k)
@@ -484,11 +499,7 @@ def gain_sensitivity_study(
     the base bits (equal bits give an equal analysis). The rows equal those of
     run_direct_experiment and run_y_factor_experiment run per ratio.
     """
-    gain_ratios = [float(r) for r in gain_ratios]
-    if not gain_ratios:
-        raise ParameterError("at least one gain ratio is required")
-    if any(not (r > 0.0) for r in gain_ratios):
-        raise ParameterError(f"gain ratios must be positive, got {gain_ratios}")
+    gain_ratios = check_sweep_points("gain", gain_ratios)
     assumed = cfg.dut.gain_linear * cfg.post_dut_gain_linear
     drifted = [
         replace(cfg, post_dut_gain_linear=cfg.post_dut_gain_linear * r) for r in gain_ratios

@@ -55,7 +55,7 @@ MAX_OVERLAP_FRACTION = 0.75
 _PEAK_SEARCH_HALFWIDTH_BINS = 5
 # psd transforms this many bytes of windowed float64 segments at a time, so
 # its buffers stay small whatever the record length. With a worker thread
-# the two threads share the budget, each transforming half-size blocks.
+# the two threads share the budget (see psd).
 _PSD_BLOCK_BYTES = 1 << 20
 
 
@@ -151,35 +151,25 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
     n = segments.shape[0]
     total = np.empty(fft_size // 2 + 1)
     rows = max(1, _PSD_BLOCK_BYTES // (8 * fft_size))
-    lanes = _lane_count(n)
-    if n <= rows or lanes == 0 or _usable_cores() < 2:
+    if n <= _LEAF_SEGMENTS or _usable_cores() < 2:
         _SegmentSums(segments, win, rows, n).sum_range(0, n, total)
     else:
-        # Each thread owns whole sums, in buffers allocated here (a worker's
-        # own temporaries would come from a separate malloc arena), and
-        # transforms half-size blocks; np.fft.rfft releases the GIL.
-        rows = max(1, rows // 2)
-        if n > _LEAF_SEGMENTS:
-            # The two top-level subtrees of numpy's pairwise order.
-            half = _pairwise_split(n)
-            worker = _SegmentSums(segments, win, rows, half)
-            caller = _SegmentSums(segments, win, rows, n - half)
-            right = np.empty_like(total)
-            _in_two_threads(
-                lambda: worker.sum_range(0, half, total),
-                lambda: caller.sum_range(half, n - half, right),
-            )
-            total += right
-        else:
-            # One leaf: the worker sums lanes 0-3, this thread lanes 4-7.
-            worker, caller = (_SegmentSums(segments, win, rows, n) for _ in range(2))
-            sums = caller.lanes
-            sums.fill(0.0)
-            _in_two_threads(
-                lambda: worker.fold_lanes(sums, 0, lanes, 0, _LANES // 2),
-                lambda: caller.fold_lanes(sums, 0, lanes, _LANES // 2, _LANES),
-            )
-            np.copyto(total, caller.finish_leaf(0, lanes, n))
+        # The worker sums the first of the two top-level subtrees of numpy's
+        # pairwise order and this thread the second; np.fft.rfft releases
+        # the GIL. Each thread owns whole sums, in buffers allocated here (a
+        # worker's own temporaries would come from a separate malloc arena).
+        # A row costs about half a lane set, so two rows fewer pay for the
+        # second thread's lanes and both threads fit one thread's budget.
+        rows = max(1, rows // 2 - 1)
+        half = _pairwise_split(n)
+        worker = _SegmentSums(segments, win, rows, half)
+        caller = _SegmentSums(segments, win, rows, n - half)
+        right = np.empty_like(total)
+        _in_two_threads(
+            lambda: worker.sum_range(0, half, total),
+            lambda: caller.sum_range(half, n - half, right),
+        )
+        total += right
     # Doubling is exact, so doubling the sums equals summing doubled
     # periodograms; the mean then divides by the count, as np.mean does.
     total[1:-1] *= 2
@@ -228,11 +218,6 @@ _LEAF_SEGMENTS = 128
 def _pairwise_split(n: int) -> int:
     half = n // 2
     return half - half % _LANES
-
-
-def _lane_count(n: int) -> int:
-    """How many of a leaf's n items go into the lane sums."""
-    return n - n % _LANES if n >= _LANES else 0
 
 
 @functools.lru_cache(maxsize=256)
@@ -300,35 +285,22 @@ class _SegmentSums:
             out += right
 
     def leaf_sum(self, lo: int, n: int) -> np.ndarray:
-        """The sum of at most _LEAF_SEGMENTS segments' periodograms, held in self.lanes."""
-        lanes = _lane_count(n)
-        self.lanes.fill(0.0)
-        self.fold_lanes(self.lanes, lo, lanes, 0, _LANES)
-        return self.finish_leaf(lo, lanes, n)
-
-    def fold_lanes(self, sums: np.ndarray, lo: int, lanes: int, first: int, stop: int):
-        """Add segment lo + i to sums[i % _LANES] for i < lanes, for the
-        sums first .. stop - 1 only, in increasing i."""
-        if lanes == 0:
-            return
-        fft_size = self.win.size
-        width = stop - first
-        groups = self.segments[lo : lo + lanes].reshape(-1, _LANES, fft_size)[:, first:stop]
-        per_block = max(1, self.rows // width)
-        # Huge segments: split each group's lanes into near-equal blocks.
-        lane_block = -(-width // -(-width // self.rows))
-        for g in range(0, groups.shape[0], per_block):
-            for a in range(0, width, lane_block):
-                power = self.periodograms(groups[g : g + per_block, a : a + lane_block])
-                lane = first + a
-                for group_power in power:
-                    sums[lane : lane + group_power.shape[0]] += group_power
-
-    def finish_leaf(self, lo: int, lanes: int, n: int) -> np.ndarray:
-        """Combine a leaf's filled lane sums, then add its remaining segments
-        lo + lanes .. lo + n - 1 one by one; returns the sum, self.lanes[0]."""
+        """The sum of at most _LEAF_SEGMENTS segments' periodograms, held in
+        self.lanes[0]: segment lo + i goes into lane i % _LANES for i below
+        the last whole group of _LANES, the lanes are combined, and the
+        remaining segments are added one by one."""
         r = self.lanes
+        r.fill(0.0)
+        lanes = n - n % _LANES
         if lanes:
+            groups = self.segments[lo : lo + lanes].reshape(-1, _LANES, self.win.size)
+            per_block = max(1, self.rows // _LANES)
+            # Huge segments: split each group's lanes into near-equal blocks.
+            lane_block = -(-_LANES // -(-_LANES // self.rows))
+            for g in range(0, groups.shape[0], per_block):
+                for a in range(0, _LANES, lane_block):
+                    for power in self.periodograms(groups[g : g + per_block, a : a + lane_block]):
+                        r[a : a + power.shape[0]] += power
             np.add(r[0::2], r[1::2], out=r[0::2])
             np.add(r[0::4], r[2::4], out=r[0::4])
             r[0] += r[4]

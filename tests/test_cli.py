@@ -153,9 +153,21 @@ def test_config_integral_float_fields_stored_as_int(tmp_path):
 
 
 def test_config_bool_integer_field_exits_2(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, ref_exclusion_halfwidth_bins=True)
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
-    assert "ref_exclusion_halfwidth_bins" in capsys.readouterr().err
+    # A JSON true is not the number 1, in an integer or a float field.
+    for field, overrides in [
+        ("ref_exclusion_halfwidth_bins", dict(ref_exclusion_halfwidth_bins=True)),
+        ("nf_db", dict(dut={"gain_linear": 1.0, "nf_db": True})),
+        ("gain_linear", dict(dut={"gain_linear": True, "nf_db": 10.0})),
+        ("t_hot_k", dict(source={"t_hot_k": True, "t_cold_k": 1_000.0})),
+        ("band", dict(band=[True, 1500.0])),
+        ("ref_amplitude", dict(ref_amplitude=True)),
+        ("f_ref_hz", dict(f_ref_hz=True)),
+    ]:
+        cfg_path = write_config(tmp_path, **overrides)
+        out_dir = tmp_path / field
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def test_simulate_hann_window(tmp_path):
@@ -492,16 +504,25 @@ def test_sweep_empty_points_exits_2(tmp_path, kind, points):
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("point", ["nan", "inf"])
-def test_sweep_th_error_non_finite_point_exits_4(tmp_path, point):
-    cfg_path = write_config(tmp_path)
-    out_csv = tmp_path / "th.csv"
+@pytest.mark.parametrize(
+    "kind, point",
+    [
+        (kind, point)
+        for kind in ("ref-amplitude", "th-error", "gain")
+        for point in ("nan", "inf", "-1") + (("0",) if kind != "th-error" else ())
+    ],
+)
+def test_sweep_bad_point_exits_2_before_any_work(tmp_path, kind, point, capsys):
+    # Checked as the study checks it, before the config is read: a missing
+    # config would exit 3.
+    out_csv = tmp_path / "out" / "sweep.csv"
     args = [
-        "sweep", "--config", str(cfg_path), "--kind", "th-error",
-        "--out", str(out_csv), "--points", point,
+        "sweep", "--config", str(tmp_path / "missing.json"), "--kind", kind,
+        "--out", str(out_csv), f"--points=0.5,{point}",
     ]
-    assert main(args) == 4
-    assert not out_csv.exists()
+    assert main(args) == 2
+    assert "--points" in capsys.readouterr().err
+    assert not out_csv.parent.exists()
 
 
 def test_sweep_th_error_nonphysical_f_keeps_stderr_empty(tmp_path):

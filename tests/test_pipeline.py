@@ -85,6 +85,11 @@ def make_config(nf_db=10.0, **overrides):
         dict(seed=math.nan),
         dict(seed=math.inf),
         dict(seed="1"),
+        dict(f_ref_hz=True),                     # bool in any float field
+        dict(band=(True, 1500.0)),
+        dict(band=(np.False_, 1500.0)),
+        dict(ref_amplitude=True),
+        dict(post_dut_gain_linear=True),
     ],
 )
 def test_experiment_config_validation(overrides):
@@ -454,8 +459,10 @@ def test_gain_sensitivity_study_contrast():
     assert by_key[("y_factor", 1.0)] == 0.0
     assert by_key[("direct", round(10 ** 0.1, 6))] == pytest.approx(1.0, abs=1e-9)
     assert by_key[("y_factor", round(10 ** 0.1, 6))] == 0.0
-    with pytest.raises(ParameterError):
-        gain_sensitivity_study(cfg, [0.0])
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        # Rejected as a gain ratio, before any drifted config is built.
+        with pytest.raises(ParameterError, match="gain ratio"):
+            gain_sensitivity_study(cfg, [1.0, bad])
     with pytest.raises(ParameterError):
         gain_sensitivity_study(cfg, [])
 

@@ -163,9 +163,10 @@ def _split_input(n_segments, fft_size, overlap):
 @pytest.mark.parametrize("window, overlap", [("rectangular", 0.0), ("hann", 0.5), ("hann", 0.75)])
 @pytest.mark.parametrize("fft_size", [2_000, 10_000])
 def test_psd_split_across_threads_matches_single_pass(monkeypatch, cores, window, overlap, fft_size):
-    # Segment counts: one (never split), exactly one full row block (not
-    # split), one block plus a segment (the smallest split) and three blocks
-    # (one pairwise leaf at fft 10 000, two subtrees at fft 2 000).
+    # Segment counts: one, exactly one full row block, one block plus a
+    # segment, and three blocks. Only more than one 128-segment pairwise
+    # leaf is split across threads: three blocks at fft 2 000 (two
+    # subtrees), never at fft 10 000 (one leaf).
     rows = spectral._PSD_BLOCK_BYTES // (8 * fft_size)
     monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
     first_call = {}  # each thread's first entry into the summation: its share
@@ -180,9 +181,6 @@ def test_psd_split_across_threads_matches_single_pass(monkeypatch, cores, window
 
     sums = spectral._SegmentSums
     monkeypatch.setattr(sums, "sum_range", recording(sums.sum_range, lambda lo, n, *_: (lo, n)))
-    monkeypatch.setattr(
-        sums, "fold_lanes", recording(sums.fold_lanes, lambda _s, _lo, _n, first, stop: (first, stop))
-    )
     for n_segments in (1, rows, rows + 1, 3 * rows):
         noise, bits = _split_input(n_segments, fft_size, overlap)
         for sig, values in ((noise, noise.samples), (bits, bits.bits.astype(np.float64))):
@@ -191,16 +189,11 @@ def test_psd_split_across_threads_matches_single_pass(monkeypatch, cores, window
             assert s.n_segments == n_segments
             want = _single_pass_psd(values, sig.sample_rate_hz, fft_size, window, overlap)
             assert np.array_equal(s.psd, want)
-            if cores == 2 and n_segments > rows and n_segments > 128:
+            if cores == 2 and n_segments > 128:
                 half = n_segments // 2 - n_segments // 2 % 8
                 assert first_call == {
-                    False: ("sum_range", 0, half, rows // 2),
-                    True: ("sum_range", half, n_segments - half, rows // 2),
-                }
-            elif cores == 2 and n_segments > rows:
-                assert first_call == {
-                    False: ("fold_lanes", 0, 4, rows // 2),
-                    True: ("fold_lanes", 4, 8, rows // 2),
+                    False: ("sum_range", 0, half, rows // 2 - 1),
+                    True: ("sum_range", half, n_segments - half, rows // 2 - 1),
                 }
             else:
                 assert first_call == {True: ("sum_range", 0, n_segments, rows)}
@@ -233,14 +226,14 @@ def test_psd_memory_does_not_grow_with_the_record():
     # Only blocks of segments and O(log n) partial sums are held, so ten
     # times the record costs at most 10% more working memory.
     rng = np.random.default_rng(13)
+    analyses = ((10_000, "rectangular", 0.0), (10_000, "hann", 0.5), (2_000, "rectangular", 0.0))
+    for fft_size, window, _ in analyses:
+        # Built outside the measurement, whichever tests ran before.
+        spectral._scaled_window(window, fft_size, 50_000.0)
     peaks = {}
     for n in (1_000_000, 10_000_000):
         sig = SampledSignal(50_000.0, rng.standard_normal(n))
-        for fft_size, window, overlap in (
-            (10_000, "rectangular", 0.0),
-            (10_000, "hann", 0.5),
-            (2_000, "rectangular", 0.0),
-        ):
+        for fft_size, window, overlap in analyses:
             tracemalloc.start()
             try:
                 psd(sig, fft_size, window=window, overlap_fraction=overlap)
@@ -264,7 +257,7 @@ def test_psd_worker_failure_propagates(monkeypatch):
         return rfft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", failing_in_worker)
-    sig = gaussian_noise(200_000, 1.0, seed=0, sample_rate_hz=50_000.0)  # 100 segments
+    sig = gaussian_noise(400_000, 1.0, seed=0, sample_rate_hz=50_000.0)  # 200 segments
     threads_before = threading.active_count()
     with pytest.raises(RuntimeError, match="in the worker"):
         psd(sig, 2_000)
