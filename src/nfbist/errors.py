@@ -19,20 +19,31 @@ def _is_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
+def is_finite_number(value) -> bool:
+    """True for a finite real number; False for NaN, inf, bools and non-numbers
+    such as strings or None, which math.isfinite would raise TypeError on."""
+    if _is_bool(value):
+        return False
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 def check_positive(name: str, value) -> None:
-    """Raise ParameterError unless value is finite and > 0, and not a bool.
+    """Raise ParameterError unless value is a finite number > 0, and not a bool.
 
     Written as a negated conjunction so that NaN, which fails every
     comparison, is rejected rather than slipping past a ``value <= 0`` test.
     """
-    if _is_bool(value) or not (math.isfinite(value) and value > 0.0):
+    if not (is_finite_number(value) and value > 0.0):
         raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
 
 def check_non_negative(name: str, value) -> None:
-    """Raise ParameterError unless value is finite and >= 0 (NaN fails too),
-    and not a bool."""
-    if _is_bool(value) or not (math.isfinite(value) and value >= 0.0):
+    """Raise ParameterError unless value is a finite number >= 0 (NaN fails
+    too), and not a bool."""
+    if not (is_finite_number(value) and value >= 0.0):
         raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 

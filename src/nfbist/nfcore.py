@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ParameterError, SingularYError, check_positive
+from .errors import ParameterError, SingularYError, check_positive, is_finite_number
 
 __all__ = [
     "BOLTZMANN_J_PER_K",
@@ -35,7 +35,7 @@ def _check_temperatures(t_hot_k: float, t_cold_k: float, t0_k: float) -> None:
 
 
 def _check_noise_factor(name: str, f: float) -> None:
-    if not (math.isfinite(f) and f >= 1.0):
+    if not (is_finite_number(f) and f >= 1.0):
         raise ParameterError(f"{name} must be finite and >= 1, got {f!r}")
 
 
@@ -89,12 +89,20 @@ def friis_cascade(stages) -> float:
 
     F_total = F1 + (F2-1)/G1 + (F3-1)/(G1 G2) + ...
     """
-    stages = list(stages)
+    try:
+        stages = [tuple(stage) for stage in stages]
+    except TypeError:
+        raise ParameterError(
+            f"stages must be an iterable of (f, gain_linear) pairs, got {stages!r}"
+        ) from None
     if not stages:
         raise ParameterError("at least one stage is required")
     total = 0.0
     gain_product = 1.0
-    for i, (f, gain) in enumerate(stages):
+    for i, stage in enumerate(stages):
+        if len(stage) != 2:
+            raise ParameterError(f"stage {i} must be an (f, gain_linear) pair, got {stage!r}")
+        f, gain = stage
         _check_noise_factor(f"stage {i}: f", f)
         check_positive(f"stage {i}: gain_linear", gain)
         if i == 0:

@@ -29,6 +29,7 @@ from .dut import (
 from .errors import ParameterError, ShapeError, check_integer, check_non_negative, check_positive
 from .nfcore import f_from_y_temps, f_to_nf, ideal_y
 from .signals import (
+    _CHUNK_SAMPLES,
     NoiseSourceSpec,
     SampledSignal,
     gaussian_noise,
@@ -50,9 +51,6 @@ __all__ = [
     "th_uncertainty_study",
     "gain_sensitivity_study",
 ]
-
-# Samples per simulation chunk: 1 MiB of float64.
-_CHUNK_SAMPLES = 1 << 17
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,10 @@ __all__ = [
     "source_output",
 ]
 
+# Samples per block of the square-wave pattern and per simulation chunk:
+# 1 MiB of float64.
+_CHUNK_SAMPLES = 1 << 17
+
 
 def _as_readonly_f64(values) -> np.ndarray:
     arr = np.asarray(values)
@@ -150,17 +154,22 @@ def _first_half_mask(n: int, sample_rate_hz: float, f0_hz: float, phase_rad: flo
 
     The pattern does not depend on the amplitude or on the samples asked
     for, so a sweep that only rescales the reference, chunk by chunk,
-    computes it once. The steps round exactly as
-    f0 * (arange(n) / fs) + phase / 2pi, and cycle - floor(cycle) equals
-    np.mod(cycle, 1.0) bit for bit (exact for cycle >= 0, one rounding of
-    the same value below 0).
+    computes it once. It is built in blocks of _CHUNK_SAMPLES samples, so
+    its float temporaries stay two blocks long whatever n is. The steps
+    round exactly as f0 * (arange(n) / fs) + phase / 2pi, elementwise, and
+    cycle - floor(cycle) equals np.mod(cycle, 1.0) bit for bit (exact for
+    cycle >= 0, one rounding of the same value below 0).
     """
-    cycle = np.arange(n, dtype=np.float64)
-    cycle /= sample_rate_hz
-    cycle *= f0_hz
-    cycle += phase_rad / (2.0 * math.pi)
-    cycle -= np.floor(cycle)
-    mask = cycle < 0.5
+    mask = np.empty(n, dtype=bool)
+    whole = np.empty(min(n, _CHUNK_SAMPLES), dtype=np.float64)
+    for start in range(0, n, _CHUNK_SAMPLES):
+        stop = min(start + _CHUNK_SAMPLES, n)
+        cycle = np.arange(start, stop, dtype=np.float64)
+        cycle /= sample_rate_hz
+        cycle *= f0_hz
+        cycle += phase_rad / (2.0 * math.pi)
+        cycle -= np.floor(cycle, out=whole[: stop - start])
+        np.less(cycle, 0.5, out=mask[start:stop])
     mask.setflags(write=False)
     return mask
 

@@ -331,6 +331,30 @@ def test_analyze_swapped_captures_flags_y_below_one(tmp_path):
     assert any("below 1" in w for w in report["result"]["warnings"])
 
 
+def test_analyze_notes_differing_segment_counts(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    out_dir = tmp_path / "run"
+    args = ["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--save-captures"]
+    assert main(args) == 0
+    cold_path = out_dir / "capture_cold.nfb"
+    cold = read_capture(cold_path)
+    write_capture(cold_path, BitStream(cold.sample_rate_hz, cold.bits[: cold.bits.size // 2]))
+    capsys.readouterr()
+    report_path = tmp_path / "analysis.json"
+    args = [
+        "analyze",
+        "--hot", str(out_dir / "capture_hot.nfb"),
+        "--cold", str(cold_path),
+        "--config", str(cfg_path),
+        "--out", str(report_path),
+    ]
+    assert main(args) == 0
+    note = "hot/cold segment counts differ: 50 vs 25"
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("warning:")] == [f"warning: {note}"]
+    assert json.loads(report_path.read_text())["result"]["warnings"] == [note]
+
+
 def test_analyze_rate_mismatch_exits_4(tmp_path):
     cfg_path = write_config(tmp_path)
     rng = np.random.default_rng(0)

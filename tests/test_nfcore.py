@@ -151,3 +151,31 @@ def test_friis_cascade_validation():
         friis_cascade([(0.5, 10.0)])
     with pytest.raises(ParameterError):
         friis_cascade([(2.0, 0.0)])
+
+
+@pytest.mark.parametrize(
+    "stages",
+    [
+        5,
+        [("a", 1.0)],
+        [(2.0, "b")],
+        [(2.0, None)],
+        [(True, 10.0)],
+        [(2.0,)],
+        [(2.0, 1.0, 3.0)],
+        [2.0],
+    ],
+    ids=[
+        "not-iterable",
+        "f-string",
+        "gain-string",
+        "gain-none",
+        "f-bool",
+        "one-field",
+        "three-fields",
+        "stage-not-a-pair",
+    ],
+)
+def test_friis_cascade_rejects_malformed_stages(stages):
+    with pytest.raises(ParameterError):
+        friis_cascade(stages)

@@ -32,6 +32,7 @@ from nfbist import (
     sweep_reference_amplitude,
     th_uncertainty_study,
 )
+from nfbist import signals
 from nfbist.pipeline import _CHUNK_SAMPLES, _analog_records, _direct_record
 
 SOURCE = NoiseSourceSpec(t_hot_k=10_000.0, t_cold_k=1_000.0)
@@ -212,33 +213,30 @@ def test_dut_output_records_are_uncorrelated():
         assert abs(np.corrcoef(records[a], records[b])[0, 1]) < bound, (a, b)
 
 
-def test_simulate_bitstreams_working_memory_is_bounded():
-    # Only the reference (8 MiB at 1e6 samples), the int8 bits and one chunk's
-    # float temporaries may be alive at a time; two full-length float64
-    # records would already exceed the bound.
-    cfg = make_config(seed=2)
-    simulate_bitstreams(cfg)  # warm-up: fills the square-wave pattern cache
+def _first_call_peak(cfg):
+    """tracemalloc peak of a simulate_bitstreams call that builds the square-wave pattern."""
+    signals._first_half_mask.cache_clear()
     tracemalloc.start()
     try:
         simulate_bitstreams(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
 
 
 def test_simulate_bitstreams_working_memory_is_a_few_chunks():
-    # No full-length float reference: the int8 bits (2 MB at 1e6 samples)
-    # and a few chunks' float temporaries.
-    cfg = make_config(seed=2)
-    simulate_bitstreams(cfg)  # warm-up: fills the square-wave pattern cache
-    tracemalloc.start()
-    try:
-        simulate_bitstreams(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    # A first call, which builds the square-wave pattern block by block: the
+    # int8 bits (2 MB at 1e6 samples), the cached one-byte-per-sample mask
+    # and a few chunks' float temporaries. A full-length float64 reference
+    # or pattern temporary would exceed the bound.
+    assert _first_call_peak(make_config(seed=2)) < 8 * 2**20
+
+
+def test_simulate_bitstreams_first_call_memory_at_1e7_samples():
+    # Three bytes per sample (two int8 bitstreams and the cached mask) plus
+    # a few chunks; nothing else grows with the record.
+    n = 10_000_000
+    assert _first_call_peak(make_config(seed=2, n_samples=n)) < 3 * n + 8 * 2**20
 
 
 def test_simulate_bitstreams_gain_invariance():
@@ -316,6 +314,16 @@ def test_analyze_swapped_inputs_warns():
         f"f_from_y_temps: noise factor {result.f:.6g} is below 1 (nonphysical)",
         f"noise factor {result.f:.6g} is not positive; nf_db undefined",
     )
+
+
+def test_analyze_notes_differing_segment_counts():
+    # A cold record half as long as the hot one averages half the segments;
+    # the result is still computed, with one note saying so.
+    cfg = make_config(seed=0)
+    hot, cold = simulate_bitstreams(cfg)
+    short_cold = type(cold)(cold.sample_rate_hz, cold.bits[: cfg.n_samples // 2])
+    result = analyze_bitstreams(hot, short_cold, cfg)
+    assert result.warnings == ("hot/cold segment counts differ: 100 vs 50",)
 
 
 def test_direct_method_notes_nonphysical_f():

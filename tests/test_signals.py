@@ -14,6 +14,7 @@ from nfbist import (
     source_output,
     square_wave,
 )
+from nfbist.signals import _CHUNK_SAMPLES
 
 
 def test_sampled_signal_basics():
@@ -134,7 +135,9 @@ def test_square_wave_matches_mod_formula(rate, f0, phase):
     # must equal the np.mod form bit for bit, negative phases included. The
     # pattern is cached: the first call misses, the repeat and the other
     # amplitude hit, and writing to a returned array must not reach them.
-    n = 100_000
+    # The pattern is built in _CHUNK_SAMPLES-sample blocks: three whole
+    # blocks and a short tail.
+    n = 3 * _CHUNK_SAMPLES + 7
     t = np.arange(n, dtype=np.float64) / rate
     cycle_pos = np.mod(f0 * t + phase / (2.0 * math.pi), 1.0)
     for amplitude in (1.7, 1.7, 0.3):
