@@ -224,6 +224,21 @@ def _first_call_peak(cfg):
         tracemalloc.stop()
 
 
+def test_simulate_bitstreams_working_memory_is_bounded():
+    # A call with the square-wave pattern already cached: only the int8 bits
+    # and one chunk's float temporaries may be alive at a time; two
+    # full-length float64 records would already exceed the bound.
+    cfg = make_config(seed=2)
+    simulate_bitstreams(cfg)  # warm-up: fills the square-wave pattern cache
+    tracemalloc.start()
+    try:
+        simulate_bitstreams(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_simulate_bitstreams_working_memory_is_a_few_chunks():
     # A first call, which builds the square-wave pattern block by block: the
     # int8 bits (2 MB at 1e6 samples), the cached one-byte-per-sample mask
