@@ -92,6 +92,7 @@ def dut_from_nf(
     Na = (F - 1) * power_scale * t0_k * gain_linear.
     """
     check_non_negative("nf_db", nf_db)
+    check_positive("gain_linear", gain_linear)
     check_positive("t0_k", t0_k)
     check_positive("power_scale", power_scale)
     f = nf_to_f(nf_db)

@@ -45,8 +45,8 @@ def f_to_nf(f: float) -> float:
 
 
 def nf_to_f(nf_db: float) -> float:
-    if not math.isfinite(nf_db):
-        raise ParameterError(f"nf_db must be finite, got {nf_db!r}")
+    if not is_finite_number(nf_db):
+        raise ParameterError(f"nf_db must be a finite number, got {nf_db!r}")
     try:
         return 10.0 ** (nf_db / 10.0)
     except OverflowError:

@@ -91,7 +91,9 @@ def test_f_from_y_temps_nonphysical_is_returned_without_warning():
     assert f < 1.0
 
 
-NON_FINITE = [math.nan, math.inf, -math.inf]
+# Not finite, or not a number at all: each must raise ParameterError, not
+# TypeError, and True must not pass as 1.
+NON_FINITE = [math.nan, math.inf, -math.inf, "a", None, True]
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)

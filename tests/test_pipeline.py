@@ -3,12 +3,14 @@
 import dataclasses
 import hashlib
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nfbist import (
     DutSpec,
@@ -33,7 +35,14 @@ from nfbist import (
     th_uncertainty_study,
 )
 from nfbist import signals
-from nfbist.pipeline import _CHUNK_SAMPLES, _analog_records, _direct_record
+from nfbist.pipeline import (
+    _CHUNK_SAMPLES,
+    _analog_records,
+    _direct_record,
+    _sigma,
+    _threshold,
+    _thresholds,
+)
 
 SOURCE = NoiseSourceSpec(t_hot_k=10_000.0, t_cold_k=1_000.0)
 
@@ -148,6 +157,12 @@ def test_simulate_bitstreams_fingerprint():
     )
 
 
+# Reference fractions and post-DUT gains whose products the bit-identity
+# test runs through, on top of its first two cases.
+WIDE_FRACTIONS = (0.02, 0.25, 1.5)
+WIDE_GAINS = (0.794, 1.0, 1.259, 2.5)
+
+
 @pytest.mark.parametrize(
     "n_samples",
     [3 * _CHUNK_SAMPLES + 7, _CHUNK_SAMPLES, _CHUNK_SAMPLES - 2],
@@ -155,8 +170,10 @@ def test_simulate_bitstreams_fingerprint():
 )
 @pytest.mark.parametrize(
     "overrides",
-    [dict(post_dut_gain_linear=2.5), dict(dut=DutSpec(gain_linear=2.0, added_noise_power=0.0))],
-    ids=["gain2.5", "noiseless_dut"],
+    [dict(post_dut_gain_linear=2.5), dict(dut=DutSpec(gain_linear=2.0, added_noise_power=0.0))]
+    + [dict(ref_amplitude=a, post_dut_gain_linear=g) for a in WIDE_FRACTIONS for g in WIDE_GAINS],
+    ids=["gain2.5", "noiseless_dut"]
+    + [f"ref{a}_gain{g}" for a in WIDE_FRACTIONS for g in WIDE_GAINS],
 )
 def test_simulate_bitstreams_equals_full_array_formula(n_samples, overrides):
     # The chunked chain must give the bits of one full-length DUT-output draw
@@ -181,8 +198,16 @@ def test_simulate_bitstreams_equals_full_array_formula(n_samples, overrides):
 
 
 def _dut_output_records(cfg):
-    """The hot, cold and direct-method (T0) DUT-output records of cfg's seed."""
-    hot, cold = (np.concatenate(tuple(chunks)) for chunks in _analog_records(cfg))
+    """The hot, cold and direct-method (T0) DUT-output records of cfg's seed.
+
+    The hot and cold records are drawn in units of their RMS, so each one's
+    samples are _sigma(cfg, T) * z.
+    """
+    src = cfg.source
+    hot, cold = (
+        _sigma(cfg, t) * np.concatenate(tuple(z))
+        for t, z in zip((src.t_hot_k, src.t_cold_k), _analog_records(cfg))
+    )
     return {"hot": hot, "cold": cold, "direct": _direct_record(cfg)}
 
 
@@ -211,6 +236,43 @@ def test_dut_output_records_are_uncorrelated():
     bound = 5.0 / math.sqrt(STAT_CONFIG.n_samples)
     for a, b in (("hot", "cold"), ("hot", "direct"), ("cold", "direct")):
         assert abs(np.corrcoef(records[a], records[b])[0, 1]) < bound, (a, b)
+
+
+# Magnitudes from 1e-300 to 1e300, spread evenly over the decades.
+MAGNITUDES = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 299))
+
+
+@settings(max_examples=500, deadline=None)
+@given(sigma=MAGNITUDES, gain=MAGNITUDES, level=MAGNITUDES, sign=st.sampled_from([1.0, -1.0]))
+# The README default's hot state, and its cold state under a 2.5 post-DUT gain.
+@example(sigma=math.sqrt(12_610.0), gain=1.0, level=0.25 * math.sqrt(3_610.0), sign=1.0)
+@example(sigma=math.sqrt(3_610.0), gain=math.sqrt(2.5), level=math.sqrt(2.5) * 15.0, sign=-1.0)
+@example(sigma=1e-300, gain=1e-300, level=1e300, sign=1.0)  # no finite double passes
+@example(sigma=1e-300, gain=1e-300, level=1e300, sign=-1.0)  # every finite double passes
+@example(sigma=1e300, gain=1e300, level=1e-300, sign=1.0)  # the product overflows
+def test_threshold_is_the_smallest_double_that_passes(sigma, gain, level, sign):
+    level *= sign
+    t = _threshold(sigma, gain, level)
+    if t == -math.inf:
+        assert gain * (sigma * -sys.float_info.max) >= level
+    else:
+        assert gain * (sigma * t) >= level
+        assert gain * (sigma * math.nextafter(t, -math.inf)) < level
+
+
+def test_thresholds_reject_a_non_finite_rms_or_reference():
+    # g * P * T overflows, and then the reference amplitude with it.
+    huge = make_config(dut=DutSpec(gain_linear=1e306, added_noise_power=0.0), **FAST)
+    # Finite RMS, but the reference amplitude at the comparator overflows.
+    loud = make_config(
+        dut=DutSpec(gain_linear=1e290, added_noise_power=0.0),
+        ref_amplitude=1e20,
+        post_dut_gain_linear=1e300,
+        **FAST,
+    )
+    for cfg in (huge, loud):
+        with pytest.raises(ParameterError, match="must be finite"):
+            simulate_bitstreams(cfg)
 
 
 def _first_call_peak(cfg):
@@ -539,8 +601,9 @@ def test_gain_sensitivity_study_equals_per_ratio_runs(analysis):
 
 def test_gain_sensitivity_study_analyses_changed_bits(monkeypatch):
     # Real gain drift practically never flips a comparator decision, so the
-    # study reuses the base analysis. Negating the records at one drifted
-    # gain forces different bits there, which must then be analysed anew.
+    # study reuses the base analysis. Negating the standard-normal records at
+    # one drifted gain, whose thresholds differ from the base ones, forces
+    # different bits there, which must then be analysed anew.
     from nfbist import pipeline
 
     cfg = make_config(seed=5, **CRN_CONFIG)
@@ -561,7 +624,9 @@ def test_gain_sensitivity_study_analyses_changed_bits(monkeypatch):
 
 def test_gain_sensitivity_study_digitizes_each_post_dut_gain_once(monkeypatch):
     # Ratio 1.0 keeps the base config's post-DUT gain, so the default ratios
-    # need the base bits and two drifted pairs: three comparator passes.
+    # need the base bits and at most two drifted passes. A drifted gain
+    # whose thresholds equal the base ones has the base bits and needs no
+    # pass: at this config that is ratio 0.794's, so two passes remain.
     from nfbist import pipeline
     from nfbist.cli import DEFAULT_GAIN_RATIOS
 
@@ -575,5 +640,10 @@ def test_gain_sensitivity_study_digitizes_each_post_dut_gain_once(monkeypatch):
     monkeypatch.setattr(pipeline, "_comparator_bits", counting)
     cfg = make_config(seed=5, **CRN_CONFIG)
     gain_sensitivity_study(cfg, DEFAULT_GAIN_RATIOS)
-    assert len(passes) == 3
-    assert len(set(passes)) == 3
+    base, low, high = (cfg.post_dut_gain_linear * r for r in (1.0, *DEFAULT_GAIN_RATIOS[::2]))
+    assert passes == [base, high]
+    skipped = replace(cfg, post_dut_gain_linear=low)
+    assert _thresholds(skipped) == _thresholds(cfg)
+    assert _thresholds(replace(cfg, post_dut_gain_linear=high)) != _thresholds(cfg)
+    for a, b in zip(comparator_bits(skipped, _analog_records(cfg)), simulate_bitstreams(cfg)):
+        np.testing.assert_array_equal(a.bits, b.bits)
