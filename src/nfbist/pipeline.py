@@ -11,22 +11,18 @@ gain, changing the gain rescales signal and reference together and the
 comparator output does not change at all; this is what makes the Y-factor
 method immune to gain error, unlike the direct method.
 
-The comparator is simulated as two thresholds per state on the
-standard-normal draw z. The analog chain's decision is
-fl(p * fl(sigma * z)) - r >= 0, with p = sqrt(post_dut_gain_linear), sigma
-the state's RMS and r = +-fl(p * ref_amplitude * sigma_cold) on the two
-halves of the reference period. For a finite r that is
-fl(p * fl(sigma * z)) >= r, which never decreases as z grows, because
-rounding is monotone; so it holds exactly for z >= t, t the smallest double
-for which it holds. Each t is found once per configuration, by bisection
-over the ordered doubles, and the bits are z >= t: the same bits as
-scaling, subtracting and comparing every sample.
+The comparator works on the standard-normal draw z: per chunk, each
+state's z is scaled by its RMS and then by sqrt(post_dut_gain_linear) into
+one reused buffer and compared with the reference level, laid out from the
+cached square-wave pattern into a second reused buffer. For finite values
+a - r >= 0 holds exactly when a >= r, so the bits are those of digitize on
+the scaled record and the square-wave reference, without building either
+waveform or their difference per chunk.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple
 
@@ -210,11 +206,11 @@ def _analog_records(cfg: ExperimentConfig) -> Iterator[Iterator[np.ndarray]]:
 
     Each state's DUT output is white Gaussian noise of RMS _sigma(cfg, T),
     drawn from one generator per state and yielded in units of that RMS:
-    the standard-normal draws z, which _comparator_bits compares with the
-    state's thresholds (the samples are _sigma(cfg, T) * z). Its record
-    comes as consecutive chunks of _CHUNK_SAMPLES samples (the last one
-    shorter); the generator continues from chunk to chunk, so the chunks
-    concatenate bit for bit to the single full-length draw. The draws
+    the standard-normal draws z, which _comparator_bits scales to the
+    samples _sigma(cfg, T) * z. Its record comes as consecutive chunks of
+    _CHUNK_SAMPLES samples (the last one shorter); the generator continues
+    from chunk to chunk, so the chunks concatenate bit for bit to the
+    single full-length draw. The draws
     depend only on the seed, n_samples and the sample rate, never on
     ref_amplitude or post_dut_gain_linear, so a sweep over those two draws
     them once per seed (common random numbers) and keeps each state's
@@ -232,49 +228,25 @@ def _state_chunks(cfg: ExperimentConfig, seed: int) -> Iterator[np.ndarray]:
         yield rng.standard_normal(min(_CHUNK_SAMPLES, cfg.n_samples - start))
 
 
-# The ordered key of a double x is the int64 bit pattern of |x|, negated for
-# x < 0, so keys order as the values do (both zeros give 0). _MAX_KEY is the
-# key of the largest finite double.
-_MAX_KEY = 0x7FEF_FFFF_FFFF_FFFF
+def _comparator_bits(
+    cfg: ExperimentConfig, records: Iterable[Iterable[np.ndarray]]
+) -> tuple[BitStream, BitStream]:
+    """Slice the hot and cold standard-normal records against cfg's square-wave reference.
 
-
-def _double(key: int) -> float:
-    """The double with this ordered key (+0.0 for 0)."""
-    (x,) = struct.unpack("<d", struct.pack("<q", abs(key)))
-    return -x if key < 0 else x
-
-
-def _threshold(sigma: float, gain: float, level: float) -> float:
-    """The smallest double t with gain * (sigma * t) >= level, in float64 arithmetic.
-
-    For sigma, gain > 0 and a finite level the product never decreases as t
-    grows (rounding is monotone), so a double z satisfies the inequality
-    exactly when z >= t. Returns -inf when every finite double satisfies it
-    and +inf when none does. Bisection over the ordered keys of the finite
-    doubles: at most 64 steps.
+    Each state's z is scaled by the state's RMS and then by
+    sqrt(post_dut_gain_linear), and the reference level is cfg.ref_amplitude
+    times the analytic cold-state RMS, times the same factor: one
+    multiplication each, the rounding of the analog chain. Folding the
+    factors into one product would change the rounding and flip bits. A
+    sample is +1 where its scaled value is at least the reference, which for
+    finite values is where digitize's difference is >= 0. The records come
+    in _CHUNK_SAMPLES-sample chunks and advance in lockstep: each chunk's
+    reference is laid out once for both states from the cached pattern, the
+    scaled chunk and the reference live in two reused buffers, and the
+    comparison writes straight into the state's int8 bitstream, which is
+    mapped from 0/1 to -1/+1 at the end.
     """
-    lo, hi = -_MAX_KEY, _MAX_KEY
-    if not gain * (sigma * _double(hi)) >= level:
-        return math.inf
-    if gain * (sigma * _double(lo)) >= level:
-        return -math.inf
-    while hi - lo > 1:  # the inequality fails at lo and holds at hi
-        mid = (lo + hi) // 2
-        if gain * (sigma * _double(mid)) >= level:
-            hi = mid
-        else:
-            lo = mid
-    return _double(hi)
-
-
-def _thresholds(cfg: ExperimentConfig) -> tuple[tuple[float, float], ...]:
-    """The hot and the cold state's comparator thresholds on z.
-
-    Each pair is (first half, second half) of the reference period, where
-    the reference is +level and -level, with level = sqrt(post_dut_gain_linear)
-    times cfg.ref_amplitude times the analytic cold-state RMS: one
-    multiplication each, the rounding of the analog chain's reference.
-    """
+    fs, n = cfg.sample_rate_hz, cfg.n_samples
     src = cfg.source
     post_amp = math.sqrt(cfg.post_dut_gain_linear)
     sigmas = (_sigma(cfg, src.t_hot_k), _sigma(cfg, src.t_cold_k))
@@ -284,41 +256,22 @@ def _thresholds(cfg: ExperimentConfig) -> tuple[tuple[float, float], ...]:
             f"the DUT output RMS (hot {sigmas[0]!r}, cold {sigmas[1]!r}) and the reference "
             f"amplitude at the comparator ({level!r}) must be finite"
         )
-    return tuple(
-        (_threshold(sigma, post_amp, level), _threshold(sigma, post_amp, -level))
-        for sigma in sigmas
-    )
-
-
-def _comparator_bits(
-    cfg: ExperimentConfig, records: Iterable[Iterable[np.ndarray]]
-) -> tuple[BitStream, BitStream]:
-    """Slice the hot and cold standard-normal records against cfg's square-wave reference.
-
-    A sample is +1 where its z is at least its state's threshold for that
-    half of the reference period (see _thresholds), which gives the bits of
-    scaling z by the state's RMS and by sqrt(post_dut_gain_linear) and
-    comparing with the reference, bit for bit. The records come in
-    _CHUNK_SAMPLES-sample chunks and advance in lockstep: for each chunk
-    and state one reused buffer takes the thresholds, laid out by the
-    cached reference pattern, and the comparison writes straight into the
-    state's int8 bitstream, which is mapped from 0/1 to -1/+1 at the end.
-    """
-    fs, n = cfg.sample_rate_hz, cfg.n_samples
     first_half = _first_half_mask(n, fs, cfg.f_ref_hz, 0.0)
-    buffer = np.empty(min(n, _CHUNK_SAMPLES), dtype=np.float64)
+    size = min(n, _CHUNK_SAMPLES)
+    reference_buffer, scaled_buffer = np.empty(size), np.empty(size)
     hot, cold = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8)
     states = [
-        (bits, iter(chunks), thresholds)
-        for bits, chunks, thresholds in zip((hot, cold), records, _thresholds(cfg))
+        (bits, iter(chunks), sigma) for bits, chunks, sigma in zip((hot, cold), records, sigmas)
     ]
     for start in range(0, n, _CHUNK_SAMPLES):
         stop = min(start + _CHUNK_SAMPLES, n)
-        threshold = buffer[: stop - start]
-        for bits, chunks, (first, second) in states:
-            threshold.fill(second)
-            np.copyto(threshold, first, where=first_half[start:stop])
-            np.greater_equal(next(chunks), threshold, out=bits[start:stop].view(np.bool_))
+        reference, scaled = reference_buffer[: stop - start], scaled_buffer[: stop - start]
+        reference.fill(-level)
+        np.copyto(reference, level, where=first_half[start:stop])
+        for bits, chunks, sigma in states:
+            np.multiply(next(chunks), sigma, out=scaled)
+            scaled *= post_amp
+            np.greater_equal(scaled, reference, out=bits[start:stop].view(np.bool_))
     for bits in (hot, cold):
         bits *= 2
         bits -= 1
@@ -329,11 +282,12 @@ def simulate_bitstreams(cfg: ExperimentConfig) -> tuple[BitStream, BitStream]:
     """Synthesize the (hot, cold) comparator bitstreams for a configuration.
 
     Draws the hot and the cold standard-normal record side by side,
-    _CHUNK_SAMPLES samples at a time, and compares each chunk with its
-    state's thresholds (see _comparator_bits), so the float working memory
-    is a few chunks whatever the record length. The sweep studies run the
-    same steps but draw each seed's chunks once and reuse them for every
-    sweep point, so their bits equal this function's for each point's config.
+    _CHUNK_SAMPLES samples at a time, and scales and compares each chunk
+    with the same chunk of the reference (see _comparator_bits), so the
+    float working memory is a few chunks whatever the record length. The
+    sweep studies run the same steps but draw each seed's chunks once and
+    reuse them for every sweep point, so their bits equal this function's
+    for each point's config.
     """
     return _comparator_bits(cfg, _analog_records(cfg))
 
@@ -509,8 +463,8 @@ def sweep_reference_amplitude(
     noise factor. Returns (fraction, error) pairs in the order given.
 
     Each seed's standard-normal records are drawn once and reused for
-    every fraction (common random numbers), which then costs four
-    thresholds and a comparison; the bits of each point equal those of
+    every fraction (common random numbers), which then costs one
+    comparator pass; the bits of each point equal those of
     simulate_bitstreams at that point's config, so every row is the same
     as running each experiment on its own.
     """
@@ -568,13 +522,11 @@ def gain_sensitivity_study(
     inherits the full gain error; the Y-factor method sees identical
     bitstreams (the comparator only keeps signs) and so zero bias.
 
-    Each method's records are drawn once (post-DUT gain is applied after
-    them) and reused for every ratio, and each distinct input is digitized
-    and analysed once: the direct method once per distinct post-DUT gain.
-    The Y-factor method digitizes a drifted gain only where its comparator
-    thresholds differ from the base ones (equal thresholds give the base
-    bits), and analyses it only where its bits differ from the base bits
-    (equal bits give an equal analysis). The rows equal those of
+    Each method's analog records are drawn once (post-DUT gain is applied
+    after them) and reused for every ratio, and each distinct input is
+    digitized and analysed once: both methods once per distinct post-DUT
+    gain, and the Y-factor method only where that gain's bits differ from
+    the base bits (equal bits give an equal analysis). The rows equal those of
     run_direct_experiment and run_y_factor_experiment run per ratio.
     """
     gain_ratios = check_sweep_points("gain", gain_ratios)
@@ -597,15 +549,10 @@ def gain_sensitivity_study(
     records = tuple(tuple(chunks) for chunks in _analog_records(cfg))
     base_bits = _comparator_bits(cfg, records)
     base_y = y_nf(cfg, base_bits)
-    base_thresholds = _thresholds(cfg)
     y_factor_nf = {cfg.post_dut_gain_linear: base_y}  # by post-DUT gain
     for c in drifted:
         gain = c.post_dut_gain_linear
-        if gain in y_factor_nf:
-            continue
-        if _thresholds(c) == base_thresholds:
-            y_factor_nf[gain] = base_y
-        else:
+        if gain not in y_factor_nf:
             bits = _comparator_bits(c, records)
             same = all(np.array_equal(a.bits, b.bits) for a, b in zip(bits, base_bits))
             y_factor_nf[gain] = base_y if same else y_nf(c, bits)

@@ -3,14 +3,12 @@
 import dataclasses
 import hashlib
 import math
-import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from nfbist import (
     DutSpec,
@@ -35,14 +33,7 @@ from nfbist import (
     th_uncertainty_study,
 )
 from nfbist import signals
-from nfbist.pipeline import (
-    _CHUNK_SAMPLES,
-    _analog_records,
-    _direct_record,
-    _sigma,
-    _threshold,
-    _thresholds,
-)
+from nfbist.pipeline import _CHUNK_SAMPLES, _analog_records, _direct_record, _sigma
 
 SOURCE = NoiseSourceSpec(t_hot_k=10_000.0, t_cold_k=1_000.0)
 
@@ -238,29 +229,7 @@ def test_dut_output_records_are_uncorrelated():
         assert abs(np.corrcoef(records[a], records[b])[0, 1]) < bound, (a, b)
 
 
-# Magnitudes from 1e-300 to 1e300, spread evenly over the decades.
-MAGNITUDES = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 299))
-
-
-@settings(max_examples=500, deadline=None)
-@given(sigma=MAGNITUDES, gain=MAGNITUDES, level=MAGNITUDES, sign=st.sampled_from([1.0, -1.0]))
-# The README default's hot state, and its cold state under a 2.5 post-DUT gain.
-@example(sigma=math.sqrt(12_610.0), gain=1.0, level=0.25 * math.sqrt(3_610.0), sign=1.0)
-@example(sigma=math.sqrt(3_610.0), gain=math.sqrt(2.5), level=math.sqrt(2.5) * 15.0, sign=-1.0)
-@example(sigma=1e-300, gain=1e-300, level=1e300, sign=1.0)  # no finite double passes
-@example(sigma=1e-300, gain=1e-300, level=1e300, sign=-1.0)  # every finite double passes
-@example(sigma=1e300, gain=1e300, level=1e-300, sign=1.0)  # the product overflows
-def test_threshold_is_the_smallest_double_that_passes(sigma, gain, level, sign):
-    level *= sign
-    t = _threshold(sigma, gain, level)
-    if t == -math.inf:
-        assert gain * (sigma * -sys.float_info.max) >= level
-    else:
-        assert gain * (sigma * t) >= level
-        assert gain * (sigma * math.nextafter(t, -math.inf)) < level
-
-
-def test_thresholds_reject_a_non_finite_rms_or_reference():
+def test_simulate_bitstreams_rejects_a_non_finite_rms_or_reference():
     # g * P * T overflows, and then the reference amplitude with it.
     huge = make_config(dut=DutSpec(gain_linear=1e306, added_noise_power=0.0), **FAST)
     # Finite RMS, but the reference amplitude at the comparator overflows.
@@ -601,9 +570,8 @@ def test_gain_sensitivity_study_equals_per_ratio_runs(analysis):
 
 def test_gain_sensitivity_study_analyses_changed_bits(monkeypatch):
     # Real gain drift practically never flips a comparator decision, so the
-    # study reuses the base analysis. Negating the standard-normal records at
-    # one drifted gain, whose thresholds differ from the base ones, forces
-    # different bits there, which must then be analysed anew.
+    # study reuses the base analysis. Negating the records at one drifted
+    # gain forces different bits there, which must then be analysed anew.
     from nfbist import pipeline
 
     cfg = make_config(seed=5, **CRN_CONFIG)
@@ -624,9 +592,7 @@ def test_gain_sensitivity_study_analyses_changed_bits(monkeypatch):
 
 def test_gain_sensitivity_study_digitizes_each_post_dut_gain_once(monkeypatch):
     # Ratio 1.0 keeps the base config's post-DUT gain, so the default ratios
-    # need the base bits and at most two drifted passes. A drifted gain
-    # whose thresholds equal the base ones has the base bits and needs no
-    # pass: at this config that is ratio 0.794's, so two passes remain.
+    # need the base bits and two drifted pairs: three comparator passes.
     from nfbist import pipeline
     from nfbist.cli import DEFAULT_GAIN_RATIOS
 
@@ -640,10 +606,5 @@ def test_gain_sensitivity_study_digitizes_each_post_dut_gain_once(monkeypatch):
     monkeypatch.setattr(pipeline, "_comparator_bits", counting)
     cfg = make_config(seed=5, **CRN_CONFIG)
     gain_sensitivity_study(cfg, DEFAULT_GAIN_RATIOS)
-    base, low, high = (cfg.post_dut_gain_linear * r for r in (1.0, *DEFAULT_GAIN_RATIOS[::2]))
-    assert passes == [base, high]
-    skipped = replace(cfg, post_dut_gain_linear=low)
-    assert _thresholds(skipped) == _thresholds(cfg)
-    assert _thresholds(replace(cfg, post_dut_gain_linear=high)) != _thresholds(cfg)
-    for a, b in zip(comparator_bits(skipped, _analog_records(cfg)), simulate_bitstreams(cfg)):
-        np.testing.assert_array_equal(a.bits, b.bits)
+    assert len(passes) == 3
+    assert len(set(passes)) == 3
