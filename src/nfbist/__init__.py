@@ -11,11 +11,9 @@ from .capture import read_capture, write_capture
 from .digitizer import BitStream, arcsine_map, digitize, empirical_autocorr
 from .dut import (
     DutSpec,
-    OpampNoiseModel,
     apply_dut,
     dut_from_nf,
     nominal_f,
-    opamp_noise_figure,
 )
 from .errors import (
     CaptureCorruptError,
@@ -30,7 +28,6 @@ from .errors import (
     SingularYError,
 )
 from .nfcore import (
-    BOLTZMANN_J_PER_K,
     T0_K,
     f_from_y_temps,
     f_to_nf,
@@ -70,7 +67,6 @@ from .spectral import (
 
 __all__ = [
     "__version__",
-    "BOLTZMANN_J_PER_K",
     "T0_K",
     "SampledSignal",
     "NoiseSourceSpec",
@@ -78,11 +74,9 @@ __all__ = [
     "square_wave",
     "source_output",
     "DutSpec",
-    "OpampNoiseModel",
     "apply_dut",
     "dut_from_nf",
     "nominal_f",
-    "opamp_noise_figure",
     "BitStream",
     "digitize",
     "arcsine_map",

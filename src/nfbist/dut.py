@@ -1,4 +1,4 @@
-"""Device-under-test models: gain plus added noise, and op-amp noise data.
+"""Device-under-test model: gain plus added noise.
 
 ``DutSpec.gain_linear`` is a linear power gain, so amplitudes scale by its
 square root. ``added_noise_power`` is output-referred and lives in the same
@@ -12,17 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_non_negative, check_positive
-from .nfcore import BOLTZMANN_J_PER_K, T0_K, f_to_nf, nf_to_f
+from .errors import check_non_negative, check_positive
+from .nfcore import T0_K, nf_to_f
 from .signals import SampledSignal
 
 __all__ = [
     "DutSpec",
-    "OpampNoiseModel",
     "apply_dut",
     "dut_from_nf",
     "nominal_f",
-    "opamp_noise_figure",
 ]
 
 
@@ -36,27 +34,6 @@ class DutSpec:
     def __post_init__(self):
         check_positive("gain_linear", self.gain_linear)
         check_non_negative("added_noise_power", self.added_noise_power)
-
-
-@dataclass(frozen=True)
-class OpampNoiseModel:
-    """Datasheet noise figures of merit for an op-amp input stage.
-
-    en: input voltage noise density (V/sqrt(Hz))
-    in_: input current noise density (A/sqrt(Hz))
-    rs: source resistance (ohm), req: equivalent input resistance (ohm)
-    """
-
-    en_v_per_rthz: float
-    in_a_per_rthz: float
-    rs_ohm: float
-    req_ohm: float = 0.0
-    temperature_k: float = T0_K
-
-    def __post_init__(self):
-        for name in ("en_v_per_rthz", "in_a_per_rthz", "rs_ohm", "req_ohm"):
-            check_non_negative(name, getattr(self, name))
-        check_positive("temperature_k", self.temperature_k)
 
 
 def apply_dut(
@@ -106,20 +83,3 @@ def nominal_f(dut: DutSpec, t0_k: float = T0_K, power_scale: float = 1.0) -> flo
     check_positive("power_scale", power_scale)
     n0_out = power_scale * t0_k * dut.gain_linear
     return (dut.added_noise_power + n0_out) / n0_out
-
-
-def opamp_noise_figure(model: OpampNoiseModel) -> float:
-    """Spot noise figure (dB) of an op-amp stage from datasheet densities.
-
-    NF = 10 log10( (4kT rs + en^2 + (in rs)^2 + 4kT req) / (4kT rs) )
-    """
-    if model.rs_ohm == 0.0:
-        raise ParameterError("rs_ohm must be positive: NF is undefined for a 0-ohm source")
-    four_kt = 4.0 * BOLTZMANN_J_PER_K * model.temperature_k
-    numerator = (
-        four_kt * model.rs_ohm
-        + model.en_v_per_rthz**2
-        + (model.in_a_per_rthz * model.rs_ohm) ** 2
-        + four_kt * model.req_ohm
-    )
-    return f_to_nf(numerator / (four_kt * model.rs_ohm))

@@ -15,7 +15,6 @@ import math
 from .errors import ParameterError, SingularYError, check_positive, is_finite_number
 
 __all__ = [
-    "BOLTZMANN_J_PER_K",
     "T0_K",
     "f_to_nf",
     "nf_to_f",
@@ -24,7 +23,6 @@ __all__ = [
     "friis_cascade",
 ]
 
-BOLTZMANN_J_PER_K = 1.380649e-23
 T0_K = 290.0
 
 

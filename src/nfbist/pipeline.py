@@ -6,18 +6,20 @@ against a square-wave reference. Spectra of the resulting bitstreams are
 normalized to the reference peak and ratioed in a measurement band.
 
 The injected reference amplitude is specified as a fraction of the
-cold-state RMS at the comparator. Because that RMS includes the post-DUT
-gain, changing the gain rescales signal and reference together and the
-comparator output does not change at all; this is what makes the Y-factor
-method immune to gain error, unlike the direct method.
+cold-state RMS at the comparator. That RMS includes the post-DUT gain p, so
+the gain scales the signal x and the reference r alike, and the comparator,
+which keeps only the sign of p*x - p*r = p*(x - r), never sees it. The
+simulation therefore compares the DUT output before post-DUT gain with the
+reference before it: the Y-factor bits do not depend on the gain by
+construction, which is what makes the method immune to gain error, unlike
+the direct method.
 
 The comparator works on the standard-normal draw z: per chunk, each
-state's z is scaled by its RMS and then by sqrt(post_dut_gain_linear) into
-one reused buffer and compared with the reference level, laid out from the
-cached square-wave pattern into a second reused buffer. For finite values
-a - r >= 0 holds exactly when a >= r, so the bits are those of digitize on
-the scaled record and the square-wave reference, without building either
-waveform or their difference per chunk.
+state's z is scaled by its RMS into one reused buffer and compared with the
+reference level, laid out from the cached square-wave pattern into a second
+reused buffer. For finite values a - r >= 0 holds exactly when a >= r, so
+the bits are those of digitize on the record and the square-wave
+reference, without building either waveform or their difference per chunk.
 """
 
 from __future__ import annotations
@@ -37,7 +39,14 @@ from .dut import (
     apply_dut,  # not called here; perfbench/tracing.PATCHES wraps this binding
     nominal_f,
 )
-from .errors import ParameterError, ShapeError, check_integer, check_non_negative, check_positive
+from .errors import (
+    ParameterError,
+    ShapeError,
+    check_integer,
+    check_non_negative,
+    check_positive,
+    is_finite_number,
+)
 from .nfcore import f_from_y_temps, f_to_nf, ideal_y
 from .signals import (
     _CHUNK_SAMPLES,
@@ -109,6 +118,8 @@ class ExperimentConfig:
                 f"f_ref_hz must lie in (0, {nyquist}), got {self.f_ref_hz}"
             )
         check_positive("ref_amplitude", self.ref_amplitude)
+        if not isinstance(self.band, Iterable):
+            raise ParameterError(f"band must be an (f_lo, f_hi) pair, got {self.band!r}")
         for edge in self.band:
             check_non_negative("band edge", edge)
         band = tuple(float(f) for f in self.band)
@@ -150,16 +161,19 @@ _SWEEP_POINTS = {
 
 
 def check_sweep_points(kind: str, points) -> list[float]:
-    """The points of a sweep study as floats: at least one, each finite and
-    above the study's floor (a positive amplitude fraction or gain ratio; a
-    hot-temperature error that keeps the hot temperature positive)."""
+    """The points of a sweep study as floats: at least one, each a finite
+    real number (not a bool) above the study's floor (a positive amplitude
+    fraction or gain ratio; a hot-temperature error that keeps the hot
+    temperature positive)."""
     name, floor = _SWEEP_POINTS[kind]
-    points = [float(p) for p in points]
+    if not isinstance(points, Iterable):
+        raise ParameterError(f"the {name}s must be an iterable of numbers, got {points!r}")
+    points = list(points)
     if not points:
         raise ParameterError(f"at least one {name} is required")
-    if any(not (math.isfinite(p) and p > floor) for p in points):
+    if any(not (is_finite_number(p) and p > floor) for p in points):
         raise ParameterError(f"each {name} must be finite and > {floor:g}, got {points}")
-    return points
+    return [float(p) for p in points]
 
 
 class GainSensitivityRow(NamedTuple):
@@ -210,11 +224,10 @@ def _analog_records(cfg: ExperimentConfig) -> Iterator[Iterator[np.ndarray]]:
     samples _sigma(cfg, T) * z. Its record comes as consecutive chunks of
     _CHUNK_SAMPLES samples (the last one shorter); the generator continues
     from chunk to chunk, so the chunks concatenate bit for bit to the
-    single full-length draw. The draws
-    depend only on the seed, n_samples and the sample rate, never on
-    ref_amplitude or post_dut_gain_linear, so a sweep over those two draws
-    them once per seed (common random numbers) and keeps each state's
-    chunks as a tuple.
+    single full-length draw. The draws depend only on the seed, n_samples
+    and the sample rate, never on ref_amplitude, so the reference-amplitude
+    sweep draws them once per seed (common random numbers) and keeps each
+    state's chunks as a tuple.
     """
     seeds = _sub_seeds(cfg.seed, 6)
     for seed in (seeds[0], seeds[2]):
@@ -233,28 +246,27 @@ def _comparator_bits(
 ) -> tuple[BitStream, BitStream]:
     """Slice the hot and cold standard-normal records against cfg's square-wave reference.
 
-    Each state's z is scaled by the state's RMS and then by
-    sqrt(post_dut_gain_linear), and the reference level is cfg.ref_amplitude
-    times the analytic cold-state RMS, times the same factor: one
-    multiplication each, the rounding of the analog chain. Folding the
-    factors into one product would change the rounding and flip bits. A
-    sample is +1 where its scaled value is at least the reference, which for
-    finite values is where digitize's difference is >= 0. The records come
-    in _CHUNK_SAMPLES-sample chunks and advance in lockstep: each chunk's
-    reference is laid out once for both states from the cached pattern, the
-    scaled chunk and the reference live in two reused buffers, and the
-    comparison writes straight into the state's int8 bitstream, which is
-    mapped from 0/1 to -1/+1 at the end.
+    Each state's z is scaled by the state's RMS, and the reference level is
+    cfg.ref_amplitude times the analytic cold-state RMS. The post-DUT gain
+    scales both alike and so drops out of the comparison (see the module
+    docstring); it enters only the check that the reference amplitude at
+    the comparator is finite. A sample is +1 where its scaled value is at
+    least the reference, which for finite values is where digitize's
+    difference is >= 0. The records come in _CHUNK_SAMPLES-sample chunks
+    and advance in lockstep: each chunk's reference is laid out once for
+    both states from the cached pattern, the scaled chunk and the reference
+    live in two reused buffers, and the comparison writes straight into the
+    state's int8 bitstream, which is mapped from 0/1 to -1/+1 at the end.
     """
     fs, n = cfg.sample_rate_hz, cfg.n_samples
     src = cfg.source
-    post_amp = math.sqrt(cfg.post_dut_gain_linear)
     sigmas = (_sigma(cfg, src.t_hot_k), _sigma(cfg, src.t_cold_k))
-    level = post_amp * (cfg.ref_amplitude * sigmas[1])
-    if not all(math.isfinite(v) for v in (*sigmas, level)):
+    level = cfg.ref_amplitude * sigmas[1]
+    at_comparator = math.sqrt(cfg.post_dut_gain_linear) * level
+    if not all(math.isfinite(v) for v in (*sigmas, at_comparator)):
         raise ParameterError(
             f"the DUT output RMS (hot {sigmas[0]!r}, cold {sigmas[1]!r}) and the reference "
-            f"amplitude at the comparator ({level!r}) must be finite"
+            f"amplitude at the comparator ({at_comparator!r}) must be finite"
         )
     first_half = _first_half_mask(n, fs, cfg.f_ref_hz, 0.0)
     size = min(n, _CHUNK_SAMPLES)
@@ -270,7 +282,6 @@ def _comparator_bits(
         np.copyto(reference, level, where=first_half[start:stop])
         for bits, chunks, sigma in states:
             np.multiply(next(chunks), sigma, out=scaled)
-            scaled *= post_amp
             np.greater_equal(scaled, reference, out=bits[start:stop].view(np.bool_))
     for bits in (hot, cold):
         bits *= 2
@@ -285,9 +296,9 @@ def simulate_bitstreams(cfg: ExperimentConfig) -> tuple[BitStream, BitStream]:
     _CHUNK_SAMPLES samples at a time, and scales and compares each chunk
     with the same chunk of the reference (see _comparator_bits), so the
     float working memory is a few chunks whatever the record length. The
-    sweep studies run the same steps but draw each seed's chunks once and
-    reuse them for every sweep point, so their bits equal this function's
-    for each point's config.
+    reference-amplitude sweep runs the same steps but draws each seed's
+    chunks once and reuses them for every fraction, so its bits equal this
+    function's for each point's config.
     """
     return _comparator_bits(cfg, _analog_records(cfg))
 
@@ -519,15 +530,15 @@ def gain_sensitivity_study(
     Every run keeps the assumed end-to-end gain at its nominal value while
     the actual post-DUT gain is multiplied by gain_ratio; the bias is the
     NF difference against the same-seed run at ratio 1. The direct method
-    inherits the full gain error; the Y-factor method sees identical
-    bitstreams (the comparator only keeps signs) and so zero bias.
+    inherits the full gain error. The comparator never sees the post-DUT
+    gain (see the module docstring), so every ratio's Y-factor bits are
+    the base bits: one Y-factor run gives each row's bias, base - base,
+    which is 0.0, or NaN where the base NF is undefined.
 
-    Each method's analog records are drawn once (post-DUT gain is applied
-    after them) and reused for every ratio, and each distinct input is
-    digitized and analysed once: both methods once per distinct post-DUT
-    gain, and the Y-factor method only where that gain's bits differ from
-    the base bits (equal bits give an equal analysis). The rows equal those of
-    run_direct_experiment and run_y_factor_experiment run per ratio.
+    The direct method's analog record is drawn once (post-DUT gain is
+    applied after it) and analysed once per distinct post-DUT gain. The
+    rows equal those of run_direct_experiment and run_y_factor_experiment
+    run per ratio.
     """
     gain_ratios = check_sweep_points("gain", gain_ratios)
     assumed = cfg.dut.gain_linear * cfg.post_dut_gain_linear
@@ -540,25 +551,14 @@ def gain_sensitivity_study(
         gain = c.post_dut_gain_linear
         if gain not in direct_nf:
             direct_nf[gain] = _direct_result(c, record, assumed, window, overlap_fraction).nf_db
-    del record  # keep one seed's records alive at a time
+    del record  # free the direct record before the Y-factor run
     base_direct = direct_nf[cfg.post_dut_gain_linear]
-
-    def y_nf(c: ExperimentConfig, bits) -> float:
-        return analyze_bitstreams(*bits, c, window=window, overlap_fraction=overlap_fraction).nf_db
-
-    records = tuple(tuple(chunks) for chunks in _analog_records(cfg))
-    base_bits = _comparator_bits(cfg, records)
-    base_y = y_nf(cfg, base_bits)
-    y_factor_nf = {cfg.post_dut_gain_linear: base_y}  # by post-DUT gain
-    for c in drifted:
-        gain = c.post_dut_gain_linear
-        if gain not in y_factor_nf:
-            bits = _comparator_bits(c, records)
-            same = all(np.array_equal(a.bits, b.bits) for a, b in zip(bits, base_bits))
-            y_factor_nf[gain] = base_y if same else y_nf(c, bits)
+    base_y = run_y_factor_experiment(
+        cfg, window=window, overlap_fraction=overlap_fraction
+    ).nf_db
     rows = []
     for ratio, c in zip(gain_ratios, drifted):
         gain = c.post_dut_gain_linear
         rows.append(GainSensitivityRow("direct", ratio, direct_nf[gain] - base_direct))
-        rows.append(GainSensitivityRow("y_factor", ratio, y_factor_nf[gain] - base_y))
+        rows.append(GainSensitivityRow("y_factor", ratio, base_y - base_y))
     return rows

@@ -2,8 +2,7 @@
 
 Noise powers follow a temperature-proportional convention: a source in a
 given state produces zero-mean white Gaussian samples whose variance is
-``power_scale * temperature``. Boltzmann's constant enters only the op-amp
-noise-figure formula in :mod:`nfbist.dut`.
+``power_scale * temperature``.
 """
 
 from __future__ import annotations
@@ -120,16 +119,12 @@ def square_wave(
     f0_hz: float,
     amplitude: float,
     phase_rad: float = 0.0,
-    start: int = 0,
-    stop: int | None = None,
 ) -> SampledSignal:
     """Bipolar square wave taking values +amplitude then -amplitude each cycle.
 
     The wave is +amplitude on the first half of every period (starting at
     t=0 for zero phase), which makes sample values unambiguous even when a
-    sample lands exactly on a transition. Returns samples start .. stop - 1
-    of the n-sample wave (all of it by default), so a long record can be
-    built chunk by chunk; the chunks concatenate to the whole wave.
+    sample lands exactly on a transition.
     """
     n = check_integer("n", n, 1)
     check_positive("sample_rate_hz", sample_rate_hz)
@@ -140,11 +135,7 @@ def square_wave(
     for name, value in (("amplitude", amplitude), ("phase_rad", phase_rad)):
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value!r}")
-    start = check_integer("start", start, 0)
-    stop = n if stop is None else check_integer("stop", stop, 1)
-    if not start < stop <= n:
-        raise ParameterError(f"need start < stop <= n = {n}, got start={start}, stop={stop}")
-    mask = _first_half_mask(n, sample_rate_hz, f0_hz, phase_rad)[start:stop]
+    mask = _first_half_mask(n, sample_rate_hz, f0_hz, phase_rad)
     return SampledSignal(sample_rate_hz, np.where(mask, amplitude, -amplitude))
 
 
@@ -152,11 +143,11 @@ def square_wave(
 def _first_half_mask(n: int, sample_rate_hz: float, f0_hz: float, phase_rad: float) -> np.ndarray:
     """Read-only mask of the samples in the first half of their period.
 
-    The pattern does not depend on the amplitude or on the samples asked
-    for, so a sweep that only rescales the reference, chunk by chunk,
-    computes it once. It is built in blocks of _CHUNK_SAMPLES samples, so
-    its float temporaries stay two blocks long whatever n is. The steps
-    round exactly as f0 * (arange(n) / fs) + phase / 2pi, elementwise, and
+    The pattern does not depend on the amplitude, so a sweep that only
+    rescales the reference, chunk by chunk, computes it once. It is built
+    in blocks of _CHUNK_SAMPLES samples, so its float temporaries stay two
+    blocks long whatever n is. The steps round exactly as
+    f0 * (arange(n) / fs) + phase / 2pi, elementwise, and
     cycle - floor(cycle) equals np.mod(cycle, 1.0) bit for bit (exact for
     cycle >= 0, one rounding of the same value below 0).
     """

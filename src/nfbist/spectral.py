@@ -35,6 +35,7 @@ from .errors import (
     ShapeError,
     check_integer,
     check_positive,
+    is_finite_number,
 )
 from .signals import SampledSignal
 
@@ -137,7 +138,9 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
         )
     if window not in _WINDOWS:
         raise ParameterError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
-    if not (0.0 <= overlap_fraction <= MAX_OVERLAP_FRACTION):
+    if not (
+        is_finite_number(overlap_fraction) and 0.0 <= overlap_fraction <= MAX_OVERLAP_FRACTION
+    ):
         raise ParameterError(
             f"overlap_fraction must lie in [0, {MAX_OVERLAP_FRACTION}], got {overlap_fraction}"
         )

@@ -1,4 +1,4 @@
-"""DUT model: gain plus added noise, NF conversions, op-amp noise figure."""
+"""DUT model: gain plus added noise, NF conversions."""
 
 import math
 
@@ -7,14 +7,12 @@ import pytest
 
 from nfbist import (
     DutSpec,
-    OpampNoiseModel,
     ParameterError,
     apply_dut,
     dut_from_nf,
     f_to_nf,
     gaussian_noise,
     nominal_f,
-    opamp_noise_figure,
 )
 
 
@@ -115,48 +113,3 @@ def test_nominal_f_hand_value():
     dut = DutSpec(gain_linear=1.0, added_noise_power=290.0)
     assert nominal_f(dut) == pytest.approx(2.0, rel=1e-12)
     assert nominal_f(DutSpec(gain_linear=7.0, added_noise_power=0.0)) == 1.0
-
-
-def test_opamp_noise_figure_pinned():
-    # Hand-evaluated from NF = 10 log10((4kT rs + en^2 + (in rs)^2
-    # + 4kT req) / (4kT rs)) at T = 290 K.
-    model = OpampNoiseModel(
-        en_v_per_rthz=3e-9,
-        in_a_per_rthz=0.4e-12,
-        rs_ohm=1000.0,
-        req_ohm=100.0,
-        temperature_k=290.0,
-    )
-    assert opamp_noise_figure(model) == pytest.approx(2.232219643091079, abs=1e-12)
-
-
-def test_opamp_noise_figure_limits():
-    quiet = OpampNoiseModel(0.0, 0.0, rs_ohm=50.0)
-    assert opamp_noise_figure(quiet) == 0.0
-
-    # With only en present the excess noise factor is quadratic in en.
-    lo = OpampNoiseModel(3e-9, 0.0, rs_ohm=1000.0)
-    hi = OpampNoiseModel(6e-9, 0.0, rs_ohm=1000.0)
-    excess_lo = 10 ** (opamp_noise_figure(lo) / 10.0) - 1.0
-    excess_hi = 10 ** (opamp_noise_figure(hi) / 10.0) - 1.0
-    assert excess_hi / excess_lo == pytest.approx(4.0, rel=1e-9)
-
-
-def test_opamp_noise_figure_zero_rs_raises():
-    with pytest.raises(ParameterError):
-        opamp_noise_figure(OpampNoiseModel(1e-9, 0.0, rs_ohm=0.0))
-
-
-def test_opamp_model_validation():
-    with pytest.raises(ParameterError):
-        OpampNoiseModel(-1e-9, 0.0, rs_ohm=50.0)
-    with pytest.raises(ParameterError):
-        OpampNoiseModel(1e-9, 0.0, rs_ohm=-50.0)
-    with pytest.raises(ParameterError):
-        OpampNoiseModel(1e-9, 0.0, rs_ohm=50.0, temperature_k=0.0)
-    for bad in (math.nan, math.inf):
-        for field in ("en_v_per_rthz", "in_a_per_rthz", "rs_ohm", "req_ohm", "temperature_k"):
-            kwargs = dict(en_v_per_rthz=1e-9, in_a_per_rthz=0.0, rs_ohm=50.0)
-            kwargs[field] = bad
-            with pytest.raises(ParameterError):
-                OpampNoiseModel(**kwargs)

@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nfbist import (
-    BOLTZMANN_J_PER_K,
     T0_K,
     DutSpec,
-    OpampNoiseModel,
     ParameterError,
     SingularYError,
     dut_from_nf,
@@ -20,12 +18,10 @@ from nfbist import (
     ideal_y,
     nf_to_f,
     nominal_f,
-    opamp_noise_figure,
 )
 
 
 def test_constants():
-    assert BOLTZMANN_J_PER_K == 1.380649e-23
     assert T0_K == 290.0
 
 
@@ -119,11 +115,6 @@ NON_FINITE = [math.nan, math.inf, -math.inf, "a", None, True]
         lambda v: dut_from_nf(3.0, 10.0, T0_K, v),
         lambda v: nominal_f(DutSpec(10.0, 2_900.0), v),
         lambda v: nominal_f(DutSpec(10.0, 2_900.0), T0_K, v),
-        lambda v: opamp_noise_figure(OpampNoiseModel(v, 1e-12, 1_000.0)),
-        lambda v: opamp_noise_figure(OpampNoiseModel(4e-9, v, 1_000.0)),
-        lambda v: opamp_noise_figure(OpampNoiseModel(4e-9, 1e-12, v)),
-        lambda v: opamp_noise_figure(OpampNoiseModel(4e-9, 1e-12, 1_000.0, v)),
-        lambda v: opamp_noise_figure(OpampNoiseModel(4e-9, 1e-12, 1_000.0, 0.0, v)),
     ],
 )
 def test_non_finite_arguments_rejected(call, bad):

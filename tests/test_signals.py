@@ -148,29 +148,6 @@ def test_square_wave_matches_mod_formula(rate, f0, phase):
         samples[:] = 0.0
 
 
-def test_square_wave_chunks_concatenate_to_the_whole_wave():
-    # A record built chunk by chunk, with a short last chunk, equals the
-    # whole wave bit for bit.
-    n, rate, f0, amplitude = 10_007, 50_000.0, 3_000.0, 0.7
-    whole = square_wave(n, rate, f0, amplitude, phase_rad=0.3).samples
-    chunks = [
-        square_wave(n, rate, f0, amplitude, phase_rad=0.3, start=a, stop=min(a + 1000, n)).samples
-        for a in range(0, n, 1000)
-    ]
-    assert [c.size for c in chunks] == [1000] * 10 + [7]
-    np.testing.assert_array_equal(np.concatenate(chunks), whole)
-    last = square_wave(n, rate, f0, amplitude, phase_rad=0.3, start=n - 1).samples
-    np.testing.assert_array_equal(last, whole[-1:])
-
-
-@pytest.mark.parametrize(
-    "start, stop", [(-1, None), (16, None), (4, 4), (4, 3), (0, 17), (1.5, None), (0, True)]
-)
-def test_square_wave_rejects_bad_sample_range(start, stop):
-    with pytest.raises(ParameterError):
-        square_wave(16, 8.0, 1.0, 1.0, start=start, stop=stop)
-
-
 def test_noise_source_spec_validation():
     src = NoiseSourceSpec(t_hot_k=10_000.0, t_cold_k=1_000.0)
     assert src.t0_k == 290.0

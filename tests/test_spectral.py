@@ -315,8 +315,9 @@ def test_psd_validation():
         psd(sig, 2048)
     with pytest.raises(ParameterError):
         psd(sig, 100, window="hamming")
-    with pytest.raises(ParameterError):
-        psd(sig, 100, overlap_fraction=0.9)
+    for bad in (0.9, "a", None):  # a string or None must not escape as a TypeError
+        with pytest.raises(ParameterError, match="overlap_fraction"):
+            psd(sig, 100, overlap_fraction=bad)
     with pytest.raises(ParameterError):
         psd(np.zeros(1000), 100)  # must be SampledSignal or BitStream
     with pytest.raises(ParameterError, match="no hop"):
