@@ -15,18 +15,21 @@ construction, which is what makes the method immune to gain error, unlike
 the direct method.
 
 The comparator works on the standard-normal draw z: per chunk, each
-state's z is scaled by its RMS into one reused buffer and compared with the
-reference level, laid out from the cached square-wave pattern into a second
-reused buffer. For finite values a - r >= 0 holds exactly when a >= r, so
-the bits are those of digitize on the record and the square-wave
-reference, without building either waveform or their difference per chunk.
+state's z is scaled by its RMS into a reused buffer and compared with each
+requested reference level, laid out from the cached square-wave pattern
+into another reused buffer. For finite values a - r >= 0 holds exactly
+when a >= r, so the bits are those of digitize on the record and the
+square-wave reference, without building either waveform or their
+difference per chunk. The decisions are packed 8 per byte as they are
+made, so one pass serves every level of a reference-amplitude sweep in n/4
+bytes per level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,7 +60,7 @@ from .signals import (
     source_output,  # not called here; perfbench/tracing.PATCHES wraps this binding
     square_wave,  # not called here; perfbench/tracing.PATCHES wraps this binding
 )
-from .spectral import Spectrum, band_power, band_width_hz, power_ratio_detail, psd
+from .spectral import Spectrum, _psd, band_power, band_width_hz, power_ratio_detail, psd
 
 __all__ = [
     "ExperimentConfig",
@@ -225,9 +228,9 @@ def _analog_records(cfg: ExperimentConfig) -> Iterator[Iterator[np.ndarray]]:
     _CHUNK_SAMPLES samples (the last one shorter); the generator continues
     from chunk to chunk, so the chunks concatenate bit for bit to the
     single full-length draw. The draws depend only on the seed, n_samples
-    and the sample rate, never on ref_amplitude, so the reference-amplitude
-    sweep draws them once per seed (common random numbers) and keeps each
-    state's chunks as a tuple.
+    and the sample rate, never on ref_amplitude, so _comparator_bits draws
+    them once per seed and compares each chunk with every reference level
+    of a sweep before drawing the next (common random numbers).
     """
     seeds = _sub_seeds(cfg.seed, 6)
     for seed in (seeds[0], seeds[2]):
@@ -241,52 +244,66 @@ def _state_chunks(cfg: ExperimentConfig, seed: int) -> Iterator[np.ndarray]:
         yield rng.standard_normal(min(_CHUNK_SAMPLES, cfg.n_samples - start))
 
 
-def _comparator_bits(
-    cfg: ExperimentConfig, records: Iterable[Iterable[np.ndarray]]
-) -> tuple[BitStream, BitStream]:
-    """Slice the hot and cold standard-normal records against cfg's square-wave reference.
+def _comparator_bits(cfg: ExperimentConfig, fractions: Sequence[float]) -> np.ndarray:
+    """Hot and cold comparator decisions of cfg's seed at each reference fraction, packed.
 
-    Each state's z is scaled by the state's RMS, and the reference level is
-    cfg.ref_amplitude times the analytic cold-state RMS. The post-DUT gain
-    scales both alike and so drops out of the comparison (see the module
-    docstring); it enters only the check that the reference amplitude at
-    the comparator is finite. A sample is +1 where its scaled value is at
-    least the reference, which for finite values is where digitize's
-    difference is >= 0. The records come in _CHUNK_SAMPLES-sample chunks
-    and advance in lockstep: each chunk's reference is laid out once for
-    both states from the cached pattern, the scaled chunk and the reference
-    live in two reused buffers, and the comparison writes straight into the
-    state's int8 bitstream, which is mapped from 0/1 to -1/+1 at the end.
+    Draws cfg's hot and cold standard-normal records once (_analog_records)
+    and slices them against the square-wave reference at each fraction of
+    the analytic cold-state RMS; cfg.ref_amplitude is not read. Each
+    state's z is scaled by the state's RMS. The post-DUT gain scales the
+    record and the reference alike and so drops out of the comparison (see
+    the module docstring); it enters only the check that each reference
+    amplitude at the comparator is finite. A decision is 1 where the scaled
+    value is at least the reference, which for finite values is where
+    digitize's difference is >= 0.
+
+    The records come in _CHUNK_SAMPLES-sample chunks and advance in
+    lockstep: each state's chunk is scaled once into its own reused buffer,
+    each fraction's reference is laid out once per chunk for both states in
+    a third one from the cached pattern, and each comparison is packed into
+    the result as it is made. Returns a uint8 array of shape
+    (len(fractions), 2, ceil(n / 8)), hot before cold: each decision stream
+    packed 8 per byte, LSB first, with the unused bits of the last byte
+    zero, as NFB1 captures store bits. That is n/4 bytes per fraction.
     """
     fs, n = cfg.sample_rate_hz, cfg.n_samples
     src = cfg.source
     sigmas = (_sigma(cfg, src.t_hot_k), _sigma(cfg, src.t_cold_k))
-    level = cfg.ref_amplitude * sigmas[1]
-    at_comparator = math.sqrt(cfg.post_dut_gain_linear) * level
-    if not all(math.isfinite(v) for v in (*sigmas, at_comparator)):
+    levels = [fraction * sigmas[1] for fraction in fractions]
+    at_comparator = [math.sqrt(cfg.post_dut_gain_linear) * level for level in levels]
+    if not all(math.isfinite(v) for v in (*sigmas, *at_comparator)):
         raise ParameterError(
             f"the DUT output RMS (hot {sigmas[0]!r}, cold {sigmas[1]!r}) and the reference "
-            f"amplitude at the comparator ({at_comparator!r}) must be finite"
+            f"amplitude at the comparator ({', '.join(map(repr, at_comparator))}) must be finite"
         )
     first_half = _first_half_mask(n, fs, cfg.f_ref_hz, 0.0)
     size = min(n, _CHUNK_SAMPLES)
-    reference_buffer, scaled_buffer = np.empty(size), np.empty(size)
-    hot, cold = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8)
-    states = [
-        (bits, iter(chunks), sigma) for bits, chunks, sigma in zip((hot, cold), records, sigmas)
-    ]
+    scaled_buffers = [np.empty(size), np.empty(size)]
+    reference_buffer, decision_buffer = np.empty(size), np.empty(size, dtype=np.bool_)
+    packed = np.empty((len(fractions), 2, -(-n // 8)), dtype=np.uint8)
+    records = list(_analog_records(cfg))
+    # _CHUNK_SAMPLES is a multiple of 8, so every chunk starts on a byte.
     for start in range(0, n, _CHUNK_SAMPLES):
         stop = min(start + _CHUNK_SAMPLES, n)
-        reference, scaled = reference_buffer[: stop - start], scaled_buffer[: stop - start]
-        reference.fill(-level)
-        np.copyto(reference, level, where=first_half[start:stop])
-        for bits, chunks, sigma in states:
-            np.multiply(next(chunks), sigma, out=scaled)
-            np.greater_equal(scaled, reference, out=bits[start:stop].view(np.bool_))
-    for bits in (hot, cold):
-        bits *= 2
-        bits -= 1
-    return BitStream(fs, hot), BitStream(fs, cold)
+        scaled = [buffer[: stop - start] for buffer in scaled_buffers]
+        for buffer, chunks, sigma in zip(scaled, records, sigmas):
+            np.multiply(next(chunks), sigma, out=buffer)
+        reference, decisions = reference_buffer[: stop - start], decision_buffer[: stop - start]
+        for level, fraction_bits in zip(levels, packed):
+            reference.fill(-level)
+            np.copyto(reference, level, where=first_half[start:stop])
+            for state_bits, buffer in zip(fraction_bits, scaled):
+                np.greater_equal(buffer, reference, out=decisions)
+                state_bits[start // 8 : -(-stop // 8)] = np.packbits(decisions, bitorder="little")
+    return packed
+
+
+def _bitstream(cfg: ExperimentConfig, packed: np.ndarray) -> BitStream:
+    """One packed decision stream of _comparator_bits as cfg's -1/+1 bitstream."""
+    bits = np.unpackbits(packed, count=cfg.n_samples, bitorder="little").view(np.int8)
+    bits *= 2
+    bits -= 1
+    return BitStream(cfg.sample_rate_hz, bits)
 
 
 def simulate_bitstreams(cfg: ExperimentConfig) -> tuple[BitStream, BitStream]:
@@ -296,11 +313,12 @@ def simulate_bitstreams(cfg: ExperimentConfig) -> tuple[BitStream, BitStream]:
     _CHUNK_SAMPLES samples at a time, and scales and compares each chunk
     with the same chunk of the reference (see _comparator_bits), so the
     float working memory is a few chunks whatever the record length. The
-    reference-amplitude sweep runs the same steps but draws each seed's
-    chunks once and reuses them for every fraction, so its bits equal this
-    function's for each point's config.
+    reference-amplitude sweep makes the same pass with all of its
+    fractions at once, so its bits equal this function's for each point's
+    config.
     """
-    return _comparator_bits(cfg, _analog_records(cfg))
+    (hot, cold), = _comparator_bits(cfg, [cfg.ref_amplitude])
+    return _bitstream(cfg, hot), _bitstream(cfg, cold)
 
 
 def run_y_factor_experiment(
@@ -419,11 +437,19 @@ def _direct_result(
     window: str,
     overlap_fraction: float,
 ) -> MeasurementResult:
-    """Direct-method F from one analog record: post-DUT gain, PSD, band power."""
-    observed = SampledSignal(
-        cfg.sample_rate_hz, math.sqrt(cfg.post_dut_gain_linear) * record
+    """Direct-method F from one analog record: post-DUT gain, PSD, band power.
+
+    The spectrum is psd of sqrt(post_dut_gain_linear) * record bit for bit;
+    _psd applies the gain to each block of segments as it windows them, so
+    no scaled copy of the record is made.
+    """
+    spectrum = _psd(
+        SampledSignal(cfg.sample_rate_hz, record),
+        cfg.fft_size,
+        window,
+        overlap_fraction,
+        scale=math.sqrt(cfg.post_dut_gain_linear),
     )
-    spectrum = psd(observed, cfg.fft_size, window=window, overlap_fraction=overlap_fraction)
     f_lo, f_hi = cfg.band
     measured = band_power(spectrum, f_lo, f_hi)
     width = band_width_hz(spectrum, f_lo, f_hi)
@@ -473,11 +499,14 @@ def sweep_reference_amplitude(
     |y_est - y_ideal| / y_ideal, where y_ideal comes from the DUT's nominal
     noise factor. Returns (fraction, error) pairs in the order given.
 
-    Each seed's standard-normal records are drawn once and reused for
-    every fraction (common random numbers), which then costs one
-    comparator pass; the bits of each point equal those of
-    simulate_bitstreams at that point's config, so every row is the same
-    as running each experiment on its own.
+    Each seed's standard-normal records are drawn once and compared with
+    every fraction's reference in one comparator pass (common random
+    numbers), which keeps the decisions packed, n/4 bytes per fraction
+    (below the 16 bytes per sample of kept float64 hot and cold records up
+    to 64 fractions); each fraction is unpacked to bitstreams only for its
+    own analysis. The bits of each point equal those of simulate_bitstreams
+    at that point's config, so every row is the same as running each
+    experiment on its own.
     """
     fractions = check_sweep_points("ref-amplitude", fractions)
     n_seeds = check_integer("n_seeds", n_seeds, 1)
@@ -487,11 +516,11 @@ def sweep_reference_amplitude(
     errors = [[] for _ in fractions]
     for k in range(n_seeds):
         seed_cfg = replace(cfg, seed=cfg.seed + k)
-        records = tuple(tuple(chunks) for chunks in _analog_records(seed_cfg))
-        for fraction, fraction_errors in zip(fractions, errors):
+        packed = _comparator_bits(seed_cfg, fractions)
+        for fraction, fraction_bits, fraction_errors in zip(fractions, packed, errors):
             run_cfg = replace(seed_cfg, ref_amplitude=fraction)
             out = analyze_bitstreams(
-                *_comparator_bits(run_cfg, records),
+                *(_bitstream(run_cfg, bits) for bits in fraction_bits),
                 run_cfg,
                 window=window,
                 overlap_fraction=overlap_fraction,
@@ -536,9 +565,11 @@ def gain_sensitivity_study(
     which is 0.0, or NaN where the base NF is undefined.
 
     The direct method's analog record is drawn once (post-DUT gain is
-    applied after it) and analysed once per distinct post-DUT gain. The
-    rows equal those of run_direct_experiment and run_y_factor_experiment
-    run per ratio.
+    applied after it) and analysed once per distinct post-DUT gain, with
+    the gain applied block by block inside the spectrum (see _direct_result),
+    so the record is the only full-length float64 array alive. The rows
+    equal those of run_direct_experiment and run_y_factor_experiment run
+    per ratio.
     """
     gain_ratios = check_sweep_points("gain", gain_ratios)
     assumed = cfg.dut.gain_linear * cfg.post_dut_gain_linear

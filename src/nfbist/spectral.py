@@ -128,6 +128,17 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
     the order numpy's mean adds a contiguous row (see _SegmentSums), so the
     working memory is a few blocks of segments whatever the record length.
     """
+    return _psd(x, fft_size, window, overlap_fraction, scale=None)
+
+
+def _psd(x, fft_size: int, window: str, overlap_fraction: float, scale: float | None) -> Spectrum:
+    """psd of x with every sample first multiplied by scale (None: psd of x).
+
+    Each block of segments is multiplied by scale and then by the window in
+    the windowed buffer, which rounds as (scale * x) * window does, so the
+    spectrum equals psd of the scaled record bit for bit without a scaled
+    copy of it.
+    """
     values, sample_rate_hz = _signal_values(x)
     fft_size = check_integer("fft_size", fft_size, 2)
     if fft_size % 2 != 0:
@@ -155,7 +166,7 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
     total = np.empty(fft_size // 2 + 1)
     rows = max(1, _PSD_BLOCK_BYTES // (8 * fft_size))
     if n <= _LEAF_SEGMENTS or _usable_cores() < 2:
-        _SegmentSums(segments, win, rows, n).sum_range(0, n, total)
+        _SegmentSums(segments, win, scale, rows, n).sum_range(0, n, total)
     else:
         # The worker sums the first of the two top-level subtrees of numpy's
         # pairwise order and this thread the second; np.fft.rfft releases
@@ -165,8 +176,8 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
         # second thread's lanes and both threads fit one thread's budget.
         rows = max(1, rows // 2 - 1)
         half = _pairwise_split(n)
-        worker = _SegmentSums(segments, win, rows, half)
-        caller = _SegmentSums(segments, win, rows, n - half)
+        worker = _SegmentSums(segments, win, scale, rows, half)
+        caller = _SegmentSums(segments, win, scale, rows, n - half)
         right = np.empty_like(total)
         _in_two_threads(
             lambda: worker.sum_range(0, half, total),
@@ -244,11 +255,12 @@ class _SegmentSums:
     each open split, so memory grows with log(n), not with n.
     """
 
-    def __init__(self, segments, win, rows, n_segments):
+    def __init__(self, segments, win, scale, rows, n_segments):
         fft_size = win.size
         n_freq = fft_size // 2 + 1
         self.segments = segments
         self.win = win
+        self.scale = scale
         self.rows = rows
         # The windowed block; once transformed, its memory holds the powers.
         self.windowed = np.empty(rows * fft_size)
@@ -257,14 +269,18 @@ class _SegmentSums:
         self.partials = np.empty((_open_partials(n_segments), n_freq))
 
     def periodograms(self, segs: np.ndarray) -> np.ndarray:
-        """|rfft(segment * win)|^2 of a block of at most rows segments,
+        """|rfft(scale * segment * win)|^2 of a block of at most rows segments,
         shaped like the block without its last axis."""
         fft_size = self.win.size
         n_freq = fft_size // 2 + 1
         shape = segs.shape[:-1]
         count = math.prod(shape)
         windowed = self.windowed[: count * fft_size].reshape(*shape, fft_size)
-        np.multiply(segs, self.win, out=windowed)
+        if self.scale is None:
+            np.multiply(segs, self.win, out=windowed)
+        else:
+            np.multiply(segs, self.scale, out=windowed)
+            windowed *= self.win
         spectra = self.spectra[: count * n_freq].reshape(*shape, n_freq)
         np.fft.rfft(windowed, out=spectra)
         parts = spectra.view(np.float64)

@@ -33,13 +33,16 @@ from nfbist import (
     th_uncertainty_study,
 )
 from nfbist import signals
+from nfbist.cli import DEFAULT_AMPLITUDE_FRACTIONS, DEFAULT_GAIN_RATIOS
 from nfbist.pipeline import (
     _CHUNK_SAMPLES,
     _analog_records,
+    _comparator_bits,
     _direct_record,
     _sigma,
     check_sweep_points,
 )
+from nfbist.spectral import _psd, band_power
 
 SOURCE = NoiseSourceSpec(t_hot_k=10_000.0, t_cold_k=1_000.0)
 
@@ -306,6 +309,43 @@ def test_simulate_bitstreams_first_call_memory_at_1e7_samples():
     assert _first_call_peak(make_config(seed=2, n_samples=n)) < 3 * n + 8 * 2**20
 
 
+def _warm_peak(study, cfg):
+    """tracemalloc peak of study(cfg), with the square-wave pattern already cached."""
+    simulate_bitstreams(cfg)
+    tracemalloc.start()
+    try:
+        study(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_reference_amplitude_working_memory():
+    # One seed's decisions at every fraction stay packed, n/4 bytes per
+    # fraction, and one fraction at a time is unpacked for its analysis.
+    # Keeping the float64 hot and cold records (16 bytes per sample) took
+    # 19.6 MiB here; the packed form takes about 6.
+    cfg = make_config(seed=2)
+    study = lambda c: sweep_reference_amplitude(c, DEFAULT_AMPLITUDE_FRACTIONS, n_seeds=1)
+    assert _warm_peak(study, cfg) < 10 * 2**20
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda c: run_direct_experiment(c, 1.0),
+        lambda c: gain_sensitivity_study(c, DEFAULT_GAIN_RATIOS),
+    ],
+    ids=["direct", "gain_study"],
+)
+def test_direct_method_working_memory_is_one_record(study):
+    # The direct record (8 bytes per sample) and the spectrum's blocks: the
+    # post-DUT gain is applied block by block, not to a copy of the record.
+    # With the copy both calls took 17.6 MiB here; without it about 10.
+    cfg = make_config(seed=2, post_dut_gain_linear=2.5)
+    assert _warm_peak(study, cfg) < 8 * cfg.n_samples + 4 * 2**20
+
+
 def test_simulate_bitstreams_gain_invariance():
     """Post-DUT gain rescales waveform and reference by the same factor,
     so every comparator decision survives unchanged."""
@@ -483,6 +523,33 @@ def test_direct_method_validation():
             run_direct_experiment(cfg, assumed)
 
 
+@pytest.mark.parametrize("segments", [100, 500])
+@pytest.mark.parametrize(
+    "analysis", [dict(), dict(window="hann", overlap_fraction=0.5)], ids=["rect", "hann50"]
+)
+def test_direct_method_spectrum_equals_psd_of_the_scaled_record(segments, analysis):
+    # At 500 segments psd splits the pairwise sum across two threads when two
+    # cores are usable; at 100 it runs one leaf on the calling thread.
+    fft_size = 2_000
+    step = fft_size - int(round(fft_size * analysis.get("overlap_fraction", 0.0)))
+    cfg = make_config(seed=4, n_samples=fft_size + (segments - 1) * step, fft_size=fft_size)
+    record = _direct_record(cfg)
+    for gain in (0.794, 2.5):
+        scaled = SampledSignal(cfg.sample_rate_hz, math.sqrt(gain) * record)
+        want = psd(scaled, fft_size, **analysis)
+        got = _psd(
+            SampledSignal(cfg.sample_rate_hz, record),
+            fft_size,
+            analysis.get("window", "rectangular"),
+            analysis.get("overlap_fraction", 0.0),
+            scale=math.sqrt(gain),
+        )
+        assert got.n_segments == want.n_segments == segments
+        np.testing.assert_array_equal(got.psd, want.psd)
+        result = run_direct_experiment(replace(cfg, post_dut_gain_linear=gain), 1.0, **analysis)
+        assert result.band_power_cold == band_power(want, *cfg.band)
+
+
 def test_sweep_reference_amplitude_structure():
     cfg = make_config(seed=0, **FAST)
     rows = sweep_reference_amplitude(cfg, [0.4, 0.1], n_seeds=2)
@@ -573,6 +640,33 @@ def test_sweep_reference_amplitude_equals_per_point_runs(analysis):
     assert sweep_reference_amplitude(cfg, fractions, n_seeds=3, **analysis) == expected
 
 
+@pytest.mark.parametrize("fractions", [[0.25, 0.02, 0.25], [0.4]], ids=["duplicate", "one"])
+@pytest.mark.parametrize("analysis", CRN_ANALYSES, ids=["rect", "hann50"])
+def test_sweep_reference_amplitude_equals_per_point_runs_over_chunks(fractions, analysis):
+    # Several simulation chunks and a record that ends inside a packed byte.
+    cfg = make_config(seed=6, n_samples=3 * _CHUNK_SAMPLES + 5, fft_size=2_000)
+    y_ideal = ideal_y(10.0, 10_000.0, 1_000.0)
+    expected = []
+    for a in fractions:
+        errors = []
+        for k in range(2):
+            point = replace(cfg, ref_amplitude=a, seed=cfg.seed + k)
+            errors.append(abs(run_y_factor_experiment(point, **analysis).y - y_ideal) / y_ideal)
+        expected.append((a, float(np.mean(errors))))
+    assert sweep_reference_amplitude(cfg, fractions, n_seeds=2, **analysis) == expected
+
+
+def test_comparator_bits_are_packed_as_captures_store_them():
+    # 8 decisions per byte, LSB first, 1 for +1, unused bits of the last byte zero.
+    cfg = make_config(seed=6, n_samples=3 * _CHUNK_SAMPLES + 5, fft_size=2_000)
+    fractions = [0.25, 0.02, 0.25]
+    packed = _comparator_bits(cfg, fractions)
+    assert packed.shape == (3, 2, -(-cfg.n_samples // 8)) and packed.dtype == np.uint8
+    for a, fraction_bits in zip(fractions, packed):
+        for got, want in zip(fraction_bits, simulate_bitstreams(replace(cfg, ref_amplitude=a))):
+            np.testing.assert_array_equal(got, np.packbits(want.bits > 0, bitorder="little"))
+
+
 @pytest.mark.parametrize("analysis", CRN_ANALYSES, ids=["rect", "hann50"])
 def test_gain_sensitivity_study_equals_per_ratio_runs(analysis):
     cfg = make_config(seed=5, **CRN_CONFIG)
@@ -589,21 +683,35 @@ def test_gain_sensitivity_study_equals_per_ratio_runs(analysis):
     assert gain_sensitivity_study(cfg, ratios, **analysis) == expected
 
 
-def test_gain_sensitivity_study_runs_the_comparator_once(monkeypatch):
-    # The comparator never sees the post-DUT gain, so every ratio's
-    # Y-factor bits are the base bits: one comparator pass, whatever the
-    # ratios.
+def _counting_comparator(monkeypatch):
+    """Record (seed, post-DUT gain, fractions) for each _comparator_bits pass."""
     from nfbist import pipeline
-    from nfbist.cli import DEFAULT_GAIN_RATIOS
 
     passes = []
     comparator_bits = pipeline._comparator_bits
 
-    def counting(c, records):
-        passes.append(c.post_dut_gain_linear)
-        return comparator_bits(c, records)
+    def counting(c, fractions):
+        passes.append((c.seed, c.post_dut_gain_linear, list(fractions)))
+        return comparator_bits(c, fractions)
 
     monkeypatch.setattr(pipeline, "_comparator_bits", counting)
+    return passes
+
+
+def test_gain_sensitivity_study_runs_the_comparator_once(monkeypatch):
+    # The comparator never sees the post-DUT gain, so every ratio's
+    # Y-factor bits are the base bits: one comparator pass, whatever the
+    # ratios.
+    passes = _counting_comparator(monkeypatch)
     cfg = make_config(seed=5, **CRN_CONFIG)
     gain_sensitivity_study(cfg, DEFAULT_GAIN_RATIOS)
-    assert passes == [cfg.post_dut_gain_linear]
+    assert passes == [(cfg.seed, cfg.post_dut_gain_linear, [cfg.ref_amplitude])]
+
+
+def test_sweep_reference_amplitude_runs_the_comparator_once_per_seed(monkeypatch):
+    # Every fraction of a seed is sliced in the same pass over its draws.
+    passes = _counting_comparator(monkeypatch)
+    cfg = make_config(seed=5, **CRN_CONFIG)
+    fractions = [0.02, 0.25, 1.5, 0.25]
+    sweep_reference_amplitude(cfg, fractions, n_seeds=2)
+    assert passes == [(seed, cfg.post_dut_gain_linear, fractions) for seed in (5, 6)]
