@@ -42,7 +42,7 @@ from .pipeline import (
     th_uncertainty_study,
 )
 from .signals import NoiseSourceSpec
-from .spectral import MAX_OVERLAP_FRACTION, Spectrum, psd
+from .spectral import MAX_OVERLAP_FRACTION, Spectrum, _spectra, psd
 
 __all__ = ["main", "load_experiment_config", "config_to_dict", "write_spectrum_csv"]
 
@@ -187,13 +187,16 @@ def cmd_simulate(args) -> int:
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # One simulation and one PSD per state; the report, the spectrum CSVs
+    # One simulation and one PSD per state, the two states' spectra summed
+    # at once (each equals psd of its bits); the report, the spectrum CSVs
     # and the captures are all written from these objects.
     streams = dict(zip(("hot", "cold"), simulate_bitstreams(cfg)))
-    spectra = {
-        state: psd(bits, cfg.fft_size, window=args.window, overlap_fraction=args.segments_overlap)
-        for state, bits in streams.items()
-    }
+    spectra = dict(
+        zip(
+            streams,
+            _spectra(list(streams.values()), cfg.fft_size, args.window, args.segments_overlap),
+        )
+    )
     result = analyze_spectra(spectra["hot"], spectra["cold"], cfg)
 
     report = _report_scaffold(cfg)

@@ -14,22 +14,29 @@ reference before it: the Y-factor bits do not depend on the gain by
 construction, which is what makes the method immune to gain error, unlike
 the direct method.
 
-The comparator works on the standard-normal draw z: per chunk, each
-state's z is scaled by its RMS into a reused buffer and compared with each
-requested reference level, laid out from the cached square-wave pattern
-into another reused buffer. For finite values a - r >= 0 holds exactly
-when a >= r, so the bits are those of digitize on the record and the
-square-wave reference, without building either waveform or their
-difference per chunk. The decisions are packed 8 per byte as they are
-made, so one pass serves every level of a reference-amplitude sweep in n/4
-bytes per level.
+The comparator works on the standard-normal draw z, one pass per state:
+per chunk, the state's z is drawn into a reused buffer and scaled there by
+the state's RMS, and each requested reference level r is decided as
+a >= r in the first half of the reference period and a >= -r in the
+second, taken from the cached square-wave pattern. For finite values
+a - r >= 0 holds exactly when a >= r, so the bits are those of digitize on
+the record and the square-wave reference, without building either waveform,
+their difference or a reference per chunk. The decisions are packed 8 per
+byte as they are made, so one pass serves every level of a
+reference-amplitude sweep in n/4 bytes per level. The hot and the cold
+state share nothing but that pattern (each has its own generator), so on a
+host with two usable cores the hot state's pass runs on a worker thread
+while the cold state's runs on the calling thread, and their spectra are
+summed the same way (see spectral._spectra); the bits and the results are
+the same as on one core.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,7 +67,15 @@ from .signals import (
     source_output,  # not called here; perfbench/tracing.PATCHES wraps this binding
     square_wave,  # not called here; perfbench/tracing.PATCHES wraps this binding
 )
-from .spectral import Spectrum, _psd, band_power, band_width_hz, power_ratio_detail, psd
+from .spectral import (
+    Spectrum,
+    _in_two_threads,
+    _spectra,
+    band_power,
+    band_width_hz,
+    power_ratio_detail,
+    psd,  # not called here; perfbench/tracing.PATCHES wraps this binding
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -218,53 +233,30 @@ def _nf_and_notes(f: float, context: str) -> tuple[float, list[str]]:
     return float("nan"), notes
 
 
-def _analog_records(cfg: ExperimentConfig) -> Iterator[Iterator[np.ndarray]]:
-    """Yield the hot, then the cold DUT output for cfg's seed, each as lazy chunks.
-
-    Each state's DUT output is white Gaussian noise of RMS _sigma(cfg, T),
-    drawn from one generator per state and yielded in units of that RMS:
-    the standard-normal draws z, which _comparator_bits scales to the
-    samples _sigma(cfg, T) * z. Its record comes as consecutive chunks of
-    _CHUNK_SAMPLES samples (the last one shorter); the generator continues
-    from chunk to chunk, so the chunks concatenate bit for bit to the
-    single full-length draw. The draws depend only on the seed, n_samples
-    and the sample rate, never on ref_amplitude, so _comparator_bits draws
-    them once per seed and compares each chunk with every reference level
-    of a sweep before drawing the next (common random numbers).
-    """
-    seeds = _sub_seeds(cfg.seed, 6)
-    for seed in (seeds[0], seeds[2]):
-        yield _state_chunks(cfg, seed)
-
-
-def _state_chunks(cfg: ExperimentConfig, seed: int) -> Iterator[np.ndarray]:
-    """Lazily draw one state's standard-normal record, chunk by chunk, from one generator."""
-    rng = np.random.default_rng(seed)
-    for start in range(0, cfg.n_samples, _CHUNK_SAMPLES):
-        yield rng.standard_normal(min(_CHUNK_SAMPLES, cfg.n_samples - start))
-
-
 def _comparator_bits(cfg: ExperimentConfig, fractions: Sequence[float]) -> np.ndarray:
     """Hot and cold comparator decisions of cfg's seed at each reference fraction, packed.
 
-    Draws cfg's hot and cold standard-normal records once (_analog_records)
-    and slices them against the square-wave reference at each fraction of
-    the analytic cold-state RMS; cfg.ref_amplitude is not read. Each
-    state's z is scaled by the state's RMS. The post-DUT gain scales the
-    record and the reference alike and so drops out of the comparison (see
-    the module docstring); it enters only the check that each reference
-    amplitude at the comparator is finite. A decision is 1 where the scaled
-    value is at least the reference, which for finite values is where
-    digitize's difference is >= 0.
+    Draws cfg's hot and cold standard-normal records once, each from its own
+    generator (sub-seeds 0 and 2), and slices them against the square-wave
+    reference at each fraction of the analytic cold-state RMS;
+    cfg.ref_amplitude is not read. Each state's z is scaled by the state's
+    RMS. The post-DUT gain scales the record and the reference alike and so
+    drops out of the comparison (see the module docstring); it enters only
+    the check that each reference amplitude at the comparator is finite.
+    A decision is 1 where the scaled value is at least the reference, which
+    for finite values is where digitize's difference is >= 0. The draws
+    depend only on the seed and n_samples, never on the fractions, so every
+    fraction of a sweep is decided on the same draws (common random
+    numbers).
 
-    The records come in _CHUNK_SAMPLES-sample chunks and advance in
-    lockstep: each state's chunk is scaled once into its own reused buffer,
-    each fraction's reference is laid out once per chunk for both states in
-    a third one from the cached pattern, and each comparison is packed into
-    the result as it is made. Returns a uint8 array of shape
-    (len(fractions), 2, ceil(n / 8)), hot before cold: each decision stream
-    packed 8 per byte, LSB first, with the unused bits of the last byte
-    zero, as NFB1 captures store bits. That is n/4 bytes per fraction.
+    Each state runs _state_bits over its whole record in buffers allocated
+    here, 1 MiB of float64 and two 128 KiB bool chunks per state: the hot
+    state on a worker thread and the cold state on this one when two cores
+    are usable, one after the other on this thread otherwise, with the same
+    bits. Returns a uint8 array of shape (len(fractions), 2, ceil(n / 8)),
+    hot before cold: each decision stream packed 8 per byte, LSB first, with
+    the unused bits of the last byte zero, as NFB1 captures store bits. That
+    is n/4 bytes per fraction.
     """
     fs, n = cfg.sample_rate_hz, cfg.n_samples
     src = cfg.source
@@ -278,24 +270,50 @@ def _comparator_bits(cfg: ExperimentConfig, fractions: Sequence[float]) -> np.nd
         )
     first_half = _first_half_mask(n, fs, cfg.f_ref_hz, 0.0)
     size = min(n, _CHUNK_SAMPLES)
-    scaled_buffers = [np.empty(size), np.empty(size)]
-    reference_buffer, decision_buffer = np.empty(size), np.empty(size, dtype=np.bool_)
+    # Each state's chunk buffers, allocated before the result that outlives
+    # them: allocated after it, they left about 3 MB more of a sweep process
+    # resident when the direct method's record was drawn next (peak RSS
+    # 52.5 instead of 49.1 MB).
+    buffers = [
+        (np.empty(size), np.empty(size, dtype=np.bool_), np.empty(size, dtype=np.bool_))
+        for _ in range(2)
+    ]
     packed = np.empty((len(fractions), 2, -(-n // 8)), dtype=np.uint8)
-    records = list(_analog_records(cfg))
-    # _CHUNK_SAMPLES is a multiple of 8, so every chunk starts on a byte.
+    seeds = _sub_seeds(cfg.seed, 6)
+    hot, cold = (
+        functools.partial(
+            _state_bits, np.random.default_rng(seed), sigma, levels, first_half, packed[:, k], *b
+        )
+        for k, (seed, sigma, b) in enumerate(zip((seeds[0], seeds[2]), sigmas, buffers))
+    )
+    _in_two_threads(hot, cold)
+    return packed
+
+
+def _state_bits(rng, sigma, levels, first_half, out, z_buffer, high_buffer, bits_buffer):
+    """One state's comparator pass: out[k] = the packed decisions at levels[k].
+
+    Draws the state's standard-normal record into z_buffer, _CHUNK_SAMPLES
+    samples at a time (the last chunk shorter). standard_normal(out=...)
+    gives the values of the allocating call and the generator continues
+    from chunk to chunk, so the chunks concatenate bit for bit to one
+    full-length draw. Each chunk is scaled by sigma in place to the samples
+    a, and each level's decisions are a >= level in the first half of the
+    reference period (first_half) and a >= -level in the second: elementwise
+    the comparison with the square-wave reference. _CHUNK_SAMPLES is a
+    multiple of 8, so every chunk starts on a byte of out.
+    """
+    n = first_half.size
     for start in range(0, n, _CHUNK_SAMPLES):
         stop = min(start + _CHUNK_SAMPLES, n)
-        scaled = [buffer[: stop - start] for buffer in scaled_buffers]
-        for buffer, chunks, sigma in zip(scaled, records, sigmas):
-            np.multiply(next(chunks), sigma, out=buffer)
-        reference, decisions = reference_buffer[: stop - start], decision_buffer[: stop - start]
-        for level, fraction_bits in zip(levels, packed):
-            reference.fill(-level)
-            np.copyto(reference, level, where=first_half[start:stop])
-            for state_bits, buffer in zip(fraction_bits, scaled):
-                np.greater_equal(buffer, reference, out=decisions)
-                state_bits[start // 8 : -(-stop // 8)] = np.packbits(decisions, bitorder="little")
-    return packed
+        z, high, bits = (b[: stop - start] for b in (z_buffer, high_buffer, bits_buffer))
+        rng.standard_normal(out=z)
+        z *= sigma
+        for level, state_bits in zip(levels, out):
+            np.greater_equal(z, level, out=high)
+            np.greater_equal(z, -level, out=bits)
+            np.copyto(bits, high, where=first_half[start:stop])
+            state_bits[start // 8 : -(-stop // 8)] = np.packbits(bits, bitorder="little")
 
 
 def _bitstream(cfg: ExperimentConfig, packed: np.ndarray) -> BitStream:
@@ -309,13 +327,14 @@ def _bitstream(cfg: ExperimentConfig, packed: np.ndarray) -> BitStream:
 def simulate_bitstreams(cfg: ExperimentConfig) -> tuple[BitStream, BitStream]:
     """Synthesize the (hot, cold) comparator bitstreams for a configuration.
 
-    Draws the hot and the cold standard-normal record side by side,
-    _CHUNK_SAMPLES samples at a time, and scales and compares each chunk
-    with the same chunk of the reference (see _comparator_bits), so the
-    float working memory is a few chunks whatever the record length. The
-    reference-amplitude sweep makes the same pass with all of its
-    fractions at once, so its bits equal this function's for each point's
-    config.
+    Draws each state's standard-normal record _CHUNK_SAMPLES samples at a
+    time and scales and compares each chunk with the same chunk of the
+    reference (see _comparator_bits), so the float working memory is one
+    chunk per state whatever the record length. With two usable cores the
+    hot and the cold state are drawn and compared on two threads at once,
+    with the same bits as on one. The reference-amplitude sweep makes the
+    same pass with all of its fractions at once, so its bits equal this
+    function's for each point's config.
     """
     (hot, cold), = _comparator_bits(cfg, [cfg.ref_amplitude])
     return _bitstream(cfg, hot), _bitstream(cfg, cold)
@@ -344,9 +363,10 @@ def analyze_bitstreams(
     cfg supplies the FFT size, the reference frequency, the measurement
     band and the source temperatures. Both bitstreams must be sampled at
     cfg.sample_rate_hz, since the reference and the band are placed on
-    that rate's frequency grid. Computes both PSDs and passes them to
-    analyze_spectra. Every note about the result goes into its warnings
-    field; none is raised as a Python warning.
+    that rate's frequency grid. Computes both PSDs, each equal to psd of its
+    bitstream (on two threads at once when two cores are usable), and passes
+    them to analyze_spectra. Every note about the result goes into its
+    warnings field; none is raised as a Python warning.
     """
     if hot.sample_rate_hz != cold.sample_rate_hz:
         raise ShapeError(
@@ -357,8 +377,7 @@ def analyze_bitstreams(
             f"bitstream and config sample rates differ: {hot.sample_rate_hz} "
             f"vs {cfg.sample_rate_hz}"
         )
-    spec_hot = psd(hot, cfg.fft_size, window=window, overlap_fraction=overlap_fraction)
-    spec_cold = psd(cold, cfg.fft_size, window=window, overlap_fraction=overlap_fraction)
+    spec_hot, spec_cold = _spectra([hot, cold], cfg.fft_size, window, overlap_fraction)
     return analyze_spectra(spec_hot, spec_cold, cfg)
 
 
@@ -440,11 +459,11 @@ def _direct_result(
     """Direct-method F from one analog record: post-DUT gain, PSD, band power.
 
     The spectrum is psd of sqrt(post_dut_gain_linear) * record bit for bit;
-    _psd applies the gain to each block of segments as it windows them, so
-    no scaled copy of the record is made.
+    _spectra applies the gain to each block of segments as it windows them,
+    so no scaled copy of the record is made.
     """
-    spectrum = _psd(
-        SampledSignal(cfg.sample_rate_hz, record),
+    (spectrum,) = _spectra(
+        [SampledSignal(cfg.sample_rate_hz, record)],
         cfg.fft_size,
         window,
         overlap_fraction,

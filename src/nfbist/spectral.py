@@ -56,7 +56,7 @@ MAX_OVERLAP_FRACTION = 0.75
 _PEAK_SEARCH_HALFWIDTH_BINS = 5
 # psd transforms this many bytes of windowed float64 segments at a time, so
 # its buffers stay small whatever the record length. With a worker thread
-# the two threads share the budget (see psd).
+# the two threads share the budget (see _spectra).
 _PSD_BLOCK_BYTES = 1 << 20
 
 
@@ -128,25 +128,39 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
     the order numpy's mean adds a contiguous row (see _SegmentSums), so the
     working memory is a few blocks of segments whatever the record length.
     """
-    return _psd(x, fft_size, window, overlap_fraction, scale=None)
+    (spectrum,) = _spectra([x], fft_size, window, overlap_fraction)
+    return spectrum
 
 
-def _psd(x, fft_size: int, window: str, overlap_fraction: float, scale: float | None) -> Spectrum:
-    """psd of x with every sample first multiplied by scale (None: psd of x).
+def _spectra(
+    records, fft_size: int, window: str, overlap_fraction: float, scale: float | None = None
+) -> list[Spectrum]:
+    """psd of each record, with every sample first multiplied by scale (None: psd).
 
     Each block of segments is multiplied by scale and then by the window in
-    the windowed buffer, which rounds as (scale * x) * window does, so the
+    the windowed buffer, which rounds as (scale * x) * window does, so a
     spectrum equals psd of the scaled record bit for bit without a scaled
     copy of it.
+
+    When the process may run on two cores, two records are summed at once,
+    one on a worker thread and one on this thread, and a single record of
+    more than one pairwise leaf is split at numpy's top-level pairwise
+    split, the first half on the worker. np.fft.rfft and the ufuncs release
+    the GIL. Each thread owns whole sums, in buffers allocated here (a
+    worker's own temporaries would come from a separate malloc arena). A
+    row costs about half a lane set, so two rows fewer per thread pay for
+    the second thread's lanes and both threads fit one thread's budget.
+    Otherwise the records are summed one after the other on this thread.
     """
-    values, sample_rate_hz = _signal_values(x)
+    signals = [_signal_values(x) for x in records]
     fft_size = check_integer("fft_size", fft_size, 2)
     if fft_size % 2 != 0:
         raise ParameterError(f"fft_size must be even, got {fft_size}")
-    if fft_size > values.size:
-        raise InsufficientDataError(
-            f"fft_size {fft_size} exceeds record length {values.size}"
-        )
+    for values, _ in signals:
+        if fft_size > values.size:
+            raise InsufficientDataError(
+                f"fft_size {fft_size} exceeds record length {values.size}"
+            )
     if window not in _WINDOWS:
         raise ParameterError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
     if not (
@@ -160,35 +174,43 @@ def _psd(x, fft_size: int, window: str, overlap_fraction: float, scale: float | 
         raise ParameterError(
             f"overlap_fraction {overlap_fraction} leaves no hop between {fft_size}-sample segments"
         )
-    win = _scaled_window(window, fft_size, sample_rate_hz)
-    segments = sliding_window_view(values, fft_size)[::step]
-    n = segments.shape[0]
-    total = np.empty(fft_size // 2 + 1)
+    # (segments, window scaled to the record's rate, sample rate) per record
+    inputs = [
+        (sliding_window_view(values, fft_size)[::step], _scaled_window(window, fft_size, rate), rate)
+        for values, rate in signals
+    ]
+    totals = [np.empty(fft_size // 2 + 1) for _ in inputs]
     rows = max(1, _PSD_BLOCK_BYTES // (8 * fft_size))
-    if n <= _LEAF_SEGMENTS or _usable_cores() < 2:
-        _SegmentSums(segments, win, scale, rows, n).sum_range(0, n, total)
-    else:
-        # The worker sums the first of the two top-level subtrees of numpy's
-        # pairwise order and this thread the second; np.fft.rfft releases
-        # the GIL. Each thread owns whole sums, in buffers allocated here (a
-        # worker's own temporaries would come from a separate malloc arena).
-        # A row costs about half a lane set, so two rows fewer pay for the
-        # second thread's lanes and both threads fit one thread's budget.
+    split = len(inputs) == 1 and len(inputs[0][0]) > _LEAF_SEGMENTS
+    if _usable_cores() >= 2 and (len(inputs) == 2 or split):
         rows = max(1, rows // 2 - 1)
-        half = _pairwise_split(n)
-        worker = _SegmentSums(segments, win, scale, rows, half)
-        caller = _SegmentSums(segments, win, scale, rows, n - half)
-        right = np.empty_like(total)
-        _in_two_threads(
-            lambda: worker.sum_range(0, half, total),
-            lambda: caller.sum_range(half, n - half, right),
+        # Each thread's (segments, window, first segment, segment count, sum).
+        if split:
+            ((segments, win, _),) = inputs
+            n, half = len(segments), _pairwise_split(len(segments))
+            right = np.empty_like(totals[0])
+            shares = [(segments, win, 0, half, totals[0]), (segments, win, half, n - half, right)]
+        else:
+            shares = [(seg, win, 0, len(seg), t) for (seg, win, _), t in zip(inputs, totals)]
+        worker, caller = (
+            functools.partial(_SegmentSums(seg, win, scale, rows, count).sum_range, lo, count, out)
+            for seg, win, lo, count, out in shares
         )
-        total += right
-    # Doubling is exact, so doubling the sums equals summing doubled
-    # periodograms; the mean then divides by the count, as np.mean does.
-    total[1:-1] *= 2
-    total /= n
-    return Spectrum(total, fft_size, n, sample_rate_hz)
+        _in_two_threads(worker, caller)
+        if split:
+            totals[0] += right
+    else:
+        for (segments, win, _), total in zip(inputs, totals):
+            n = len(segments)
+            _SegmentSums(segments, win, scale, rows, n).sum_range(0, n, total)
+    spectra = []
+    for (segments, _, sample_rate_hz), total in zip(inputs, totals):
+        # Doubling is exact, so doubling the sums equals summing doubled
+        # periodograms; the mean then divides by the count, as np.mean does.
+        total[1:-1] *= 2
+        total /= len(segments)
+        spectra.append(Spectrum(total, fft_size, len(segments), sample_rate_hz))
+    return spectra
 
 
 def _usable_cores() -> int:
@@ -199,7 +221,12 @@ def _usable_cores() -> int:
 
 def _in_two_threads(in_worker, in_caller):
     """Run in_worker on a new thread and in_caller on this one; re-raise
-    the worker's exception here after both have finished."""
+    the worker's exception here after both have finished. With fewer than
+    two usable cores, run in_worker and then in_caller on this thread."""
+    if _usable_cores() < 2:
+        in_worker()
+        in_caller()
+        return
     failure = []
 
     def run():
@@ -208,7 +235,7 @@ def _in_two_threads(in_worker, in_caller):
         except BaseException as exc:  # re-raised by the calling thread
             failure.append(exc)
 
-    worker = threading.Thread(target=run, name="nfbist-psd")
+    worker = threading.Thread(target=run, name="nfbist-worker")
     worker.start()
     try:
         in_caller()

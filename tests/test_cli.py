@@ -210,15 +210,18 @@ def test_simulate_outputs_equal_library_calls(tmp_path, flags, window, overlap):
 def test_simulate_runs_one_simulation_and_one_psd_per_state(tmp_path, monkeypatch):
     # Counted under both names a call can go through: the CLI's own binding
     # and the one library functions such as run_y_factor_experiment use.
+    # _spectra counts the records it is given: the hot and the cold
+    # spectrum are summed in one call, on two threads when two cores are
+    # usable.
     from nfbist import cli, pipeline
 
-    calls = {"simulate_bitstreams": 0, "psd": 0}
+    calls = {"simulate_bitstreams": 0, "psd": 0, "_spectra": 0}
 
     def counted(module, name):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += len(args[0]) if name == "_spectra" else 1
             return original(*args, **kwargs)
 
         return wrapper
@@ -230,7 +233,7 @@ def test_simulate_runs_one_simulation_and_one_psd_per_state(tmp_path, monkeypatc
     for k in range(2):
         args = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / f"run{k}")]
         assert main(args + ["--save-captures"] * k) == 0
-    assert calls == {"simulate_bitstreams": 2, "psd": 4}
+    assert calls == {"simulate_bitstreams": 2, "psd": 0, "_spectra": 4}
 
 
 @pytest.mark.parametrize("overlap", ["0.9", "-0.1", "nan", "inf", "half"])

@@ -92,29 +92,31 @@ def test_f_from_y_temps_nonphysical_is_returned_without_warning():
 NON_FINITE = [math.nan, math.inf, -math.inf, "a", None, True]
 
 
+# Each call's id is pinned to the one pytest first gave it by position, so
+# deleting a row removes that row's cases and renames no other call's.
 @pytest.mark.parametrize("bad", NON_FINITE)
 @pytest.mark.parametrize(
     "call",
     [
-        lambda v: f_to_nf(v),
-        lambda v: nf_to_f(v),
-        lambda v: f_from_y_temps(v, 10_000.0, 1_000.0),
-        lambda v: f_from_y_temps(2.0, v, 1_000.0),
-        lambda v: f_from_y_temps(2.0, 10_000.0, v),
-        lambda v: f_from_y_temps(2.0, 10_000.0, 1_000.0, v),
-        lambda v: ideal_y(v, 10_000.0, 1_000.0),
-        lambda v: ideal_y(2.0, v, 1_000.0),
-        lambda v: ideal_y(2.0, 10_000.0, v),
-        lambda v: ideal_y(2.0, 10_000.0, 1_000.0, v),
-        lambda v: friis_cascade([(v, 10.0)]),
-        lambda v: friis_cascade([(2.0, v)]),
-        lambda v: friis_cascade([(2.0, 10.0), (v, 10.0)]),
-        lambda v: dut_from_nf(v, 10.0),
-        lambda v: dut_from_nf(3.0, v),
-        lambda v: dut_from_nf(3.0, 10.0, v),
-        lambda v: dut_from_nf(3.0, 10.0, T0_K, v),
-        lambda v: nominal_f(DutSpec(10.0, 2_900.0), v),
-        lambda v: nominal_f(DutSpec(10.0, 2_900.0), T0_K, v),
+        pytest.param(lambda v: f_to_nf(v), id="<lambda>0"),
+        pytest.param(lambda v: nf_to_f(v), id="<lambda>1"),
+        pytest.param(lambda v: f_from_y_temps(v, 10_000.0, 1_000.0), id="<lambda>2"),
+        pytest.param(lambda v: f_from_y_temps(2.0, v, 1_000.0), id="<lambda>3"),
+        pytest.param(lambda v: f_from_y_temps(2.0, 10_000.0, v), id="<lambda>4"),
+        pytest.param(lambda v: f_from_y_temps(2.0, 10_000.0, 1_000.0, v), id="<lambda>5"),
+        pytest.param(lambda v: ideal_y(v, 10_000.0, 1_000.0), id="<lambda>6"),
+        pytest.param(lambda v: ideal_y(2.0, v, 1_000.0), id="<lambda>7"),
+        pytest.param(lambda v: ideal_y(2.0, 10_000.0, v), id="<lambda>8"),
+        pytest.param(lambda v: ideal_y(2.0, 10_000.0, 1_000.0, v), id="<lambda>9"),
+        pytest.param(lambda v: friis_cascade([(v, 10.0)]), id="<lambda>10"),
+        pytest.param(lambda v: friis_cascade([(2.0, v)]), id="<lambda>11"),
+        pytest.param(lambda v: friis_cascade([(2.0, 10.0), (v, 10.0)]), id="<lambda>12"),
+        pytest.param(lambda v: dut_from_nf(v, 10.0), id="<lambda>13"),
+        pytest.param(lambda v: dut_from_nf(3.0, v), id="<lambda>14"),
+        pytest.param(lambda v: dut_from_nf(3.0, 10.0, v), id="<lambda>15"),
+        pytest.param(lambda v: dut_from_nf(3.0, 10.0, T0_K, v), id="<lambda>16"),
+        pytest.param(lambda v: nominal_f(DutSpec(10.0, 2_900.0), v), id="<lambda>17"),
+        pytest.param(lambda v: nominal_f(DutSpec(10.0, 2_900.0), T0_K, v), id="<lambda>18"),
     ],
 )
 def test_non_finite_arguments_rejected(call, bad):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -32,17 +33,17 @@ from nfbist import (
     sweep_reference_amplitude,
     th_uncertainty_study,
 )
-from nfbist import signals
+from nfbist import pipeline, signals, spectral
 from nfbist.cli import DEFAULT_AMPLITUDE_FRACTIONS, DEFAULT_GAIN_RATIOS
 from nfbist.pipeline import (
     _CHUNK_SAMPLES,
-    _analog_records,
     _comparator_bits,
     _direct_record,
     _sigma,
+    _sub_seeds,
     check_sweep_points,
 )
-from nfbist.spectral import _psd, band_power
+from nfbist.spectral import _spectra, band_power
 
 SOURCE = NoiseSourceSpec(t_hot_k=10_000.0, t_cold_k=1_000.0)
 
@@ -215,13 +216,14 @@ def test_simulate_bitstreams_equals_full_array_formula(n_samples, overrides):
 def _dut_output_records(cfg):
     """The hot, cold and direct-method (T0) DUT-output records of cfg's seed.
 
-    The hot and cold records are drawn in units of their RMS, so each one's
+    The hot and cold records are standard-normal draws of their own
+    generators (sub-seeds 0 and 2) in units of their RMS, so each one's
     samples are _sigma(cfg, T) * z.
     """
-    src = cfg.source
+    src, seeds = cfg.source, _sub_seeds(cfg.seed, 6)
     hot, cold = (
-        _sigma(cfg, t) * np.concatenate(tuple(z))
-        for t, z in zip((src.t_hot_k, src.t_cold_k), _analog_records(cfg))
+        _sigma(cfg, t) * np.random.default_rng(seed).standard_normal(cfg.n_samples)
+        for t, seed in zip((src.t_hot_k, src.t_cold_k), (seeds[0], seeds[2]))
     )
     return {"hot": hot, "cold": cold, "direct": _direct_record(cfg)}
 
@@ -328,6 +330,24 @@ def test_sweep_reference_amplitude_working_memory():
     cfg = make_config(seed=2)
     study = lambda c: sweep_reference_amplitude(c, DEFAULT_AMPLITUDE_FRACTIONS, n_seeds=1)
     assert _warm_peak(study, cfg) < 10 * 2**20
+
+
+def test_analyze_bitstreams_two_threads_hold_no_more_memory_than_one(monkeypatch):
+    # Each of the two threads transforms blocks of rows // 2 - 1 segments,
+    # so both together fit the one-thread budget.
+    cfg = make_config(seed=2)
+    hot, cold = simulate_bitstreams(cfg)
+    peaks = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
+        analyze_bitstreams(hot, cold, cfg)  # warm-up: the window cache
+        tracemalloc.start()
+        try:
+            analyze_bitstreams(hot, cold, cfg)
+            peaks[cores] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= peaks[1]
 
 
 @pytest.mark.parametrize(
@@ -537,8 +557,8 @@ def test_direct_method_spectrum_equals_psd_of_the_scaled_record(segments, analys
     for gain in (0.794, 2.5):
         scaled = SampledSignal(cfg.sample_rate_hz, math.sqrt(gain) * record)
         want = psd(scaled, fft_size, **analysis)
-        got = _psd(
-            SampledSignal(cfg.sample_rate_hz, record),
+        (got,) = _spectra(
+            [SampledSignal(cfg.sample_rate_hz, record)],
             fft_size,
             analysis.get("window", "rectangular"),
             analysis.get("overlap_fraction", 0.0),
@@ -665,6 +685,66 @@ def test_comparator_bits_are_packed_as_captures_store_them():
     for a, fraction_bits in zip(fractions, packed):
         for got, want in zip(fraction_bits, simulate_bitstreams(replace(cfg, ref_amplitude=a))):
             np.testing.assert_array_equal(got, np.packbits(want.bits > 0, bitorder="little"))
+
+
+def _per_core_count(monkeypatch, compute):
+    """compute() with _usable_cores patched to 1 and then to 2, by core count."""
+    results = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
+        results[cores] = compute()
+    return results
+
+
+def test_comparator_bits_are_the_same_on_one_and_two_cores(monkeypatch):
+    # The hot state's pass runs on a worker thread when two cores are
+    # usable, and on the calling thread, before the cold one, otherwise.
+    cfg = make_config(
+        seed=6, n_samples=3 * _CHUNK_SAMPLES + 7, fft_size=2_000, post_dut_gain_linear=2.5
+    )
+    passes = []
+    state_bits = pipeline._state_bits
+
+    def recording(rng, sigma, *args):
+        passes.append((sigma, threading.current_thread() is threading.main_thread()))
+        return state_bits(rng, sigma, *args)
+
+    monkeypatch.setattr(pipeline, "_state_bits", recording)
+    packed = _per_core_count(
+        monkeypatch, lambda: _comparator_bits(cfg, DEFAULT_AMPLITUDE_FRACTIONS).tobytes()
+    )
+    assert packed[1] == packed[2]
+    hot, cold = _sigma(cfg, cfg.source.t_hot_k), _sigma(cfg, cfg.source.t_cold_k)
+    assert passes[:2] == [(hot, True), (cold, True)]
+    assert sorted(passes[2:]) == sorted([(hot, False), (cold, True)])
+
+
+@pytest.mark.parametrize(
+    "window, overlap", [("rectangular", 0.0), ("hann", 0.5), ("hann", 0.75)]
+)
+def test_analyze_bitstreams_is_the_same_on_one_and_two_cores(monkeypatch, window, overlap):
+    cfg = make_config(seed=6, n_samples=3 * _CHUNK_SAMPLES + 7, fft_size=2_000)
+    hot, cold = simulate_bitstreams(cfg)
+    results = _per_core_count(
+        monkeypatch, lambda: repr(analyze_bitstreams(hot, cold, cfg, window, overlap))
+    )
+    assert results[1] == results[2]
+
+
+def test_comparator_worker_failure_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
+    state_bits = pipeline._state_bits
+
+    def failing_in_worker(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("comparator failed in the worker")
+        return state_bits(*args)
+
+    monkeypatch.setattr(pipeline, "_state_bits", failing_in_worker)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="in the worker"):
+        simulate_bitstreams(make_config(**FAST))
+    assert threading.active_count() == threads_before
 
 
 @pytest.mark.parametrize("analysis", CRN_ANALYSES, ids=["rect", "hann50"])

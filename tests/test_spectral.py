@@ -166,7 +166,8 @@ def test_psd_split_across_threads_matches_single_pass(monkeypatch, cores, window
     # Segment counts: one, exactly one full row block, one block plus a
     # segment, and three blocks. Only more than one 128-segment pairwise
     # leaf is split across threads: three blocks at fft 2 000 (two
-    # subtrees), never at fft 10 000 (one leaf).
+    # subtrees), never at fft 10 000 (one leaf). Two records are always
+    # split, one whole record per thread, whatever their length.
     rows = spectral._PSD_BLOCK_BYTES // (8 * fft_size)
     monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
     first_call = {}  # each thread's first entry into the summation: its share
@@ -197,6 +198,19 @@ def test_psd_split_across_threads_matches_single_pass(monkeypatch, cores, window
                 }
             else:
                 assert first_call == {True: ("sum_range", 0, n_segments, rows)}
+        first_call.clear()
+        pair = spectral._spectra([noise, bits], fft_size, window, overlap)
+        for s, values in zip(pair, (noise.samples, bits.bits.astype(np.float64))):
+            assert s.n_segments == n_segments
+            want = _single_pass_psd(values, noise.sample_rate_hz, fft_size, window, overlap)
+            assert np.array_equal(s.psd, want)
+        if cores == 2:
+            assert first_call == {
+                False: ("sum_range", 0, n_segments, rows // 2 - 1),
+                True: ("sum_range", 0, n_segments, rows // 2 - 1),
+            }
+        else:
+            assert first_call == {True: ("sum_range", 0, n_segments, rows)}
 
 
 @pytest.mark.parametrize("cores", [1, 2])
