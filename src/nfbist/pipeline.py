@@ -12,7 +12,9 @@ which keeps only the sign of p*x - p*r = p*(x - r), never sees it. The
 simulation therefore compares the DUT output before post-DUT gain with the
 reference before it: the Y-factor bits do not depend on the gain by
 construction, which is what makes the method immune to gain error, unlike
-the direct method.
+the direct method. That method's record is drawn before post-DUT gain too,
+and since a PSD scales linearly with power gain, its band power is the
+record's band power times the gain: one spectrum serves every gain.
 
 The comparator works on the standard-normal draw z, one pass per state:
 per chunk, the state's z is drawn into a reused buffer and scaled there by
@@ -74,7 +76,7 @@ from .spectral import (
     band_power,
     band_width_hz,
     power_ratio_detail,
-    psd,  # not called here; perfbench/tracing.PATCHES wraps this binding
+    psd,
 )
 
 __all__ = [
@@ -268,7 +270,7 @@ def _comparator_bits(cfg: ExperimentConfig, fractions: Sequence[float]) -> np.nd
             f"the DUT output RMS (hot {sigmas[0]!r}, cold {sigmas[1]!r}) and the reference "
             f"amplitude at the comparator ({', '.join(map(repr, at_comparator))}) must be finite"
         )
-    first_half = _first_half_mask(n, fs, cfg.f_ref_hz, 0.0)
+    first_half = _first_half_mask(n, fs, cfg.f_ref_hz)
     size = min(n, _CHUNK_SAMPLES)
     # Each state's chunk buffers, allocated before the result that outlives
     # them: allocated after it, they left about 3 MB more of a sweep process
@@ -435,8 +437,8 @@ def analyze_spectra(
     )
 
 
-def _direct_record(cfg: ExperimentConfig) -> np.ndarray:
-    """DUT output samples for the direct method's matched load at T0.
+def _direct_record(cfg: ExperimentConfig) -> SampledSignal:
+    """DUT output for the direct method's matched load at T0.
 
     One white Gaussian draw of RMS _sigma(cfg, T0). Like the Y-factor
     records it is taken before post-DUT gain, so it depends on the seed
@@ -444,33 +446,20 @@ def _direct_record(cfg: ExperimentConfig) -> np.ndarray:
     """
     seeds = _sub_seeds(cfg.seed, 6)
     sigma_t0 = _sigma(cfg, cfg.source.t0_k)
-    return gaussian_noise(
-        cfg.n_samples, sigma_t0, seeds[4], sample_rate_hz=cfg.sample_rate_hz
-    ).samples
+    return gaussian_noise(cfg.n_samples, sigma_t0, seeds[4], sample_rate_hz=cfg.sample_rate_hz)
 
 
 def _direct_result(
-    cfg: ExperimentConfig,
-    record: np.ndarray,
-    assumed_gain_linear: float,
-    window: str,
-    overlap_fraction: float,
+    cfg: ExperimentConfig, spectrum: Spectrum, assumed_gain_linear: float
 ) -> MeasurementResult:
-    """Direct-method F from one analog record: post-DUT gain, PSD, band power.
+    """Direct-method F from the spectrum of cfg's direct record (_direct_record).
 
-    The spectrum is psd of sqrt(post_dut_gain_linear) * record bit for bit;
-    _spectra applies the gain to each block of segments as it windows them,
-    so no scaled copy of the record is made.
+    The record is taken before post-DUT gain, and a PSD scales linearly
+    with power gain, so the measured band power is post_dut_gain_linear
+    times the spectrum's band power.
     """
-    (spectrum,) = _spectra(
-        [SampledSignal(cfg.sample_rate_hz, record)],
-        cfg.fft_size,
-        window,
-        overlap_fraction,
-        scale=math.sqrt(cfg.post_dut_gain_linear),
-    )
     f_lo, f_hi = cfg.band
-    measured = band_power(spectrum, f_lo, f_hi)
+    measured = cfg.post_dut_gain_linear * band_power(spectrum, f_lo, f_hi)
     width = band_width_hz(spectrum, f_lo, f_hi)
     src = cfg.source
     input_band_power_t0 = src.power_scale * src.t0_k * width / (cfg.sample_rate_hz / 2.0)
@@ -497,11 +486,13 @@ def run_direct_experiment(
     reference temperature T0. The in-band output power is divided by the
     in-band input power at T0 times the assumed end-to-end power gain, so
     any mismatch between assumed and actual gain biases F proportionally.
+    The output power is the band power of psd of the DUT output times the
+    post-DUT gain (see _direct_result), so no gained copy of the record is
+    made.
     """
     check_positive("assumed_gain_linear", assumed_gain_linear)
-    return _direct_result(
-        cfg, _direct_record(cfg), assumed_gain_linear, window, overlap_fraction
-    )
+    spectrum = psd(_direct_record(cfg), cfg.fft_size, window, overlap_fraction)
+    return _direct_result(cfg, spectrum, assumed_gain_linear)
 
 
 def sweep_reference_amplitude(
@@ -583,32 +574,24 @@ def gain_sensitivity_study(
     the base bits: one Y-factor run gives each row's bias, base - base,
     which is 0.0, or NaN where the base NF is undefined.
 
-    The direct method's analog record is drawn once (post-DUT gain is
-    applied after it) and analysed once per distinct post-DUT gain, with
-    the gain applied block by block inside the spectrum (see _direct_result),
-    so the record is the only full-length float64 array alive. The rows
-    equal those of run_direct_experiment and run_y_factor_experiment run
-    per ratio.
+    The direct method's analog record is drawn once and its spectrum taken
+    once; each ratio's result is that spectrum's band power times the
+    ratio's post-DUT gain (see _direct_result). The rows equal those of
+    run_direct_experiment and run_y_factor_experiment run per ratio.
     """
     gain_ratios = check_sweep_points("gain", gain_ratios)
     assumed = cfg.dut.gain_linear * cfg.post_dut_gain_linear
     drifted = [
         replace(cfg, post_dut_gain_linear=cfg.post_dut_gain_linear * r) for r in gain_ratios
     ]
-    record = _direct_record(cfg)
-    direct_nf = {}  # by post-DUT gain
-    for c in [cfg] + drifted:
-        gain = c.post_dut_gain_linear
-        if gain not in direct_nf:
-            direct_nf[gain] = _direct_result(c, record, assumed, window, overlap_fraction).nf_db
-    del record  # free the direct record before the Y-factor run
-    base_direct = direct_nf[cfg.post_dut_gain_linear]
+    spectrum = psd(_direct_record(cfg), cfg.fft_size, window, overlap_fraction)
+    base_direct = _direct_result(cfg, spectrum, assumed).nf_db
     base_y = run_y_factor_experiment(
         cfg, window=window, overlap_fraction=overlap_fraction
     ).nf_db
     rows = []
     for ratio, c in zip(gain_ratios, drifted):
-        gain = c.post_dut_gain_linear
-        rows.append(GainSensitivityRow("direct", ratio, direct_nf[gain] - base_direct))
+        direct = _direct_result(c, spectrum, assumed).nf_db
+        rows.append(GainSensitivityRow("direct", ratio, direct - base_direct))
         rows.append(GainSensitivityRow("y_factor", ratio, base_y - base_y))
     return rows

@@ -118,13 +118,12 @@ def square_wave(
     sample_rate_hz: float,
     f0_hz: float,
     amplitude: float,
-    phase_rad: float = 0.0,
 ) -> SampledSignal:
     """Bipolar square wave taking values +amplitude then -amplitude each cycle.
 
-    The wave is +amplitude on the first half of every period (starting at
-    t=0 for zero phase), which makes sample values unambiguous even when a
-    sample lands exactly on a transition.
+    The wave is +amplitude on the first half of every period, starting at
+    t=0, which makes sample values unambiguous even when a sample lands
+    exactly on a transition.
     """
     n = check_integer("n", n, 1)
     check_positive("sample_rate_hz", sample_rate_hz)
@@ -132,24 +131,22 @@ def square_wave(
         raise ParameterError(
             f"f0_hz must lie in (0, sample_rate/2) = (0, {sample_rate_hz / 2.0}), got {f0_hz}"
         )
-    for name, value in (("amplitude", amplitude), ("phase_rad", phase_rad)):
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
-    mask = _first_half_mask(n, sample_rate_hz, f0_hz, phase_rad)
+    if not math.isfinite(amplitude):
+        raise ParameterError(f"amplitude must be finite, got {amplitude!r}")
+    mask = _first_half_mask(n, sample_rate_hz, f0_hz)
     return SampledSignal(sample_rate_hz, np.where(mask, amplitude, -amplitude))
 
 
 @functools.lru_cache(maxsize=1)
-def _first_half_mask(n: int, sample_rate_hz: float, f0_hz: float, phase_rad: float) -> np.ndarray:
+def _first_half_mask(n: int, sample_rate_hz: float, f0_hz: float) -> np.ndarray:
     """Read-only mask of the samples in the first half of their period.
 
     The pattern does not depend on the amplitude, so a sweep that only
     rescales the reference, chunk by chunk, computes it once. It is built
     in blocks of _CHUNK_SAMPLES samples, so its float temporaries stay two
     blocks long whatever n is. The steps round exactly as
-    f0 * (arange(n) / fs) + phase / 2pi, elementwise, and
-    cycle - floor(cycle) equals np.mod(cycle, 1.0) bit for bit (exact for
-    cycle >= 0, one rounding of the same value below 0).
+    f0 * (arange(n) / fs), elementwise, and cycle - floor(cycle) equals
+    np.mod(cycle, 1.0) bit for bit (exact, since cycle >= 0).
     """
     mask = np.empty(n, dtype=bool)
     whole = np.empty(min(n, _CHUNK_SAMPLES), dtype=np.float64)
@@ -158,7 +155,6 @@ def _first_half_mask(n: int, sample_rate_hz: float, f0_hz: float, phase_rad: flo
         cycle = np.arange(start, stop, dtype=np.float64)
         cycle /= sample_rate_hz
         cycle *= f0_hz
-        cycle += phase_rad / (2.0 * math.pi)
         cycle -= np.floor(cycle, out=whole[: stop - start])
         np.less(cycle, 0.5, out=mask[start:stop])
     mask.setflags(write=False)

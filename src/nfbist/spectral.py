@@ -108,7 +108,7 @@ class Spectrum:
 
 def _signal_values(x) -> tuple[np.ndarray, float]:
     if isinstance(x, BitStream):
-        # The int8 bits convert exactly in the windowed product.
+        # The int8 bits convert to float64 exactly in the windowed buffer.
         return x.bits, x.sample_rate_hz
     if isinstance(x, SampledSignal):
         return x.samples, x.sample_rate_hz
@@ -132,25 +132,17 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
     return spectrum
 
 
-def _spectra(
-    records, fft_size: int, window: str, overlap_fraction: float, scale: float | None = None
-) -> list[Spectrum]:
-    """psd of each record, with every sample first multiplied by scale (None: psd).
-
-    Each block of segments is multiplied by scale and then by the window in
-    the windowed buffer, which rounds as (scale * x) * window does, so a
-    spectrum equals psd of the scaled record bit for bit without a scaled
-    copy of it.
+def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> list[Spectrum]:
+    """psd of each record.
 
     When the process may run on two cores, two records are summed at once,
-    one on a worker thread and one on this thread, and a single record of
-    more than one pairwise leaf is split at numpy's top-level pairwise
-    split, the first half on the worker. np.fft.rfft and the ufuncs release
-    the GIL. Each thread owns whole sums, in buffers allocated here (a
-    worker's own temporaries would come from a separate malloc arena). A
-    row costs about half a lane set, so two rows fewer per thread pay for
-    the second thread's lanes and both threads fit one thread's budget.
-    Otherwise the records are summed one after the other on this thread.
+    one on a worker thread and one on this thread; np.fft.rfft and the
+    ufuncs release the GIL. Each thread owns one record's sums, in buffers
+    allocated here (a worker's own temporaries would come from a separate
+    malloc arena). A row costs about half a lane set, so two rows fewer per
+    thread pay for the second thread's lanes and both threads fit one
+    thread's budget. Otherwise the records are summed one after the other
+    on this thread, with the buffers of one record alive at a time.
     """
     signals = [_signal_values(x) for x in records]
     fft_size = check_integer("fft_size", fft_size, 2)
@@ -181,28 +173,16 @@ def _spectra(
     ]
     totals = [np.empty(fft_size // 2 + 1) for _ in inputs]
     rows = max(1, _PSD_BLOCK_BYTES // (8 * fft_size))
-    split = len(inputs) == 1 and len(inputs[0][0]) > _LEAF_SEGMENTS
-    if _usable_cores() >= 2 and (len(inputs) == 2 or split):
+    if len(inputs) == 2 and _usable_cores() >= 2:
         rows = max(1, rows // 2 - 1)
-        # Each thread's (segments, window, first segment, segment count, sum).
-        if split:
-            ((segments, win, _),) = inputs
-            n, half = len(segments), _pairwise_split(len(segments))
-            right = np.empty_like(totals[0])
-            shares = [(segments, win, 0, half, totals[0]), (segments, win, half, n - half, right)]
-        else:
-            shares = [(seg, win, 0, len(seg), t) for (seg, win, _), t in zip(inputs, totals)]
         worker, caller = (
-            functools.partial(_SegmentSums(seg, win, scale, rows, count).sum_range, lo, count, out)
-            for seg, win, lo, count, out in shares
+            functools.partial(_SegmentSums(seg, win, rows).sum_range, 0, len(seg), total)
+            for (seg, win, _), total in zip(inputs, totals)
         )
         _in_two_threads(worker, caller)
-        if split:
-            totals[0] += right
     else:
         for (segments, win, _), total in zip(inputs, totals):
-            n = len(segments)
-            _SegmentSums(segments, win, scale, rows, n).sum_range(0, n, total)
+            _SegmentSums(segments, win, rows).sum_range(0, len(segments), total)
     spectra = []
     for (segments, _, sample_rate_hz), total in zip(inputs, totals):
         # Doubling is exact, so doubling the sums equals summing doubled
@@ -282,32 +262,31 @@ class _SegmentSums:
     each open split, so memory grows with log(n), not with n.
     """
 
-    def __init__(self, segments, win, scale, rows, n_segments):
+    def __init__(self, segments, win, rows):
         fft_size = win.size
         n_freq = fft_size // 2 + 1
         self.segments = segments
         self.win = win
-        self.scale = scale
         self.rows = rows
         # The windowed block; once transformed, its memory holds the powers.
         self.windowed = np.empty(rows * fft_size)
         self.spectra = np.empty(rows * n_freq, dtype=np.complex128)
         self.lanes = np.empty((_LANES, n_freq))
-        self.partials = np.empty((_open_partials(n_segments), n_freq))
+        self.partials = np.empty((_open_partials(len(segments)), n_freq))
 
     def periodograms(self, segs: np.ndarray) -> np.ndarray:
-        """|rfft(scale * segment * win)|^2 of a block of at most rows segments,
-        shaped like the block without its last axis."""
+        """|rfft(segment * win)|^2 of a block of at most rows segments, shaped
+        like the block without its last axis."""
         fft_size = self.win.size
         n_freq = fft_size // 2 + 1
         shape = segs.shape[:-1]
         count = math.prod(shape)
         windowed = self.windowed[: count * fft_size].reshape(*shape, fft_size)
-        if self.scale is None:
-            np.multiply(segs, self.win, out=windowed)
-        else:
-            np.multiply(segs, self.scale, out=windowed)
-            windowed *= self.win
+        # Cast first, then multiply in place: a mixed-type product (int8 bits
+        # by the float64 window) allocates numpy cast buffers and runs a
+        # slower buffered loop. The cast is exact, so the products are the same.
+        np.copyto(windowed, segs)
+        windowed *= self.win
         spectra = self.spectra[: count * n_freq].reshape(*shape, n_freq)
         np.fft.rfft(windowed, out=spectra)
         parts = spectra.view(np.float64)

@@ -43,7 +43,7 @@ from nfbist.pipeline import (
     _sub_seeds,
     check_sweep_points,
 )
-from nfbist.spectral import _spectra, band_power
+from nfbist.spectral import band_power
 
 SOURCE = NoiseSourceSpec(t_hot_k=10_000.0, t_cold_k=1_000.0)
 
@@ -225,7 +225,7 @@ def _dut_output_records(cfg):
         _sigma(cfg, t) * np.random.default_rng(seed).standard_normal(cfg.n_samples)
         for t, seed in zip((src.t_hot_k, src.t_cold_k), (seeds[0], seeds[2]))
     )
-    return {"hot": hot, "cold": cold, "direct": _direct_record(cfg)}
+    return {"hot": hot, "cold": cold, "direct": _direct_record(cfg).samples}
 
 
 # A non-unit gain and power scale, so every term of g * P * T + na counts.
@@ -543,31 +543,18 @@ def test_direct_method_validation():
             run_direct_experiment(cfg, assumed)
 
 
-@pytest.mark.parametrize("segments", [100, 500])
 @pytest.mark.parametrize(
     "analysis", [dict(), dict(window="hann", overlap_fraction=0.5)], ids=["rect", "hann50"]
 )
-def test_direct_method_spectrum_equals_psd_of_the_scaled_record(segments, analysis):
-    # At 500 segments psd splits the pairwise sum across two threads when two
-    # cores are usable; at 100 it runs one leaf on the calling thread.
-    fft_size = 2_000
-    step = fft_size - int(round(fft_size * analysis.get("overlap_fraction", 0.0)))
-    cfg = make_config(seed=4, n_samples=fft_size + (segments - 1) * step, fft_size=fft_size)
-    record = _direct_record(cfg)
+def test_direct_method_band_power_is_the_gain_times_that_of_the_record(analysis):
+    # A PSD scales linearly with power gain, so the direct method takes the
+    # spectrum of the record before post-DUT gain and scales its band power.
+    cfg = make_config(seed=4, **FAST)
+    spectrum = psd(_direct_record(cfg), cfg.fft_size, **analysis)
     for gain in (0.794, 2.5):
-        scaled = SampledSignal(cfg.sample_rate_hz, math.sqrt(gain) * record)
-        want = psd(scaled, fft_size, **analysis)
-        (got,) = _spectra(
-            [SampledSignal(cfg.sample_rate_hz, record)],
-            fft_size,
-            analysis.get("window", "rectangular"),
-            analysis.get("overlap_fraction", 0.0),
-            scale=math.sqrt(gain),
-        )
-        assert got.n_segments == want.n_segments == segments
-        np.testing.assert_array_equal(got.psd, want.psd)
         result = run_direct_experiment(replace(cfg, post_dut_gain_linear=gain), 1.0, **analysis)
-        assert result.band_power_cold == band_power(want, *cfg.band)
+        assert result.n_segments == spectrum.n_segments
+        assert result.band_power_cold == gain * band_power(spectrum, *cfg.band)
 
 
 def test_sweep_reference_amplitude_structure():
@@ -786,6 +773,15 @@ def test_gain_sensitivity_study_runs_the_comparator_once(monkeypatch):
     cfg = make_config(seed=5, **CRN_CONFIG)
     gain_sensitivity_study(cfg, DEFAULT_GAIN_RATIOS)
     assert passes == [(cfg.seed, cfg.post_dut_gain_linear, [cfg.ref_amplitude])]
+
+
+def test_gain_sensitivity_study_takes_one_direct_spectrum(monkeypatch):
+    # Every ratio's direct result scales the band power of the same
+    # spectrum; the Y-factor run sums its two spectra in _spectra.
+    calls = []
+    monkeypatch.setattr(pipeline, "psd", lambda *args: calls.append(args) or psd(*args))
+    gain_sensitivity_study(make_config(seed=5, **CRN_CONFIG), DEFAULT_GAIN_RATIOS)
+    assert len(calls) == 1
 
 
 def test_sweep_reference_amplitude_runs_the_comparator_once_per_seed(monkeypatch):

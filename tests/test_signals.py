@@ -89,25 +89,12 @@ def test_square_wave_rejects_bad_length(n):
         square_wave(n, 8.0, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
-def test_square_wave_rejects_non_finite_phase(phase):
-    # A NaN phase would otherwise make every sample -amplitude.
-    with pytest.raises(ParameterError):
-        square_wave(16, 8.0, 1.0, 1.0, phase_rad=phase)
-
-
 def test_square_wave_exact_pattern():
     # One full period sampled 8x: high half first, then low half.
     sig = square_wave(8, 8.0, 1.0, 2.5)
     np.testing.assert_array_equal(
         sig.samples, [2.5, 2.5, 2.5, 2.5, -2.5, -2.5, -2.5, -2.5]
     )
-
-
-def test_square_wave_half_period_phase_inverts():
-    base = square_wave(8, 8.0, 1.0, 1.0)
-    shifted = square_wave(8, 8.0, 1.0, 1.0, phase_rad=math.pi)
-    np.testing.assert_array_equal(shifted.samples, -base.samples)
 
 
 def test_square_wave_zero_mean_over_whole_periods():
@@ -129,20 +116,19 @@ def test_square_wave_rejects_bad_sample_rate(rate):
 
 
 @pytest.mark.parametrize("rate, f0", [(50_000.0, 3_000.0), (10_000.0, 977.0), (44_100.0, 1234.5)])
-@pytest.mark.parametrize("phase", [0.0, 0.3, -2.0, -1e-4, 7.1])
-def test_square_wave_matches_mod_formula(rate, f0, phase):
+def test_square_wave_matches_mod_formula(rate, f0):
     # The waveform takes the fractional cycle position as x - floor(x); it
-    # must equal the np.mod form bit for bit, negative phases included. The
+    # must equal the np.mod form bit for bit. The
     # pattern is cached: the first call misses, the repeat and the other
     # amplitude hit, and writing to a returned array must not reach them.
     # The pattern is built in _CHUNK_SAMPLES-sample blocks: three whole
     # blocks and a short tail.
     n = 3 * _CHUNK_SAMPLES + 7
     t = np.arange(n, dtype=np.float64) / rate
-    cycle_pos = np.mod(f0 * t + phase / (2.0 * math.pi), 1.0)
+    cycle_pos = np.mod(f0 * t, 1.0)
     for amplitude in (1.7, 1.7, 0.3):
         expected = np.where(cycle_pos < 0.5, amplitude, -amplitude)
-        samples = square_wave(n, rate, f0, amplitude, phase_rad=phase).samples
+        samples = square_wave(n, rate, f0, amplitude).samples
         np.testing.assert_array_equal(samples, expected)
         samples.setflags(write=True)
         samples[:] = 0.0

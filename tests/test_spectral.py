@@ -162,12 +162,13 @@ def _split_input(n_segments, fft_size, overlap):
 @pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("window, overlap", [("rectangular", 0.0), ("hann", 0.5), ("hann", 0.75)])
 @pytest.mark.parametrize("fft_size", [2_000, 10_000])
-def test_psd_split_across_threads_matches_single_pass(monkeypatch, cores, window, overlap, fft_size):
+def test_spectra_one_thread_per_record_matches_single_pass(
+    monkeypatch, cores, window, overlap, fft_size
+):
     # Segment counts: one, exactly one full row block, one block plus a
-    # segment, and three blocks. Only more than one 128-segment pairwise
-    # leaf is split across threads: three blocks at fft 2 000 (two
-    # subtrees), never at fft 10 000 (one leaf). Two records are always
-    # split, one whole record per thread, whatever their length.
+    # segment, and three blocks (two pairwise subtrees at fft 2 000). A
+    # single record is summed whole on the calling thread; two records on
+    # two usable cores are summed one per thread, whatever their length.
     rows = spectral._PSD_BLOCK_BYTES // (8 * fft_size)
     monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
     first_call = {}  # each thread's first entry into the summation: its share
@@ -190,14 +191,7 @@ def test_psd_split_across_threads_matches_single_pass(monkeypatch, cores, window
             assert s.n_segments == n_segments
             want = _single_pass_psd(values, sig.sample_rate_hz, fft_size, window, overlap)
             assert np.array_equal(s.psd, want)
-            if cores == 2 and n_segments > 128:
-                half = n_segments // 2 - n_segments // 2 % 8
-                assert first_call == {
-                    False: ("sum_range", 0, half, rows // 2 - 1),
-                    True: ("sum_range", half, n_segments - half, rows // 2 - 1),
-                }
-            else:
-                assert first_call == {True: ("sum_range", 0, n_segments, rows)}
+            assert first_call == {True: ("sum_range", 0, n_segments, rows)}
         first_call.clear()
         pair = spectral._spectra([noise, bits], fft_size, window, overlap)
         for s, values in zip(pair, (noise.samples, bits.bits.astype(np.float64))):
@@ -274,23 +268,27 @@ def test_psd_worker_failure_propagates(monkeypatch):
     sig = gaussian_noise(400_000, 1.0, seed=0, sample_rate_hz=50_000.0)  # 200 segments
     threads_before = threading.active_count()
     with pytest.raises(RuntimeError, match="in the worker"):
-        psd(sig, 2_000)
+        spectral._spectra([sig, sig], 2_000, "rectangular", 0.0)
     assert threading.active_count() == threads_before
 
 
 def test_psd_concurrent_callers_get_serial_bytes(monkeypatch):
     # Two user threads, each with its own worker: four threads on at most
     # two cores, switching as often as the interpreter allows.
-    sig = gaussian_noise(400_000, 1.0, seed=9, sample_rate_hz=50_000.0)
+    pair = [gaussian_noise(400_000, 1.0, seed=s, sample_rate_hz=50_000.0) for s in (9, 10)]
     args = [(2_000, "rectangular", 0.0), (10_000, "hann", 0.5)]
+
+    def spectra_bytes(a):
+        return b"".join(s.psd.tobytes() for s in spectral._spectra(pair, *a))
+
     monkeypatch.setattr(spectral, "_usable_cores", lambda: 1)
-    serial = [psd(sig, *a).psd.tobytes() for a in args]
+    serial = [spectra_bytes(a) for a in args]
     monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
     results = [[], []]
 
     def run(k):
         for _ in range(5):
-            results[k].append(psd(sig, *args[k]).psd.tobytes())
+            results[k].append(spectra_bytes(args[k]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
