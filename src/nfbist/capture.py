@@ -9,7 +9,10 @@ Layout (little-endian throughout):
     bytes 24-   bits packed 8 per byte, LSB first, bit value 1 <-> +1;
                 unused bits in the final byte are zero
 
-The round trip write_capture -> read_capture is lossless.
+The payload is the layout in which a BitStream made by the package holds
+its bits, so write_capture writes the header and then the stream's payload
+as it is, and read_capture wraps the file's payload bytes without unpacking
+them. The round trip write_capture -> read_capture is lossless.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ _HEADER = struct.Struct("<4sIdQ")
 
 def write_capture(path, bits: BitStream) -> None:
     """Write a bitstream to ``path`` in NFB1 format."""
-    payload = np.packbits(bits.bits > 0, bitorder="little").tobytes()
-    header = _HEADER.pack(MAGIC, VERSION, bits.sample_rate_hz, bits.bits.size)
+    header = _HEADER.pack(MAGIC, VERSION, bits.sample_rate_hz, len(bits))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(bits._payload())
 
 
 def read_capture(path) -> BitStream:
@@ -54,21 +56,17 @@ def read_capture(path) -> BitStream:
     if n_bits < 1:
         raise CaptureCorruptError(f"{path}: capture claims {n_bits} bits")
     expected_payload = (n_bits + 7) // 8
-    payload = raw[_HEADER.size :]
-    if len(payload) < expected_payload:
+    have = len(raw) - _HEADER.size
+    if have < expected_payload:
         raise CaptureCorruptError(
-            f"{path}: truncated payload, have {len(payload)} bytes, need {expected_payload}"
+            f"{path}: truncated payload, have {have} bytes, need {expected_payload}"
         )
-    if len(payload) > expected_payload:
+    if have > expected_payload:
         raise CaptureCorruptError(
-            f"{path}: {len(payload) - expected_payload} trailing bytes after payload"
+            f"{path}: {have - expected_payload} trailing bytes after payload"
         )
-    packed = np.frombuffer(payload, dtype=np.uint8)
-    ones = np.unpackbits(packed, bitorder="little")
-    if ones[n_bits:].any():
+    payload = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size)
+    # Only the last byte can hold padding bits: those above bit n_bits % 8.
+    if n_bits % 8 and payload[-1] >> (n_bits % 8):
         raise CaptureCorruptError(f"{path}: nonzero padding bits after the payload")
-    # Map the freshly unpacked 0/1 bytes to -1/+1 where they lie.
-    bits = ones[:n_bits].view(np.int8)
-    bits *= 2
-    bits -= 1
-    return BitStream(sample_rate_hz, bits)
+    return BitStream._from_packed(sample_rate_hz, payload, n_bits)

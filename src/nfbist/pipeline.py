@@ -25,12 +25,14 @@ a - r >= 0 holds exactly when a >= r, so the bits are those of digitize on
 the record and the square-wave reference, without building either waveform,
 their difference or a reference per chunk. The decisions are packed 8 per
 byte as they are made, so one pass serves every level of a
-reference-amplitude sweep in n/4 bytes per level. The hot and the cold
-state share nothing but that pattern (each has its own generator), so on a
-host with two usable cores the hot state's pass runs on a worker thread
-while the cold state's runs on the calling thread, and their spectra are
-summed the same way (see spectral._spectra); the bits and the results are
-the same as on one core.
+reference-amplitude sweep in n/4 bytes per level, and each packed stream
+becomes a BitStream as it is, without a copy: the bits stay n/8 bytes per
+state from the comparator to the capture file and the spectra. The hot
+and the cold state share nothing but that pattern (each has its own
+generator), so on a host with two usable cores the hot state's pass runs
+on a worker thread while the cold state's runs on the calling thread, and
+their spectra are summed the same way (see spectral._spectra); the bits
+and the results are the same as on one core.
 """
 
 from __future__ import annotations
@@ -252,7 +254,7 @@ def _comparator_bits(cfg: ExperimentConfig, fractions: Sequence[float]) -> np.nd
     numbers).
 
     Each state runs _state_bits over its whole record in buffers allocated
-    here, 1 MiB of float64 and two 128 KiB bool chunks per state: the hot
+    here, 1 MiB of float64 and one 128 KiB bool chunk per state: the hot
     state on a worker thread and the cold state on this one when two cores
     are usable, one after the other on this thread otherwise, with the same
     bits. Returns a uint8 array of shape (len(fractions), 2, ceil(n / 8)),
@@ -276,15 +278,19 @@ def _comparator_bits(cfg: ExperimentConfig, fractions: Sequence[float]) -> np.nd
     # them: allocated after it, they left about 3 MB more of a sweep process
     # resident when the direct method's record was drawn next (peak RSS
     # 52.5 instead of 49.1 MB).
-    buffers = [
-        (np.empty(size), np.empty(size, dtype=np.bool_), np.empty(size, dtype=np.bool_))
-        for _ in range(2)
-    ]
+    buffers = [(np.empty(size), np.empty(size, dtype=np.bool_)) for _ in range(2)]
     packed = np.empty((len(fractions), 2, -(-n // 8)), dtype=np.uint8)
     seeds = _sub_seeds(cfg.seed, 6)
     hot, cold = (
         functools.partial(
-            _state_bits, np.random.default_rng(seed), sigma, levels, first_half, packed[:, k], *b
+            _state_bits,
+            np.random.default_rng(seed),
+            sigma,
+            levels,
+            first_half,
+            n,
+            packed[:, k],
+            *b,
         )
         for k, (seed, sigma, b) in enumerate(zip((seeds[0], seeds[2]), sigmas, buffers))
     )
@@ -292,7 +298,7 @@ def _comparator_bits(cfg: ExperimentConfig, fractions: Sequence[float]) -> np.nd
     return packed
 
 
-def _state_bits(rng, sigma, levels, first_half, out, z_buffer, high_buffer, bits_buffer):
+def _state_bits(rng, sigma, levels, first_half, n, out, z_buffer, decided_buffer):
     """One state's comparator pass: out[k] = the packed decisions at levels[k].
 
     Draws the state's standard-normal record into z_buffer, _CHUNK_SAMPLES
@@ -301,29 +307,30 @@ def _state_bits(rng, sigma, levels, first_half, out, z_buffer, high_buffer, bits
     from chunk to chunk, so the chunks concatenate bit for bit to one
     full-length draw. Each chunk is scaled by sigma in place to the samples
     a, and each level's decisions are a >= level in the first half of the
-    reference period (first_half) and a >= -level in the second: elementwise
-    the comparison with the square-wave reference. _CHUNK_SAMPLES is a
-    multiple of 8, so every chunk starts on a byte of out.
+    reference period and a >= -level in the second: elementwise the
+    comparison with the square-wave reference. Both comparisons are packed
+    as out is, and merged bytewise by first_half, the pattern packed the
+    same way: high where its bit is 1, low elsewhere. _CHUNK_SAMPLES is a
+    multiple of 8, so every chunk starts on a byte of out and of first_half.
     """
-    n = first_half.size
     for start in range(0, n, _CHUNK_SAMPLES):
         stop = min(start + _CHUNK_SAMPLES, n)
-        z, high, bits = (b[: stop - start] for b in (z_buffer, high_buffer, bits_buffer))
+        z, decided = z_buffer[: stop - start], decided_buffer[: stop - start]
         rng.standard_normal(out=z)
         z *= sigma
+        chunk = slice(start // 8, -(-stop // 8))
         for level, state_bits in zip(levels, out):
-            np.greater_equal(z, level, out=high)
-            np.greater_equal(z, -level, out=bits)
-            np.copyto(bits, high, where=first_half[start:stop])
-            state_bits[start // 8 : -(-stop // 8)] = np.packbits(bits, bitorder="little")
+            high = np.packbits(np.greater_equal(z, level, out=decided), bitorder="little")
+            low = np.packbits(np.greater_equal(z, -level, out=decided), bitorder="little")
+            # low ^ ((low ^ high) & first_half): high's bit where the pattern's is 1.
+            high ^= low
+            high &= first_half[chunk]
+            np.bitwise_xor(low, high, out=state_bits[chunk])
 
 
 def _bitstream(cfg: ExperimentConfig, packed: np.ndarray) -> BitStream:
-    """One packed decision stream of _comparator_bits as cfg's -1/+1 bitstream."""
-    bits = np.unpackbits(packed, count=cfg.n_samples, bitorder="little").view(np.int8)
-    bits *= 2
-    bits -= 1
-    return BitStream(cfg.sample_rate_hz, bits)
+    """One packed decision stream of _comparator_bits as cfg's bitstream, without a copy."""
+    return BitStream._from_packed(cfg.sample_rate_hz, packed, cfg.n_samples)
 
 
 def simulate_bitstreams(cfg: ExperimentConfig) -> tuple[BitStream, BitStream]:
@@ -332,7 +339,8 @@ def simulate_bitstreams(cfg: ExperimentConfig) -> tuple[BitStream, BitStream]:
     Draws each state's standard-normal record _CHUNK_SAMPLES samples at a
     time and scales and compares each chunk with the same chunk of the
     reference (see _comparator_bits), so the float working memory is one
-    chunk per state whatever the record length. With two usable cores the
+    chunk per state whatever the record length. Each bitstream holds its
+    state's packed decisions, n/8 bytes. With two usable cores the
     hot and the cold state are drawn and compared on two threads at once,
     with the same bits as on one. The reference-amplitude sweep makes the
     same pass with all of its fractions at once, so its bits equal this
@@ -513,10 +521,10 @@ def sweep_reference_amplitude(
     every fraction's reference in one comparator pass (common random
     numbers), which keeps the decisions packed, n/4 bytes per fraction
     (below the 16 bytes per sample of kept float64 hot and cold records up
-    to 64 fractions); each fraction is unpacked to bitstreams only for its
-    own analysis. The bits of each point equal those of simulate_bitstreams
-    at that point's config, so every row is the same as running each
-    experiment on its own.
+    to 64 fractions); each fraction's streams are wrapped as bitstreams,
+    without a copy, for its own analysis. The bits of each point equal
+    those of simulate_bitstreams at that point's config, so every row is the
+    same as running each experiment on its own.
     """
     fractions = check_sweep_points("ref-amplitude", fractions)
     n_seeds = check_integer("n_seeds", n_seeds, 1)

@@ -133,30 +133,38 @@ def square_wave(
         )
     if not math.isfinite(amplitude):
         raise ParameterError(f"amplitude must be finite, got {amplitude!r}")
-    mask = _first_half_mask(n, sample_rate_hz, f0_hz)
+    packed = _first_half_mask(n, sample_rate_hz, f0_hz)
+    mask = np.unpackbits(packed, count=n, bitorder="little").view(np.bool_)
     return SampledSignal(sample_rate_hz, np.where(mask, amplitude, -amplitude))
 
 
 @functools.lru_cache(maxsize=1)
 def _first_half_mask(n: int, sample_rate_hz: float, f0_hz: float) -> np.ndarray:
-    """Read-only mask of the samples in the first half of their period.
+    """Read-only packed mask of the samples in the first half of their period.
 
-    The pattern does not depend on the amplitude, so a sweep that only
-    rescales the reference, chunk by chunk, computes it once. It is built
-    in blocks of _CHUNK_SAMPLES samples, so its float temporaries stay two
-    blocks long whatever n is. The steps round exactly as
-    f0 * (arange(n) / fs), elementwise, and cycle - floor(cycle) equals
-    np.mod(cycle, 1.0) bit for bit (exact, since cycle >= 0).
+    Bit i is 1 where sample i lies in the first half; the bits are packed 8
+    per byte, LSB first, with the unused bits of the last byte zero, as the
+    comparator packs its decisions, so the cache holds n/8 bytes. The
+    pattern does not depend on the amplitude, so a sweep that only rescales
+    the reference, chunk by chunk, computes it once. It is built in blocks
+    of _CHUNK_SAMPLES samples (a multiple of 8, so each block starts on a
+    byte), so its temporaries stay a few blocks long whatever n is. The
+    steps round exactly as f0 * (arange(n) / fs), elementwise, and
+    cycle - floor(cycle) equals np.mod(cycle, 1.0) bit for bit (exact,
+    since cycle >= 0).
     """
-    mask = np.empty(n, dtype=bool)
-    whole = np.empty(min(n, _CHUNK_SAMPLES), dtype=np.float64)
+    mask = np.empty(-(-n // 8), dtype=np.uint8)
+    size = min(n, _CHUNK_SAMPLES)
+    whole = np.empty(size, dtype=np.float64)
+    first = np.empty(size, dtype=np.bool_)
     for start in range(0, n, _CHUNK_SAMPLES):
         stop = min(start + _CHUNK_SAMPLES, n)
         cycle = np.arange(start, stop, dtype=np.float64)
         cycle /= sample_rate_hz
         cycle *= f0_hz
         cycle -= np.floor(cycle, out=whole[: stop - start])
-        np.less(cycle, 0.5, out=mask[start:stop])
+        block = np.less(cycle, 0.5, out=first[: stop - start])
+        mask[start // 8 : -(-stop // 8)] = np.packbits(block, bitorder="little")
     mask.setflags(write=False)
     return mask
 

@@ -6,7 +6,10 @@ and non-overlapping by default (a Hann window with fractional overlap is
 available for leakage-sensitive work). The segment periodograms are summed
 as they are computed, in numpy's pairwise order, so a spectrum takes memory
 for a few blocks of segments and O(log n) partial sums, not for every
-segment, and still equals the mean of all periodograms bit for bit.
+segment, and still equals the mean of all periodograms bit for bit. A
+packed bitstream's segments are read from its payload one block at a time:
+the bytes that cover the block are unpacked to +1/-1 int8 and copied into
+the windowed buffer, so the bits are never unpacked whole.
 
 Hot/cold spectra from a 1-bit digitizer cannot be compared directly because
 the comparator erases absolute levels. ``power_ratio_detail`` therefore
@@ -17,14 +20,12 @@ bins around the reference, and ratios the remaining in-band power.
 from __future__ import annotations
 
 import functools
-import math
 import os
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .digitizer import BitStream
 from .errors import (
@@ -106,12 +107,16 @@ class Spectrum:
         return float(self.psd.sum() * self.bin_width_hz)
 
 
-def _signal_values(x) -> tuple[np.ndarray, float]:
+def _record(x):
+    """(span, length, sample rate) of a signal or bitstream, where
+    span(start, stop) gives its values start .. stop - 1: a view of a
+    signal's float64 samples, or a bitstream's +1/-1 int8 values, unpacked
+    from its payload when it is packed. int8 converts to float64 exactly."""
     if isinstance(x, BitStream):
-        # The int8 bits convert to float64 exactly in the windowed buffer.
-        return x.bits, x.sample_rate_hz
+        return x._span, len(x), x.sample_rate_hz
     if isinstance(x, SampledSignal):
-        return x.samples, x.sample_rate_hz
+        samples = x.samples
+        return (lambda start, stop: samples[start:stop]), samples.size, x.sample_rate_hz
     raise ParameterError(f"expected SampledSignal or BitStream, got {type(x).__name__}")
 
 
@@ -139,20 +144,20 @@ def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> li
     one on a worker thread and one on this thread; np.fft.rfft and the
     ufuncs release the GIL. Each thread owns one record's sums, in buffers
     allocated here (a worker's own temporaries would come from a separate
-    malloc arena). A row costs about half a lane set, so two rows fewer per
+    malloc arena); only a packed bitstream's unpacked bytes, at most one
+    block's worth at a time, are allocated by the thread that reads them.
+    A row costs about half a lane set, so two rows fewer per
     thread pay for the second thread's lanes and both threads fit one
     thread's budget. Otherwise the records are summed one after the other
     on this thread, with the buffers of one record alive at a time.
     """
-    signals = [_signal_values(x) for x in records]
+    inputs = [_record(x) for x in records]
     fft_size = check_integer("fft_size", fft_size, 2)
     if fft_size % 2 != 0:
         raise ParameterError(f"fft_size must be even, got {fft_size}")
-    for values, _ in signals:
-        if fft_size > values.size:
-            raise InsufficientDataError(
-                f"fft_size {fft_size} exceeds record length {values.size}"
-            )
+    for _, n, _ in inputs:
+        if fft_size > n:
+            raise InsufficientDataError(f"fft_size {fft_size} exceeds record length {n}")
     if window not in _WINDOWS:
         raise ParameterError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
     if not (
@@ -166,30 +171,31 @@ def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> li
         raise ParameterError(
             f"overlap_fraction {overlap_fraction} leaves no hop between {fft_size}-sample segments"
         )
-    # (segments, window scaled to the record's rate, sample rate) per record
-    inputs = [
-        (sliding_window_view(values, fft_size)[::step], _scaled_window(window, fft_size, rate), rate)
-        for values, rate in signals
-    ]
     totals = [np.empty(fft_size // 2 + 1) for _ in inputs]
+    counts = [(n - fft_size) // step + 1 for _, n, _ in inputs]
     rows = max(1, _PSD_BLOCK_BYTES // (8 * fft_size))
+
+    def sums(record, count, rows):
+        span, _, rate = record
+        return _SegmentSums(span, step, count, _scaled_window(window, fft_size, rate), rows)
+
     if len(inputs) == 2 and _usable_cores() >= 2:
         rows = max(1, rows // 2 - 1)
         worker, caller = (
-            functools.partial(_SegmentSums(seg, win, rows).sum_range, 0, len(seg), total)
-            for (seg, win, _), total in zip(inputs, totals)
+            functools.partial(sums(record, count, rows).sum_range, 0, count, total)
+            for record, count, total in zip(inputs, counts, totals)
         )
         _in_two_threads(worker, caller)
     else:
-        for (segments, win, _), total in zip(inputs, totals):
-            _SegmentSums(segments, win, rows).sum_range(0, len(segments), total)
+        for record, count, total in zip(inputs, counts, totals):
+            sums(record, count, rows).sum_range(0, count, total)
     spectra = []
-    for (segments, _, sample_rate_hz), total in zip(inputs, totals):
+    for (_, _, sample_rate_hz), count, total in zip(inputs, counts, totals):
         # Doubling is exact, so doubling the sums equals summing doubled
         # periodograms; the mean then divides by the count, as np.mean does.
         total[1:-1] *= 2
-        total /= len(segments)
-        spectra.append(Spectrum(total, fft_size, len(segments), sample_rate_hz))
+        total /= count
+        spectra.append(Spectrum(total, fft_size, count, sample_rate_hz))
     return spectra
 
 
@@ -256,43 +262,52 @@ class _SegmentSums:
     """One thread's buffers for transforming segments and summing their
     periodograms in numpy's pairwise order, segment by segment.
 
-    The sum of n periodograms equals the contiguous (freq, segment) array's
-    sum over its last axis bit for bit, so their mean equals np.mean's. Only
-    rows segments are transformed at a time, and a partial sum is held for
-    each open split, so memory grows with log(n), not with n.
+    Segment i is the record's values i * step .. i * step + fft_size - 1,
+    read through span (see _record), so a packed bitstream is unpacked one
+    block of segments at a time. The sum of n periodograms equals the
+    contiguous (freq, segment) array's sum over its last axis bit for bit,
+    so their mean equals np.mean's. Only rows segments are transformed at a
+    time, and a partial sum is held for each open split, so memory grows
+    with log(n), not with n.
     """
 
-    def __init__(self, segments, win, rows):
+    def __init__(self, span, step, n_segments, win, rows):
         fft_size = win.size
         n_freq = fft_size // 2 + 1
-        self.segments = segments
+        self.span = span
+        self.step = step
         self.win = win
         self.rows = rows
         # The windowed block; once transformed, its memory holds the powers.
         self.windowed = np.empty(rows * fft_size)
         self.spectra = np.empty(rows * n_freq, dtype=np.complex128)
         self.lanes = np.empty((_LANES, n_freq))
-        self.partials = np.empty((_open_partials(len(segments)), n_freq))
+        self.partials = np.empty((_open_partials(n_segments), n_freq))
 
-    def periodograms(self, segs: np.ndarray) -> np.ndarray:
-        """|rfft(segment * win)|^2 of a block of at most rows segments, shaped
-        like the block without its last axis."""
+    def periodograms(self, first: int, count: int) -> np.ndarray:
+        """|rfft(segment * win)|^2 of segments first .. first + count - 1
+        (count at most rows), shape (count, n_freq)."""
         fft_size = self.win.size
         n_freq = fft_size // 2 + 1
-        shape = segs.shape[:-1]
-        count = math.prod(shape)
-        windowed = self.windowed[: count * fft_size].reshape(*shape, fft_size)
+        start = first * self.step
+        values = self.span(start, start + (count - 1) * self.step + fft_size)
+        # The segments as rows of a strided view of the span. Built directly:
+        # sliding_window_view, called once per block, left a 0.9 MiB
+        # allocation alive after a few hundred analyses.
+        size = values.itemsize
+        segments = np.ndarray((count, fft_size), values.dtype, values, 0, (self.step * size, size))
+        windowed = self.windowed[: count * fft_size].reshape(count, fft_size)
         # Cast first, then multiply in place: a mixed-type product (int8 bits
         # by the float64 window) allocates numpy cast buffers and runs a
         # slower buffered loop. The cast is exact, so the products are the same.
-        np.copyto(windowed, segs)
+        np.copyto(windowed, segments)
         windowed *= self.win
-        spectra = self.spectra[: count * n_freq].reshape(*shape, n_freq)
+        spectra = self.spectra[: count * n_freq].reshape(count, n_freq)
         np.fft.rfft(windowed, out=spectra)
         parts = spectra.view(np.float64)
         np.square(parts, out=parts)
-        power = self.windowed[: count * n_freq].reshape(*shape, n_freq)
-        np.add(parts[..., 0::2], parts[..., 1::2], out=power)
+        power = self.windowed[: count * n_freq].reshape(count, n_freq)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=power)
         return power
 
     def sum_range(self, lo: int, n: int, out: np.ndarray, depth: int = 0):
@@ -318,20 +333,24 @@ class _SegmentSums:
         r.fill(0.0)
         lanes = n - n % _LANES
         if lanes:
-            groups = self.segments[lo : lo + lanes].reshape(-1, _LANES, self.win.size)
+            # Blocks of whole groups of _LANES segments; for huge segments
+            # (rows < _LANES), one group's lanes in near-equal parts.
+            # Either way a block is a run of consecutive segments.
             per_block = max(1, self.rows // _LANES)
-            # Huge segments: split each group's lanes into near-equal blocks.
             lane_block = -(-_LANES // -(-_LANES // self.rows))
-            for g in range(0, groups.shape[0], per_block):
+            for g in range(lo, lo + lanes, per_block * _LANES):
+                groups = min(per_block, (lo + lanes - g) // _LANES)
                 for a in range(0, _LANES, lane_block):
-                    for power in self.periodograms(groups[g : g + per_block, a : a + lane_block]):
-                        r[a : a + power.shape[0]] += power
+                    width = min(lane_block, _LANES - a)
+                    powers = self.periodograms(g + a, groups * width)
+                    for power in powers.reshape(groups, width, -1):
+                        r[a : a + width] += power
             np.add(r[0::2], r[1::2], out=r[0::2])
             np.add(r[0::4], r[2::4], out=r[0::4])
             r[0] += r[4]
         total = r[0]
         for a in range(lo + lanes, lo + n, self.rows):
-            for power in self.periodograms(self.segments[a : min(a + self.rows, lo + n)]):
+            for power in self.periodograms(a, min(self.rows, lo + n - a)):
                 total += power
         return total
 

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -93,6 +94,23 @@ def test_simulate_writes_report_and_spectra(tmp_path, capsys):
 
     out = capsys.readouterr().out
     assert "y =" in out and "nf_db =" in out
+
+
+def test_default_config_captures_are_pinned(tmp_path):
+    # The NFB1 bytes of the README default config at seed 1; the file
+    # format must not move with the bitstreams' in-memory form.
+    cfg_path = write_config(tmp_path, n_samples=1_000_000, fft_size=10_000, seed=1)
+    out_dir = tmp_path / "run"
+    args = ["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--save-captures"]
+    assert main(args) == 0
+    digests = {
+        state: hashlib.sha256((out_dir / f"capture_{state}.nfb").read_bytes()).hexdigest()
+        for state in ("hot", "cold")
+    }
+    assert digests == {
+        "hot": "9cc14ea668f1878023eb07668729d2087ab8cb3a9d3962c5c7bc3f5704605469",
+        "cold": "6c7071783c12d0b9b013f633c59c4443421a9563a859d57979492119406f80c1",
+    }
 
 
 def test_simulate_deterministic(tmp_path):

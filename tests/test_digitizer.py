@@ -62,6 +62,67 @@ def test_bitstream_check_works_in_bounded_blocks():
         BitStream(50_000.0, bad)
 
 
+def _packed(values, rate=1.0):
+    """A packed bitstream of the +-1 values, as digitize makes it."""
+    signal = SampledSignal(rate, np.asarray(values, dtype=np.float64))
+    return digitize(signal, SampledSignal(rate, np.zeros(signal.samples.size)))
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, 1_001, 3 * (1 << 16) + 5])
+def test_mean_is_counted_from_the_packed_bytes(n):
+    # (2 * ones - n) / n, with the ones counted in the payload, equals the
+    # mean of the unpacked values exactly; every n leaves a partial last byte.
+    for seed, p_plus in ((0, 0.5), (1, 0.9), (2, 0.02)):
+        rng = np.random.default_rng(seed)
+        values = np.where(rng.random(n) < p_plus, 1, -1).astype(np.int8)
+        want = float(values.mean())
+        kept = BitStream(1.0, values)
+        for stream in (_packed(values), BitStream(1.0, values.astype(np.int16)), kept):
+            assert stream.mean() == want
+            assert len(stream) == n
+
+
+def test_bitstream_keeps_an_int8_array_and_packs_any_other_input():
+    values = np.array([1, -1, -1, 1, 1, 1, -1, 1, 1], dtype=np.int8)
+    kept = BitStream(10.0, values)
+    assert np.shares_memory(kept.bits, values) and not values.flags.writeable
+    # LSB first, bit set for +1: 1,0,0,1,1,1,0,1 -> 0b10111001, then 0b1.
+    strided = np.repeat(values, 2)[::2]
+    for other in (values.astype(np.int64), values.astype(float), values.tolist(), strided):
+        stream = BitStream(10.0, other)
+        assert stream._payload().tolist() == [0b10111001, 0b1]
+        np.testing.assert_array_equal(stream.bits, values)
+    # Blocks of _CHECK_BLOCK values pack to the bytes of one whole-array pack.
+    rng = np.random.default_rng(3)
+    values = rng.choice(np.array([-1.0, 1.0]), 3 * (1 << 16) + 13)
+    stream = BitStream(10.0, values)
+    assert stream._payload().tobytes() == np.packbits(values > 0, bitorder="little").tobytes()
+    with pytest.raises(AttributeError):
+        stream.sample_rate_hz = 5.0
+
+
+def test_packed_bitstream_holds_one_bit_per_decision():
+    # .bits is unpacked afresh on every read and never kept, so the stream
+    # holds n/8 bytes however often .bits is read.
+    n = 1_000_003
+    rng = np.random.default_rng(4)
+    stream = _packed(np.where(rng.random(n) < 0.5, 1, -1), rate=50_000.0)
+    first, second = stream.bits, stream.bits
+    assert first is not second and not np.shares_memory(first, second)
+    assert first.dtype == np.int8 and not first.flags.writeable
+    np.testing.assert_array_equal(first, second)
+    del first, second
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            assert stream.bits.size == n
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**12
+    assert stream._payload().nbytes == -(-n // 8)
+
+
 def test_digitize_threshold_and_ties():
     sig = _const_signal([0.0, 0.5, -0.5, 1.0])
     ref = _const_signal([0.0, 0.0, 0.0, 1.0])

@@ -1,6 +1,7 @@
 """Tests for waveform containers and the two-state noise source."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nfbist import (
     source_output,
     square_wave,
 )
+from nfbist import signals
 from nfbist.signals import _CHUNK_SAMPLES
 
 
@@ -173,3 +175,19 @@ def test_source_output_deterministic_per_seed():
     b = source_output(src, "hot", 64, 10.0, seed=7)
     np.testing.assert_array_equal(a.samples, b.samples)
     assert a.sample_rate_hz == 10.0
+
+
+def test_square_wave_pattern_is_cached_one_bit_per_sample():
+    # The cache keeps the pattern packed, n/8 bytes: 1.19 MiB at 1e7
+    # samples, where one byte per sample kept 9.5 MiB for the life of the
+    # process.
+    signals._first_half_mask.cache_clear()
+    tracemalloc.start()
+    try:
+        mask = signals._first_half_mask(10_000_000, 50_000.0, 3_000.0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        signals._first_half_mask.cache_clear()
+    assert held <= 1.3 * 2**20
+    assert mask.dtype == np.uint8 and mask.size == 1_250_000 and not mask.flags.writeable
