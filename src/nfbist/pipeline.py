@@ -14,7 +14,9 @@ reference before it: the Y-factor bits do not depend on the gain by
 construction, which is what makes the method immune to gain error, unlike
 the direct method. That method's record is drawn before post-DUT gain too,
 and since a PSD scales linearly with power gain, its band power is the
-record's band power times the gain: one spectrum serves every gain.
+record's band power times the gain: one spectrum serves every gain. The
+record is drawn block by block as its periodogram reads it, so its memory
+does not grow with its length.
 
 The comparator works on the standard-normal draw z, one pass per state:
 per chunk, the state's z is drawn into a reused buffer and scaled there by
@@ -65,13 +67,14 @@ from .nfcore import f_from_y_temps, f_to_nf, ideal_y
 from .signals import (
     _CHUNK_SAMPLES,
     NoiseSourceSpec,
-    SampledSignal,
+    _NoiseDraw,
     _first_half_mask,
-    gaussian_noise,
+    gaussian_noise,  # not called here; perfbench/tracing.PATCHES wraps this binding
     source_output,  # not called here; perfbench/tracing.PATCHES wraps this binding
     square_wave,  # not called here; perfbench/tracing.PATCHES wraps this binding
 )
 from .spectral import (
+    _PEAK_SEARCH_HALFWIDTH_BINS,
     Spectrum,
     _in_two_threads,
     _spectra,
@@ -138,6 +141,15 @@ class ExperimentConfig:
         if not self.f_ref_hz < nyquist:
             raise ParameterError(
                 f"f_ref_hz must lie in (0, {nyquist}), got {self.f_ref_hz}"
+            )
+        # find_reference_peak searches this many bins either side of the bin
+        # nearest f_ref; every bin it reads must lie on the spectrum.
+        center = int(round(self.f_ref_hz / (self.sample_rate_hz / self.fft_size)))
+        lo, hi = center - _PEAK_SEARCH_HALFWIDTH_BINS, center + _PEAK_SEARCH_HALFWIDTH_BINS
+        if lo < 0 or hi > self.fft_size // 2:
+            raise ParameterError(
+                f"f_ref_hz {self.f_ref_hz} puts the reference peak search on bins [{lo}, {hi}], "
+                f"outside the {self.fft_size}-point spectrum's bins 0..{self.fft_size // 2}"
             )
         check_positive("ref_amplitude", self.ref_amplitude)
         if not isinstance(self.band, Iterable):
@@ -445,16 +457,18 @@ def analyze_spectra(
     )
 
 
-def _direct_record(cfg: ExperimentConfig) -> SampledSignal:
+def _direct_record(cfg: ExperimentConfig) -> _NoiseDraw:
     """DUT output for the direct method's matched load at T0.
 
-    One white Gaussian draw of RMS _sigma(cfg, T0). Like the Y-factor
-    records it is taken before post-DUT gain, so it depends on the seed
-    but not on post_dut_gain_linear.
+    One white Gaussian draw of RMS _sigma(cfg, T0), streamed: psd draws it
+    block by block as it reads it, so no n-sample array is built, and its
+    values are those of gaussian_noise with the same arguments. Like the
+    Y-factor records it is taken before post-DUT gain, so it depends on the
+    seed but not on post_dut_gain_linear.
     """
     seeds = _sub_seeds(cfg.seed, 6)
     sigma_t0 = _sigma(cfg, cfg.source.t0_k)
-    return gaussian_noise(cfg.n_samples, sigma_t0, seeds[4], sample_rate_hz=cfg.sample_rate_hz)
+    return _NoiseDraw(cfg.n_samples, sigma_t0, seeds[4], cfg.sample_rate_hz)
 
 
 def _direct_result(

@@ -103,14 +103,76 @@ def gaussian_noise(
     continues: consecutive draws from one generator concatenate to a single
     draw of their total length, bit for bit.
     """
+    n = _check_draw(n, sigma)
+    samples = np.empty(n)
+    _fill_normal(np.random.default_rng(seed), sigma, samples)
+    return SampledSignal(sample_rate_hz, samples)
+
+
+def _check_draw(n, sigma) -> int:
     n = check_integer("n", n, 1)
     if not math.isfinite(sigma) or sigma < 0.0:
         raise ParameterError(f"sigma must be finite and >= 0, got {sigma!r}")
-    # normal(0, 1) rather than standard_normal: 0.0 + 1.0 * z maps -0.0 to
-    # +0.0, and the seeded samples must stay the same.
-    samples = np.random.default_rng(seed).normal(0.0, 1.0, n)
-    samples *= sigma
-    return SampledSignal(sample_rate_hz, samples)
+    return n
+
+
+def _fill_normal(rng: np.random.Generator, sigma: float, out: np.ndarray):
+    """Fill out with the next out.size samples of rng, scaled by sigma: the
+    values of rng.normal(0.0, 1.0, out.size) * sigma, bit for bit. normal's
+    0.0 + 1.0 * z maps -0.0 to +0.0, hence the += 0.0. The generator
+    continues, so consecutive fills concatenate to one fill of their total
+    length."""
+    rng.standard_normal(out=out)
+    out += 0.0
+    out *= sigma
+
+
+class _NoiseDraw:
+    """gaussian_noise(n, sigma, seed, sample_rate_hz) drawn as it is read.
+
+    Offers what psd reads of a record (len, sample_rate_hz, _span), so the
+    record is never held whole: _span(start, stop) draws on demand into one
+    reused buffer and keeps the samples from start onward, which covers the
+    overlap that the next of a sequence of non-decreasing requests (as
+    spectral._SegmentSums makes) re-reads. A request that starts before the
+    kept samples draws again from the seed. The values equal
+    gaussian_noise(n, sigma, seed).samples[start:stop] bit for bit. One
+    thread at a time may read it: the buffer and the generator are shared
+    by every request.
+    """
+
+    def __init__(self, n: int, sigma: float, seed: int, sample_rate_hz: float):
+        self._n = _check_draw(n, sigma)
+        self._sigma = sigma
+        self._seed = seed
+        self.sample_rate_hz = float(sample_rate_hz)
+        check_positive("sample_rate_hz", self.sample_rate_hz)
+        self._rng = None
+        self._buffer = np.empty(0)
+        # The buffer holds samples _first .. _drawn - 1.
+        self._first = self._drawn = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _span(self, start: int, stop: int) -> np.ndarray:
+        """Samples start .. stop - 1, valid until the next request."""
+        if self._rng is None or start < self._first:
+            self._rng = np.random.default_rng(self._seed)
+            self._first = self._drawn = 0
+        kept = self._buffer[min(start, self._drawn) - self._first : self._drawn - self._first]
+        if self._buffer.size < stop - start:
+            self._buffer = np.empty(stop - start)
+        # Within one buffer, a forward copy that numpy makes in place.
+        self._buffer[: kept.size] = kept
+        # Draw and drop the samples between the kept ones and start, if any.
+        while self._drawn < start:
+            skipped = self._buffer[: min(self._buffer.size, start - self._drawn)]
+            self._rng.standard_normal(out=skipped)
+            self._drawn += skipped.size
+        _fill_normal(self._rng, self._sigma, self._buffer[kept.size : stop - start])
+        self._first, self._drawn = start, start + max(kept.size, stop - start)
+        return self._buffer[: stop - start]
 
 
 def square_wave(

@@ -38,7 +38,7 @@ from .errors import (
     check_positive,
     is_finite_number,
 )
-from .signals import SampledSignal
+from .signals import SampledSignal, _NoiseDraw
 
 __all__ = [
     "Spectrum",
@@ -75,7 +75,9 @@ class Spectrum:
         fft_size = check_integer("fft_size", self.fft_size, 2)
         n_segments = check_integer("n_segments", self.n_segments, 1)
         check_positive("sample_rate_hz", self.sample_rate_hz)
-        dens = np.asarray(self.psd, dtype=np.float64)
+        # A copy, so that the caller's array stays writeable and a later
+        # write to it cannot change the spectrum.
+        dens = np.array(self.psd, dtype=np.float64)
         if dens.ndim != 1 or dens.size != fft_size // 2 + 1:
             raise ShapeError(
                 f"psd must hold fft_size/2 + 1 = {fft_size // 2 + 1} bins, got shape {dens.shape}"
@@ -110,9 +112,11 @@ class Spectrum:
 def _record(x):
     """(span, length, sample rate) of a signal or bitstream, where
     span(start, stop) gives its values start .. stop - 1: a view of a
-    signal's float64 samples, or a bitstream's +1/-1 int8 values, unpacked
-    from its payload when it is packed. int8 converts to float64 exactly."""
-    if isinstance(x, BitStream):
+    signal's float64 samples, a bitstream's +1/-1 int8 values, unpacked
+    from its payload when it is packed, or a streamed noise record's
+    float64 samples, drawn as they are read. int8 converts to float64
+    exactly."""
+    if isinstance(x, (BitStream, _NoiseDraw)):
         return x._span, len(x), x.sample_rate_hz
     if isinstance(x, SampledSignal):
         samples = x.samples
@@ -264,7 +268,10 @@ class _SegmentSums:
 
     Segment i is the record's values i * step .. i * step + fft_size - 1,
     read through span (see _record), so a packed bitstream is unpacked one
-    block of segments at a time. The sum of n periodograms equals the
+    block of segments at a time. Each span is used before the next is
+    requested, and the spans' starts never decrease, which a streamed
+    noise record relies on: it keeps only the samples from the latest
+    start onward. The sum of n periodograms equals the
     contiguous (freq, segment) array's sum over its last axis bit for bit,
     so their mean equals np.mean's. Only rows segments are transformed at a
     time, and a partial sum is held for each open split, so memory grows

@@ -4,21 +4,34 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nfbist import (
     BitStream,
+    ExperimentConfig,
     psd,
     read_capture,
     run_y_factor_experiment,
     simulate_bitstreams,
     write_capture,
 )
-from nfbist.cli import load_experiment_config, main, write_spectrum_csv
+from nfbist.cli import (
+    _DUT_KEYS,
+    _SOURCE_KEYS,
+    _TOP_KEYS,
+    ConfigError,
+    load_experiment_config,
+    main,
+    write_spectrum_csv,
+)
 
 # Small records keep each invocation fast; 2000-point FFT on 100k samples
 # still averages 50 segments.
@@ -450,6 +463,23 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     assert "fft_legnth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("f_ref_hz", [24_990.0, 1.0])
+def test_unreachable_reference_exits_2_before_any_work(tmp_path, monkeypatch, f_ref_hz, capsys):
+    # The README default config, with a reference whose +-5-bin peak search
+    # leaves the spectrum: rejected with the config, before any draw.
+    from nfbist import pipeline
+
+    def no_draw(*args):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(pipeline, "_comparator_bits", no_draw)
+    cfg_path = write_config(tmp_path, n_samples=1_000_000, fft_size=10_000, f_ref_hz=f_ref_hz)
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    assert "f_ref_hz" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_config_reports_all_problems_at_once(tmp_path, capsys):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     del cfg["band"]
@@ -616,3 +646,54 @@ def test_psd_command_without_a_hop_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "psd.csv").exists()
+
+
+# Config values of every JSON kind, valid or not: numbers at and past the
+# float64 range, NaN and the infinities (json reads NaN and Infinity), bools,
+# strings, arrays and null.
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10, 30_000),
+    st.integers(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, -0.0, 0.5, 3e3]),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.floats(-1e5, 1e5), st.integers(-10, 30_000)), max_size=3),
+)
+_JUNK_KEYS = st.sampled_from(["", "fft_legnth", "Seed", "t_hot", "nf"])
+
+
+def _fields(keys):
+    return st.dictionaries(st.one_of(st.sampled_from(sorted(keys)), _JUNK_KEYS), _JSON_VALUES, max_size=3)
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """A small valid config with some keys replaced, added or removed."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["n_samples"] = 20_000
+    cfg.update(draw(_fields(_TOP_KEYS)))
+    for part, keys in (("source", _SOURCE_KEYS), ("dut", _DUT_KEYS)):
+        if isinstance(cfg.get(part), dict):
+            cfg[part].update(draw(_fields(keys)))
+    for key in draw(st.lists(st.sampled_from(sorted(cfg)), max_size=1)):
+        del cfg[key]
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fuzzed_configs())
+def test_fuzzed_config_loads_or_raises_config_error_and_simulate_exits_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        try:
+            cfg = load_experiment_config(path)
+        except ConfigError:
+            cfg = None
+        assert cfg is None or isinstance(cfg, ExperimentConfig)
+        # A config that loads runs only at sizes a test can afford.
+        if cfg is None or cfg.n_samples <= 20_000:
+            args = ["simulate", "--config", str(path), "--out", str(Path(tmp) / "run")]
+            assert main(args) in {0, 2, 3, 4}

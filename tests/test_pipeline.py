@@ -103,6 +103,8 @@ def make_config(nf_db=10.0, **overrides):
         dict(post_dut_gain_linear=True),
         dict(band=None),                         # not a pair at all
         dict(band=5),
+        dict(f_ref_hz=24_990.0),                 # peak search past the last bin
+        dict(f_ref_hz=1.0),                      # peak search below bin 0
     ],
 )
 def test_experiment_config_validation(overrides):
@@ -225,7 +227,7 @@ def _dut_output_records(cfg):
         _sigma(cfg, t) * np.random.default_rng(seed).standard_normal(cfg.n_samples)
         for t, seed in zip((src.t_hot_k, src.t_cold_k), (seeds[0], seeds[2]))
     )
-    return {"hot": hot, "cold": cold, "direct": _direct_record(cfg).samples}
+    return {"hot": hot, "cold": cold, "direct": _direct_record(cfg)._span(0, cfg.n_samples)}
 
 
 # A non-unit gain and power scale, so every term of g * P * T + na counts.
@@ -330,6 +332,22 @@ def test_sweep_reference_amplitude_working_memory():
     cfg = make_config(seed=2)
     study = lambda c: sweep_reference_amplitude(c, DEFAULT_AMPLITUDE_FRACTIONS, n_seeds=1)
     assert _warm_peak(study, cfg) < 10 * 2**20
+
+
+def test_direct_method_memory_does_not_grow_with_the_record():
+    # The T0 record is drawn block by block as psd reads it; a full-length
+    # float64 record took 9.96 MiB at 1e6 samples and 78.7 MiB at 1e7.
+    study = lambda c: run_direct_experiment(c, 1.0)
+    peaks = [_warm_peak(study, make_config(seed=2, n_samples=n)) for n in (1_000_000, 10_000_000)]
+    assert max(peaks) < 4 * 2**20
+    assert peaks[1] < 1.1 * peaks[0]
+
+
+def test_gain_sensitivity_study_working_memory():
+    # The packed Y-factor bits and the streamed direct record: 9.96 MiB with
+    # the direct record drawn whole.
+    study = lambda c: gain_sensitivity_study(c, DEFAULT_GAIN_RATIOS)
+    assert _warm_peak(study, make_config(seed=2)) < 4 * 2**20
 
 
 def test_analyze_bitstreams_two_threads_hold_no_more_memory_than_one(monkeypatch):

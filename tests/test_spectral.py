@@ -29,6 +29,7 @@ from nfbist import (
     square_wave,
 )
 from nfbist import spectral
+from nfbist.signals import _NoiseDraw
 
 
 def _flat_spectrum(psd_values):
@@ -357,6 +358,15 @@ def test_spectrum_constructor_validation():
             Spectrum(values, fft_size=8, n_segments=1, sample_rate_hz=8.0)
 
 
+def test_spectrum_leaves_the_callers_array_alone():
+    values = np.ones(5)
+    s = Spectrum(values, fft_size=8, n_segments=1, sample_rate_hz=8.0)
+    assert values.flags.writeable
+    assert s.psd is not values and not s.psd.flags.writeable
+    values[:] = 2.0
+    np.testing.assert_array_equal(s.psd, np.ones(5))
+
+
 def test_find_reference_peak_lone_bin():
     # The search covers +-5 bins around the nominal bin 6: a lone bin 5
     # away is found, and its empty neighbours add nothing to its power.
@@ -514,3 +524,67 @@ def test_power_ratio_detail_rejects_empty_cold_band():
     with pytest.raises(DegenerateBandError):
         power_ratio_detail(hot, cold, band=(2.0, 6.0), f_ref_hz=15.0)
     assert power_ratio_detail(cold, hot, band=(2.0, 6.0), f_ref_hz=15.0).y == 0.0
+
+
+# (seed, window, overlap, fft_size, n) of the streamed-record cases: every
+# seed, window, FFT size and record length at least once, from one segment
+# (fft 999 998 of 1e6 samples, fft 10 000 of 10 001) to 105 000 (Hann 75%
+# of 38), including a block of one huge segment whose 75% overlap is kept.
+STREAMED_CASES = [
+    (0, "rectangular", 0.0, 38, 10_001),
+    (1, "hann", 0.5, 38, 10_001),
+    (3, "hann", 0.75, 38, 300_001),
+    (0, "rectangular", 0.0, 38, 1_000_000),
+    (1, "hann", 0.5, 2_000, 10_001),
+    (3, "hann", 0.75, 2_000, 10_001),
+    (0, "rectangular", 0.0, 2_000, 300_001),
+    (1, "hann", 0.5, 2_000, 1_000_000),
+    (3, "hann", 0.75, 2_000, 1_000_000),
+    (0, "rectangular", 0.0, 10_000, 10_001),
+    (1, "hann", 0.5, 10_000, 10_001),
+    (3, "hann", 0.75, 10_000, 300_001),
+    (0, "hann", 0.5, 10_000, 1_000_000),
+    (1, "rectangular", 0.0, 10_000, 1_000_000),
+    (3, "rectangular", 0.0, 200_000, 300_001),
+    (0, "hann", 0.75, 200_000, 300_001),
+    (1, "hann", 0.5, 200_000, 1_000_000),
+    (3, "hann", 0.75, 200_000, 1_000_000),
+    (0, "rectangular", 0.0, 999_998, 1_000_000),
+    (1, "hann", 0.5, 999_998, 1_000_000),
+    (3, "hann", 0.75, 999_998, 1_000_000),
+]
+
+
+@pytest.mark.parametrize("seed, window, overlap, fft_size, n", STREAMED_CASES)
+def test_streamed_noise_psd_equals_that_of_the_drawn_record(seed, window, overlap, fft_size, n):
+    want = psd(gaussian_noise(n, 1.7, seed, sample_rate_hz=50_000.0), fft_size, window, overlap)
+    streamed = _NoiseDraw(n, 1.7, seed, 50_000.0)
+    # The second psd starts before the kept samples, so it draws again.
+    for _ in range(2):
+        got = psd(streamed, fft_size, window, overlap)
+        assert got.psd.tobytes() == want.psd.tobytes()
+        assert (got.n_segments, got.sample_rate_hz) == (want.n_segments, want.sample_rate_hz)
+
+
+def test_streamed_noise_spans_equal_slices_of_the_drawn_record():
+    # Overlapping, repeated, contained, gapped and backward requests.
+    n = 5_000
+    samples = gaussian_noise(n, 2.5, 11).samples
+    streamed = _NoiseDraw(n, 2.5, 11, 1.0)
+    requests = [(0, 100), (50, 300), (50, 300), (60, 120), (100, 2_000), (3_000, 3_500),
+                (3_400, 5_000), (10, 20), (0, 5_000), (4_999, 5_000), (1_000, 1_001)]
+    for start, stop in requests:
+        assert streamed._span(start, stop).tobytes() == samples[start:stop].tobytes()
+    assert len(streamed) == n and streamed.sample_rate_hz == 1.0
+    with pytest.raises(ParameterError):
+        _NoiseDraw(n, math.nan, 11, 1.0)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_two_streamed_records_sum_as_drawn_ones(monkeypatch, cores):
+    monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
+    args = [(n, 1.3, seed, 50_000.0) for n, seed in ((400_001, 5), (300_007, 6))]
+    for analysis in ((2_000, "rectangular", 0.0), (10_000, "hann", 0.5)):
+        want = spectral._spectra([gaussian_noise(*a) for a in args], *analysis)
+        got = spectral._spectra([_NoiseDraw(*a) for a in args], *analysis)
+        assert [s.psd.tobytes() for s in got] == [s.psd.tobytes() for s in want]
