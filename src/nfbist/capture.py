@@ -9,10 +9,10 @@ Layout (little-endian throughout):
     bytes 24-   bits packed 8 per byte, LSB first, bit value 1 <-> +1;
                 unused bits in the final byte are zero
 
-The payload is the layout in which a BitStream made by the package holds
-its bits, so write_capture writes the header and then the stream's payload
-as it is, and read_capture wraps the file's payload bytes without unpacking
-them. The round trip write_capture -> read_capture is lossless.
+The payload is the layout in which every BitStream holds its bits, so
+write_capture writes the header and then the stream's payload as it is,
+and read_capture wraps the file's payload bytes without unpacking them.
+The round trip write_capture -> read_capture is lossless.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from .digitizer import BitStream
-from .errors import CaptureCorruptError, CaptureFormatError
+from .errors import CaptureCorruptError, CaptureFormatError, ParameterError
 
 __all__ = ["MAGIC", "VERSION", "write_capture", "read_capture"]
 
@@ -33,11 +33,14 @@ _HEADER = struct.Struct("<4sIdQ")
 
 
 def write_capture(path, bits: BitStream) -> None:
-    """Write a bitstream to ``path`` in NFB1 format."""
+    """Write a bitstream to ``path`` in NFB1 format. Anything that is not
+    a BitStream raises ParameterError before the path is opened."""
+    if not isinstance(bits, BitStream):
+        raise ParameterError(f"expected a BitStream, got {type(bits).__name__}")
     header = _HEADER.pack(MAGIC, VERSION, bits.sample_rate_hz, len(bits))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(bits._payload())
+        fh.write(bits._packed)
 
 
 def read_capture(path) -> BitStream:

@@ -5,11 +5,12 @@ positive scaling of both inputs leaves the bitstream unchanged. For a
 zero-mean jointly Gaussian process at the comparator, bit autocorrelation
 relates to the analog one by the arcsine law r_bits = (2/pi) asin(rho).
 
-A bitstream that the package makes (the comparator, digitize, read_capture)
-holds its decisions packed 8 per byte, LSB first, bit value 1 for +1, with
-the unused bits of the last byte zero, as NFB1 captures store them: n/8
-bytes, which the spectra and the capture writer read as they are. The +1/-1
-int8 values exist only while a caller holds what .bits returned.
+Every bitstream, whether the comparator, digitize or read_capture makes it
+or a caller builds it from a +1/-1 array, holds its decisions packed 8 per
+byte, LSB first, bit value 1 for +1, with the unused bits of the last byte
+zero, as NFB1 captures store them: n/8 bytes, which the spectra and the
+capture writer read as they are. The +1/-1 int8 values exist only while a
+caller holds what .bits returned.
 """
 
 from __future__ import annotations
@@ -34,17 +35,16 @@ _CHECK_BLOCK = 1 << 16
 
 
 class BitStream:
-    """A sequence of comparator decisions, each +1 or -1.
+    """A sequence of comparator decisions, each +1 or -1, held packed as
+    the module docstring says.
 
-    BitStream(rate, bits) checks a +1/-1 array block by block. A
-    contiguous int8 array is kept as it is, read-only, without a copy:
-    packing it would allocate n/8 bytes where keeping it allocates none.
-    Any other input needs a copy anyway and is packed block by block, as the
-    package's own streams are (see the module docstring). .bits unpacks a
-    packed stream afresh on every read and keeps nothing.
+    BitStream(rate, bits) checks a +1/-1 array block by block and packs it
+    into a payload of its own, so the stream holds ceil(n / 8) bytes and
+    a later write to the caller's array cannot change it. .bits unpacks
+    the payload afresh on every read and keeps nothing.
     """
 
-    __slots__ = ("sample_rate_hz", "_n", "_packed", "_kept")
+    __slots__ = ("sample_rate_hz", "_n", "_packed")
 
     def __init__(self, sample_rate_hz: float, bits):
         rate = float(sample_rate_hz)
@@ -54,20 +54,19 @@ class BitStream:
             raise ShapeError(f"bits must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             raise ParameterError("bitstream must contain at least one bit")
-        keep = arr.dtype == np.int8 and arr.flags.c_contiguous
-        packed = None if keep else np.empty(-(-arr.size // 8), dtype=np.uint8)
+        if arr.dtype == np.bool_:
+            raise ParameterError("bits must be +1/-1 numbers, got a bool array")
+        packed = np.empty(-(-arr.size // 8), dtype=np.uint8)
         # Check the values as given: a cast first would wrap 257 to 1 and
         # truncate 1.5 to 1. Blocks keep the boolean temporaries small.
         for start in range(0, arr.size, _CHECK_BLOCK):
             block = arr[start : start + _CHECK_BLOCK]
             if not np.all((block == 1) | (block == -1)):
                 raise ParameterError("bits must only contain +1 and -1")
-            if packed is not None:
-                stop = start + block.size
-                packed[start // 8 : -(-stop // 8)] = np.packbits(block > 0, bitorder="little")
-        if keep:
-            arr.setflags(write=False)
-        self._init(rate, arr.size, packed, arr if keep else None)
+            stop = start + block.size
+            packed[start // 8 : -(-stop // 8)] = np.packbits(block > 0, bitorder="little")
+        packed.setflags(write=False)
+        self._init(rate, arr.size, packed)
 
     @classmethod
     def _from_packed(cls, sample_rate_hz: float, payload: np.ndarray, n: int) -> BitStream:
@@ -76,11 +75,11 @@ class BitStream:
         read-only, without a copy or a check."""
         payload.setflags(write=False)
         stream = cls.__new__(cls)
-        stream._init(float(sample_rate_hz), n, payload, None)
+        stream._init(float(sample_rate_hz), n, payload)
         return stream
 
-    def _init(self, rate, n, packed, kept):
-        for name, value in zip(self.__slots__, (rate, n, packed, kept)):
+    def _init(self, rate, n, packed):
+        for name, value in zip(self.__slots__, (rate, n, packed)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -95,26 +94,21 @@ class BitStream:
     @property
     def bits(self) -> np.ndarray:
         """The decisions as a read-only +1/-1 int8 array, unpacked afresh
-        from a packed stream on every read."""
+        on every read."""
         bits = self._span(0, self._n)
         bits.setflags(write=False)
         return bits
 
     def mean(self) -> float:
-        """Mean decision: (2 * ones - n) / n for a packed stream, with the
-        ones counted in the payload, whose padding bits are zero. Both sums
-        are exact integers, so this equals the mean of .bits."""
-        if self._packed is None:
-            total = int(self._kept.sum(dtype=np.int64))
-        else:
-            total = 2 * int(np.bitwise_count(self._packed).sum(dtype=np.int64)) - self._n
-        return total / self._n
+        """Mean decision: (2 * ones - n) / n, with the ones counted in the
+        payload, whose padding bits are zero. Both sums are exact integers,
+        so this equals the mean of .bits."""
+        ones = int(np.bitwise_count(self._packed).sum(dtype=np.int64))
+        return (2 * ones - self._n) / self._n
 
     def _span(self, start: int, stop: int) -> np.ndarray:
-        """Decisions start .. stop - 1 as +1/-1 int8: a view of a kept array,
-        or unpacked afresh from the bytes that hold them."""
-        if self._packed is None:
-            return self._kept[start:stop]
+        """Decisions start .. stop - 1 as +1/-1 int8, unpacked afresh from
+        the bytes that hold them."""
         first = start // 8
         bits = np.unpackbits(
             self._packed[first : -(-stop // 8)], count=stop - 8 * first, bitorder="little"
@@ -122,13 +116,6 @@ class BitStream:
         bits *= 2
         bits -= 1
         return bits[start - 8 * first :]
-
-    def _payload(self) -> np.ndarray:
-        """The decisions packed as the module docstring says: the held
-        payload, or a kept array packed afresh."""
-        if self._packed is None:
-            return np.packbits(self._kept > 0, bitorder="little")
-        return self._packed
 
 
 def digitize(signal: SampledSignal, reference: SampledSignal) -> BitStream:

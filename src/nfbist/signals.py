@@ -133,21 +133,21 @@ class _NoiseDraw:
     Offers what psd reads of a record (len, sample_rate_hz, _span), so the
     record is never held whole: _span(start, stop) draws on demand into one
     reused buffer and keeps the samples from start onward, which covers the
-    overlap that the next of a sequence of non-decreasing requests (as
-    spectral._SegmentSums makes) re-reads. A request that starts before the
-    kept samples draws again from the seed. The values equal
-    gaussian_noise(n, sigma, seed).samples[start:stop] bit for bit. One
-    thread at a time may read it: the buffer and the generator are shared
-    by every request.
+    overlap that the next request re-reads. The record is read once, front
+    to back, as spectral._SegmentSums reads it: each request must start
+    within the kept samples, that is, no earlier than the previous start
+    and no later than the furthest sample drawn; any other request raises
+    ParameterError. The values equal gaussian_noise(n, sigma,
+    seed).samples[start:stop] bit for bit. One thread at a time may read
+    it: the buffer and the generator are shared by every request.
     """
 
     def __init__(self, n: int, sigma: float, seed: int, sample_rate_hz: float):
         self._n = _check_draw(n, sigma)
         self._sigma = sigma
-        self._seed = seed
         self.sample_rate_hz = float(sample_rate_hz)
         check_positive("sample_rate_hz", self.sample_rate_hz)
-        self._rng = None
+        self._rng = np.random.default_rng(seed)
         self._buffer = np.empty(0)
         # The buffer holds samples _first .. _drawn - 1.
         self._first = self._drawn = 0
@@ -157,19 +157,16 @@ class _NoiseDraw:
 
     def _span(self, start: int, stop: int) -> np.ndarray:
         """Samples start .. stop - 1, valid until the next request."""
-        if self._rng is None or start < self._first:
-            self._rng = np.random.default_rng(self._seed)
-            self._first = self._drawn = 0
-        kept = self._buffer[min(start, self._drawn) - self._first : self._drawn - self._first]
+        if not self._first <= start <= self._drawn:
+            raise ParameterError(
+                f"request from sample {start} lies outside the kept samples "
+                f"{self._first} .. {self._drawn}; a streamed record is read once, front to back"
+            )
+        kept = self._buffer[start - self._first : self._drawn - self._first]
         if self._buffer.size < stop - start:
             self._buffer = np.empty(stop - start)
         # Within one buffer, a forward copy that numpy makes in place.
         self._buffer[: kept.size] = kept
-        # Draw and drop the samples between the kept ones and start, if any.
-        while self._drawn < start:
-            skipped = self._buffer[: min(self._buffer.size, start - self._drawn)]
-            self._rng.standard_normal(out=skipped)
-            self._drawn += skipped.size
         _fill_normal(self._rng, self._sigma, self._buffer[kept.size : stop - start])
         self._first, self._drawn = start, start + max(kept.size, stop - start)
         return self._buffer[: stop - start]

@@ -113,9 +113,8 @@ def _record(x):
     """(span, length, sample rate) of a signal or bitstream, where
     span(start, stop) gives its values start .. stop - 1: a view of a
     signal's float64 samples, a bitstream's +1/-1 int8 values, unpacked
-    from its payload when it is packed, or a streamed noise record's
-    float64 samples, drawn as they are read. int8 converts to float64
-    exactly."""
+    from its payload, or a streamed noise record's float64 samples, drawn
+    as they are read. int8 converts to float64 exactly."""
     if isinstance(x, (BitStream, _NoiseDraw)):
         return x._span, len(x), x.sample_rate_hz
     if isinstance(x, SampledSignal):
@@ -269,9 +268,10 @@ class _SegmentSums:
     Segment i is the record's values i * step .. i * step + fft_size - 1,
     read through span (see _record), so a packed bitstream is unpacked one
     block of segments at a time. Each span is used before the next is
-    requested, and the spans' starts never decrease, which a streamed
-    noise record relies on: it keeps only the samples from the latest
-    start onward. The sum of n periodograms equals the
+    requested, and each span starts no earlier than the previous one and,
+    as the hop is at most fft_size, no later than the previous stop, which
+    a streamed noise record relies on: it keeps only the samples from the
+    latest start onward. The sum of n periodograms equals the
     contiguous (freq, segment) array's sum over its last axis bit for bit,
     so their mean equals np.mean's. Only rows segments are transformed at a
     time, and a partial sum is held for each open split, so memory grows

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfbist import BitStream, CaptureCorruptError, CaptureFormatError, read_capture, write_capture
+from nfbist import (
+    BitStream,
+    CaptureCorruptError,
+    CaptureFormatError,
+    ParameterError,
+    SampledSignal,
+    read_capture,
+    write_capture,
+)
 
 HEADER = struct.Struct("<4sIdQ")
 
@@ -135,3 +143,15 @@ def test_invalid_sample_rate(tmp_path, rate):
     _write_raw(path, rate=rate)
     with pytest.raises(CaptureCorruptError):
         read_capture(path)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [SampledSignal(10.0, [1.0, -1.0]), np.array([1, -1], dtype=np.int8), [1, -1], None],
+    ids=["signal", "int8_array", "list", "none"],
+)
+def test_write_capture_rejects_a_non_bitstream_before_opening(tmp_path, value):
+    path = tmp_path / "never.nfb"
+    with pytest.raises(ParameterError):
+        write_capture(path, value)
+    assert not path.exists()

@@ -34,6 +34,10 @@ def test_bitstream_validation():
     for bad in ([257, -1], [1.5, -1.0], [1.0, -1.9], np.array([65535, 255], dtype=np.uint16)):
         with pytest.raises(ParameterError):
             BitStream(10.0, bad)
+    # A bool is not the number +1, whatever its value (see errors._is_bool).
+    for bad in ([True, True], [True, False], np.ones(9, dtype=np.bool_)):
+        with pytest.raises(ParameterError):
+            BitStream(10.0, bad)
     assert BitStream(10.0, [1.0, -1.0]).bits.tolist() == [1, -1]
     with pytest.raises(ParameterError):
         BitStream(10.0, [])
@@ -44,9 +48,12 @@ def test_bitstream_validation():
 
 
 def test_bitstream_check_works_in_bounded_blocks():
-    # The +-1 check must not build full-length boolean temporaries: 1e7 bits
-    # would take 10 MB for each of the two comparisons and their union.
-    bits = np.ones(10_000_000, dtype=np.int8)
+    # The +-1 check and the packing must not build full-length temporaries:
+    # 1e7 bits would take 10 MB for each of the two comparisons, their
+    # union and the packer's boolean input. Beyond the n/8-byte payload the
+    # stream holds, their blocks get 1 MiB.
+    n = 10_000_000
+    bits = np.ones(n, dtype=np.int8)
     bits[1::3] = -1
     tracemalloc.start()
     try:
@@ -54,7 +61,7 @@ def test_bitstream_check_works_in_bounded_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert peak - n // 8 < 2**20
     # A bad value in the last block is still found.
     bad = bits.copy()
     bad[-1] = 0
@@ -76,29 +83,52 @@ def test_mean_is_counted_from_the_packed_bytes(n):
         rng = np.random.default_rng(seed)
         values = np.where(rng.random(n) < p_plus, 1, -1).astype(np.int8)
         want = float(values.mean())
-        kept = BitStream(1.0, values)
-        for stream in (_packed(values), BitStream(1.0, values.astype(np.int16)), kept):
+        streams = (_packed(values), BitStream(1.0, values.astype(np.int16)), BitStream(1.0, values))
+        for stream in streams:
             assert stream.mean() == want
             assert len(stream) == n
 
 
-def test_bitstream_keeps_an_int8_array_and_packs_any_other_input():
+def test_bitstream_packs_every_input():
     values = np.array([1, -1, -1, 1, 1, 1, -1, 1, 1], dtype=np.int8)
-    kept = BitStream(10.0, values)
-    assert np.shares_memory(kept.bits, values) and not values.flags.writeable
     # LSB first, bit set for +1: 1,0,0,1,1,1,0,1 -> 0b10111001, then 0b1.
     strided = np.repeat(values, 2)[::2]
-    for other in (values.astype(np.int64), values.astype(float), values.tolist(), strided):
+    for other in (values, values.astype(np.int64), values.astype(float), values.tolist(), strided):
         stream = BitStream(10.0, other)
-        assert stream._payload().tolist() == [0b10111001, 0b1]
+        assert stream._packed.tolist() == [0b10111001, 0b1]
         np.testing.assert_array_equal(stream.bits, values)
     # Blocks of _CHECK_BLOCK values pack to the bytes of one whole-array pack.
     rng = np.random.default_rng(3)
     values = rng.choice(np.array([-1.0, 1.0]), 3 * (1 << 16) + 13)
     stream = BitStream(10.0, values)
-    assert stream._payload().tobytes() == np.packbits(values > 0, bitorder="little").tobytes()
+    assert stream._packed.tobytes() == np.packbits(values > 0, bitorder="little").tobytes()
     with pytest.raises(AttributeError):
         stream.sample_rate_hz = 5.0
+
+
+def test_bitstream_leaves_the_callers_array_alone():
+    # The stream packs a copy: the caller's int8 array and the base of a
+    # view stay writeable, and writing to them later changes nothing in it.
+    values = np.array([1, -1, 1, 1], dtype=np.int8)
+    base = values.copy()
+    whole, view = BitStream(10.0, values), BitStream(10.0, base[:3])
+    assert values.flags.writeable and base.flags.writeable
+    values[0] = base[0] = -1
+    assert whole.bits.tolist() == [1, -1, 1, 1] and whole.mean() == 0.5
+    assert view.bits.tolist() == [1, -1, 1] and view.mean() == 1 / 3
+    # What the stream holds is its ceil(n / 8)-byte payload and little else.
+    n = 1_000_003
+    values = np.ones(n, dtype=np.int8)
+    values[::3] = -1
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stream = BitStream(50_000.0, values)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert -(-n // 8) <= held < -(-n // 8) + 2**12
+    assert stream._packed.nbytes == -(-n // 8)
 
 
 def test_packed_bitstream_holds_one_bit_per_decision():
@@ -120,7 +150,7 @@ def test_packed_bitstream_holds_one_bit_per_decision():
     finally:
         tracemalloc.stop()
     assert held < 2**12
-    assert stream._payload().nbytes == -(-n // 8)
+    assert stream._packed.nbytes == -(-n // 8)
 
 
 def test_digitize_threshold_and_ties():

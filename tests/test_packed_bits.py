@@ -35,17 +35,17 @@ def _same_spectrum(a, b):
 @example(n=4093, seed=2, half_fft=999, rate=50_000.0)
 def test_packed_streams_keep_values_bytes_and_spectra(tmp_path_factory, n, seed, half_fft, rate):
     values = _values(n, seed)
-    # A kept int8 array, a packed copy of a float array, and a read-back capture.
-    kept = BitStream(rate, values.copy())
+    # Streams built from an int8 and a float array, and a read-back capture.
+    int8 = BitStream(rate, values)
     packed = BitStream(rate, values.astype(np.float64))
     path = tmp_path_factory.mktemp("cap") / "cap.nfb"
     write_capture(path, packed)
     raw = path.read_bytes()
     assert raw[HEADER_SIZE:] == np.packbits(values > 0, bitorder="little").tobytes()
-    write_capture(path, kept)
+    write_capture(path, int8)
     assert path.read_bytes() == raw
     back = read_capture(path)
-    for stream in (kept, packed, back):
+    for stream in (int8, packed, back):
         np.testing.assert_array_equal(stream.bits, values)
         assert stream.sample_rate_hz == rate and len(stream) == n
         assert stream.mean() == float(values.mean())
@@ -55,7 +55,7 @@ def test_packed_streams_keep_values_bytes_and_spectra(tmp_path_factory, n, seed,
     as_float = SampledSignal(rate, values.astype(np.float64))
     for window, overlap in ANALYSES:
         want = psd(as_float, fft_size, window, overlap)
-        for stream in (kept, packed, back):
+        for stream in (int8, packed, back):
             assert _same_spectrum(psd(stream, fft_size, window, overlap), want)
 
 

@@ -558,22 +558,28 @@ STREAMED_CASES = [
 @pytest.mark.parametrize("seed, window, overlap, fft_size, n", STREAMED_CASES)
 def test_streamed_noise_psd_equals_that_of_the_drawn_record(seed, window, overlap, fft_size, n):
     want = psd(gaussian_noise(n, 1.7, seed, sample_rate_hz=50_000.0), fft_size, window, overlap)
-    streamed = _NoiseDraw(n, 1.7, seed, 50_000.0)
-    # The second psd starts before the kept samples, so it draws again.
+    # A record is read once, front to back; a fresh record of the same draw
+    # gives the same spectrum again.
     for _ in range(2):
-        got = psd(streamed, fft_size, window, overlap)
+        got = psd(_NoiseDraw(n, 1.7, seed, 50_000.0), fft_size, window, overlap)
         assert got.psd.tobytes() == want.psd.tobytes()
         assert (got.n_segments, got.sample_rate_hz) == (want.n_segments, want.sample_rate_hz)
 
 
 def test_streamed_noise_spans_equal_slices_of_the_drawn_record():
-    # Overlapping, repeated, contained, gapped and backward requests.
+    # Overlapping, repeated, contained and adjacent requests; a backward or
+    # gapped one raises and leaves the record as it was.
     n = 5_000
     samples = gaussian_noise(n, 2.5, 11).samples
     streamed = _NoiseDraw(n, 2.5, 11, 1.0)
-    requests = [(0, 100), (50, 300), (50, 300), (60, 120), (100, 2_000), (3_000, 3_500),
-                (3_400, 5_000), (10, 20), (0, 5_000), (4_999, 5_000), (1_000, 1_001)]
+    requests = [(0, 100), (50, 300), (50, 300), (60, 120), (100, 2_000), (2_000, 3_500),
+                (3_400, 4_000)]
     for start, stop in requests:
+        assert streamed._span(start, stop).tobytes() == samples[start:stop].tobytes()
+    for start, stop in ((10, 20), (3_399, 3_500), (4_001, 4_500)):
+        with pytest.raises(ParameterError):
+            streamed._span(start, stop)
+    for start, stop in ((4_000, 5_000), (4_999, 5_000)):
         assert streamed._span(start, stop).tobytes() == samples[start:stop].tobytes()
     assert len(streamed) == n and streamed.sample_rate_hz == 1.0
     with pytest.raises(ParameterError):
