@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError, ShapeError, check_integer, check_positive
-from .signals import SampledSignal
+from .signals import SampledSignal, _as_f64
 
 __all__ = [
     "BitStream",
@@ -123,6 +123,9 @@ def digitize(signal: SampledSignal, reference: SampledSignal) -> BitStream:
 
     bit = +1 where signal - reference >= 0, else -1 (ties count as +1).
     """
+    for name, x in (("signal", signal), ("reference", reference)):
+        if not isinstance(x, SampledSignal):
+            raise ParameterError(f"{name} must be a SampledSignal, got {type(x).__name__}")
     if signal.sample_rate_hz != reference.sample_rate_hz:
         raise ShapeError(
             f"sample rates differ: {signal.sample_rate_hz} vs {reference.sample_rate_hz}"
@@ -139,7 +142,7 @@ def arcsine_map(rho):
 
     Accepts a scalar or an array of normalized correlations in [-1, 1].
     """
-    arr = np.asarray(rho, dtype=np.float64)
+    arr = _as_f64(rho, "rho")
     if np.any(np.abs(arr) > 1.0):
         raise ParameterError("normalized correlation must lie in [-1, 1]")
     mapped = (2.0 / math.pi) * np.arcsin(arr)
@@ -159,7 +162,7 @@ def empirical_autocorr(x, max_lag: int) -> np.ndarray:
     elif isinstance(x, SampledSignal):
         values = x.samples
     else:
-        values = np.asarray(x, dtype=np.float64)
+        values = _as_f64(x, "x")
         if values.ndim != 1:
             raise ShapeError(f"input must be one-dimensional, got shape {values.shape}")
     n = values.size

@@ -74,9 +74,9 @@ from .signals import (
     square_wave,  # not called here; perfbench/tracing.PATCHES wraps this binding
 )
 from .spectral import (
-    _PEAK_SEARCH_HALFWIDTH_BINS,
     Spectrum,
     _in_two_threads,
+    _peak_search_bins,
     _spectra,
     band_power,
     band_width_hz,
@@ -142,15 +142,8 @@ class ExperimentConfig:
             raise ParameterError(
                 f"f_ref_hz must lie in (0, {nyquist}), got {self.f_ref_hz}"
             )
-        # find_reference_peak searches this many bins either side of the bin
-        # nearest f_ref; every bin it reads must lie on the spectrum.
-        center = int(round(self.f_ref_hz / (self.sample_rate_hz / self.fft_size)))
-        lo, hi = center - _PEAK_SEARCH_HALFWIDTH_BINS, center + _PEAK_SEARCH_HALFWIDTH_BINS
-        if lo < 0 or hi > self.fft_size // 2:
-            raise ParameterError(
-                f"f_ref_hz {self.f_ref_hz} puts the reference peak search on bins [{lo}, {hi}], "
-                f"outside the {self.fft_size}-point spectrum's bins 0..{self.fft_size // 2}"
-            )
+        # Every bin find_reference_peak reads must lie on the spectrum.
+        _peak_search_bins(self.f_ref_hz, self.fft_size, self.sample_rate_hz)
         check_positive("ref_amplitude", self.ref_amplitude)
         if not isinstance(self.band, Iterable):
             raise ParameterError(f"band must be an (f_lo, f_hi) pair, got {self.band!r}")
@@ -390,6 +383,9 @@ def analyze_bitstreams(
     them to analyze_spectra. Every note about the result goes into its
     warnings field; none is raised as a Python warning.
     """
+    for state, stream in (("hot", hot), ("cold", cold)):
+        if not isinstance(stream, BitStream):
+            raise ParameterError(f"{state} must be a BitStream, got {type(stream).__name__}")
     if hot.sample_rate_hz != cold.sample_rate_hz:
         raise ShapeError(
             f"hot and cold sample rates differ: {hot.sample_rate_hz} vs {cold.sample_rate_hz}"
@@ -415,6 +411,8 @@ def analyze_spectra(
     that grid's bins.
     """
     for state, spec in (("hot", spec_hot), ("cold", spec_cold)):
+        if not isinstance(spec, Spectrum):
+            raise ParameterError(f"{state} must be a Spectrum, got {type(spec).__name__}")
         if (spec.fft_size, spec.sample_rate_hz) != (cfg.fft_size, cfg.sample_rate_hz):
             raise ShapeError(
                 f"{state} spectrum is not on the config's grid: fft {spec.fft_size} vs "

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, check_integer, check_positive
+from .errors import (
+    ParameterError,
+    ShapeError,
+    check_integer,
+    check_non_negative,
+    check_positive,
+    is_finite_number,
+)
 from .nfcore import T0_K
 
 __all__ = [
@@ -29,11 +36,21 @@ __all__ = [
 _CHUNK_SAMPLES = 1 << 17
 
 
-def _as_readonly_f64(values) -> np.ndarray:
+def _as_f64(values, name: str) -> np.ndarray:
+    """values as a float64 array, without a copy if they are one. Complex
+    values, whose imaginary parts the cast would drop, and values that do
+    not cast raise ParameterError."""
     arr = np.asarray(values)
     if np.iscomplexobj(arr):
-        raise ParameterError(f"samples must be real, got dtype {arr.dtype}")
-    arr = np.asarray(arr, dtype=np.float64)
+        raise ParameterError(f"{name} must be real, got dtype {arr.dtype}")
+    try:
+        return np.asarray(arr, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be real numbers, got dtype {arr.dtype}") from None
+
+
+def _as_readonly_f64(values) -> np.ndarray:
+    arr = _as_f64(values, "samples")
     if arr.ndim != 1:
         raise ShapeError(f"samples must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -58,6 +75,10 @@ class SampledSignal:
 
     def __len__(self) -> int:
         return self.samples.size
+
+    def _span(self, start: int, stop: int) -> np.ndarray:
+        """Samples start .. stop - 1, a read-only view."""
+        return self.samples[start:stop]
 
     @property
     def duration_s(self) -> float:
@@ -111,8 +132,7 @@ def gaussian_noise(
 
 def _check_draw(n, sigma) -> int:
     n = check_integer("n", n, 1)
-    if not math.isfinite(sigma) or sigma < 0.0:
-        raise ParameterError(f"sigma must be finite and >= 0, got {sigma!r}")
+    check_non_negative("sigma", sigma)
     return n
 
 
@@ -186,11 +206,11 @@ def square_wave(
     """
     n = check_integer("n", n, 1)
     check_positive("sample_rate_hz", sample_rate_hz)
-    if not (0.0 < f0_hz < sample_rate_hz / 2.0):
+    if not (is_finite_number(f0_hz) and 0.0 < f0_hz < sample_rate_hz / 2.0):
         raise ParameterError(
             f"f0_hz must lie in (0, sample_rate/2) = (0, {sample_rate_hz / 2.0}), got {f0_hz}"
         )
-    if not math.isfinite(amplitude):
+    if not is_finite_number(amplitude):
         raise ParameterError(f"amplitude must be finite, got {amplitude!r}")
     packed = _first_half_mask(n, sample_rate_hz, f0_hz)
     mask = np.unpackbits(packed, count=n, bitorder="little").view(np.bool_)

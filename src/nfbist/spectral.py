@@ -109,20 +109,6 @@ class Spectrum:
         return float(self.psd.sum() * self.bin_width_hz)
 
 
-def _record(x):
-    """(span, length, sample rate) of a signal or bitstream, where
-    span(start, stop) gives its values start .. stop - 1: a view of a
-    signal's float64 samples, a bitstream's +1/-1 int8 values, unpacked
-    from its payload, or a streamed noise record's float64 samples, drawn
-    as they are read. int8 converts to float64 exactly."""
-    if isinstance(x, (BitStream, _NoiseDraw)):
-        return x._span, len(x), x.sample_rate_hz
-    if isinstance(x, SampledSignal):
-        samples = x.samples
-        return (lambda start, stop: samples[start:stop]), samples.size, x.sample_rate_hz
-    raise ParameterError(f"expected SampledSignal or BitStream, got {type(x).__name__}")
-
-
 def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float = 0.0) -> Spectrum:
     """Averaged-periodogram PSD of a signal or bitstream.
 
@@ -141,7 +127,8 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
 
 
 def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> list[Spectrum]:
-    """psd of each record.
+    """psd of each record, read through its len, sample_rate_hz and
+    _span(start, stop), its values start .. stop - 1.
 
     When the process may run on two cores, two records are summed at once,
     one on a worker thread and one on this thread; np.fft.rfft and the
@@ -154,13 +141,15 @@ def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> li
     thread's budget. Otherwise the records are summed one after the other
     on this thread, with the buffers of one record alive at a time.
     """
-    inputs = [_record(x) for x in records]
+    for x in records:
+        if not isinstance(x, (SampledSignal, BitStream, _NoiseDraw)):
+            raise ParameterError(f"expected SampledSignal or BitStream, got {type(x).__name__}")
     fft_size = check_integer("fft_size", fft_size, 2)
     if fft_size % 2 != 0:
         raise ParameterError(f"fft_size must be even, got {fft_size}")
-    for _, n, _ in inputs:
-        if fft_size > n:
-            raise InsufficientDataError(f"fft_size {fft_size} exceeds record length {n}")
+    for x in records:
+        if fft_size > len(x):
+            raise InsufficientDataError(f"fft_size {fft_size} exceeds record length {len(x)}")
     if window not in _WINDOWS:
         raise ParameterError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
     if not (
@@ -174,31 +163,31 @@ def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> li
         raise ParameterError(
             f"overlap_fraction {overlap_fraction} leaves no hop between {fft_size}-sample segments"
         )
-    totals = [np.empty(fft_size // 2 + 1) for _ in inputs]
-    counts = [(n - fft_size) // step + 1 for _, n, _ in inputs]
+    totals = [np.empty(fft_size // 2 + 1) for _ in records]
+    counts = [(len(x) - fft_size) // step + 1 for x in records]
     rows = max(1, _PSD_BLOCK_BYTES // (8 * fft_size))
 
-    def sums(record, count, rows):
-        span, _, rate = record
-        return _SegmentSums(span, step, count, _scaled_window(window, fft_size, rate), rows)
+    def sums(x, count, rows):
+        win = _scaled_window(window, fft_size, x.sample_rate_hz)
+        return _SegmentSums(x._span, step, count, win, rows)
 
-    if len(inputs) == 2 and _usable_cores() >= 2:
+    if len(records) == 2 and _usable_cores() >= 2:
         rows = max(1, rows // 2 - 1)
         worker, caller = (
-            functools.partial(sums(record, count, rows).sum_range, 0, count, total)
-            for record, count, total in zip(inputs, counts, totals)
+            functools.partial(sums(x, count, rows).sum_range, 0, count, total)
+            for x, count, total in zip(records, counts, totals)
         )
         _in_two_threads(worker, caller)
     else:
-        for record, count, total in zip(inputs, counts, totals):
-            sums(record, count, rows).sum_range(0, count, total)
+        for x, count, total in zip(records, counts, totals):
+            sums(x, count, rows).sum_range(0, count, total)
     spectra = []
-    for (_, _, sample_rate_hz), count, total in zip(inputs, counts, totals):
+    for x, count, total in zip(records, counts, totals):
         # Doubling is exact, so doubling the sums equals summing doubled
         # periodograms; the mean then divides by the count, as np.mean does.
         total[1:-1] *= 2
         total /= count
-        spectra.append(Spectrum(total, fft_size, count, sample_rate_hz))
+        spectra.append(Spectrum(total, fft_size, count, x.sample_rate_hz))
     return spectra
 
 
@@ -266,16 +255,16 @@ class _SegmentSums:
     periodograms in numpy's pairwise order, segment by segment.
 
     Segment i is the record's values i * step .. i * step + fft_size - 1,
-    read through span (see _record), so a packed bitstream is unpacked one
-    block of segments at a time. Each span is used before the next is
-    requested, and each span starts no earlier than the previous one and,
-    as the hop is at most fft_size, no later than the previous stop, which
-    a streamed noise record relies on: it keeps only the samples from the
-    latest start onward. The sum of n periodograms equals the
-    contiguous (freq, segment) array's sum over its last axis bit for bit,
-    so their mean equals np.mean's. Only rows segments are transformed at a
-    time, and a partial sum is held for each open split, so memory grows
-    with log(n), not with n.
+    read through span, the record's _span(start, stop), so a packed
+    bitstream is unpacked one block of segments at a time. Each span is
+    used before the next is requested, and each span starts no earlier than
+    the previous one and, as the hop is at most fft_size, no later than the
+    previous stop, which a streamed noise record relies on: it keeps only
+    the samples from the latest start onward. The sum of n periodograms
+    equals the contiguous (freq, segment) array's sum over its last axis
+    bit for bit, so their mean equals np.mean's. Only rows segments are
+    transformed at a time, and a partial sum is held for each open split,
+    so memory grows with log(n), not with n.
     """
 
     def __init__(self, span, step, n_segments, win, rows):
@@ -340,18 +329,18 @@ class _SegmentSums:
         r.fill(0.0)
         lanes = n - n % _LANES
         if lanes:
-            # Blocks of whole groups of _LANES segments; for huge segments
-            # (rows < _LANES), one group's lanes in near-equal parts.
-            # Either way a block is a run of consecutive segments.
-            per_block = max(1, self.rows // _LANES)
-            lane_block = -(-_LANES // -(-_LANES // self.rows))
-            for g in range(lo, lo + lanes, per_block * _LANES):
-                groups = min(per_block, (lo + lanes - g) // _LANES)
-                for a in range(0, _LANES, lane_block):
-                    width = min(lane_block, _LANES - a)
-                    powers = self.periodograms(g + a, groups * width)
-                    for power in powers.reshape(groups, width, -1):
-                        r[a : a + width] += power
+            # Blocks of whole groups of _LANES segments where rows allows;
+            # for huge segments (rows < _LANES), blocks of rows segments
+            # whose slabs wrap around the lanes.
+            block = self.rows - self.rows % _LANES or self.rows
+            for first in range(lo, lo + lanes, block):
+                powers = self.periodograms(first, min(block, lo + lanes - first))
+                j = 0
+                while j < len(powers):
+                    a = (first - lo + j) % _LANES
+                    width = min(_LANES - a, len(powers) - j)
+                    r[a : a + width] += powers[j : j + width]
+                    j += width
             np.add(r[0::2], r[1::2], out=r[0::2])
             np.add(r[0::4], r[2::4], out=r[0::4])
             r[0] += r[4]
@@ -375,6 +364,21 @@ def _scaled_window(window: str, fft_size: int, sample_rate_hz: float) -> np.ndar
     return win
 
 
+def _peak_search_bins(f_ref_hz: float, fft_size: int, sample_rate_hz: float) -> tuple[int, int]:
+    """First and last bin that find_reference_peak searches for a reference
+    at f_ref_hz on the fft_size-point grid at sample_rate_hz: the
+    _PEAK_SEARCH_HALFWIDTH_BINS bins either side of the bin nearest f_ref_hz.
+    Raises ParameterError, naming f_ref_hz, if a bin lies off the spectrum."""
+    center = int(round(f_ref_hz / (sample_rate_hz / fft_size)))
+    lo, hi = center - _PEAK_SEARCH_HALFWIDTH_BINS, center + _PEAK_SEARCH_HALFWIDTH_BINS
+    if lo < 0 or hi > fft_size // 2:
+        raise ParameterError(
+            f"f_ref_hz {f_ref_hz} puts the reference peak search on bins [{lo}, {hi}], "
+            f"outside the {fft_size}-point spectrum's bins 0..{fft_size // 2}"
+        )
+    return lo, hi
+
+
 def find_reference_peak(s: Spectrum, f_ref_hz: float) -> tuple[int, float]:
     """Locate the injected reference peak near f_ref_hz.
 
@@ -383,17 +387,11 @@ def find_reference_peak(s: Spectrum, f_ref_hz: float) -> tuple[int, float]:
     side, which keeps the estimate stable when the reference does not land
     exactly on a bin center and leaks into its neighbours.
     """
-    if not (0.0 <= f_ref_hz <= s.nyquist_hz):
+    if not (is_finite_number(f_ref_hz) and 0.0 <= f_ref_hz <= s.nyquist_hz):
         raise ParameterError(
             f"f_ref_hz must lie in [0, {s.nyquist_hz}], got {f_ref_hz}"
         )
-    center = int(round(f_ref_hz / s.bin_width_hz))
-    lo = center - _PEAK_SEARCH_HALFWIDTH_BINS
-    hi = center + _PEAK_SEARCH_HALFWIDTH_BINS
-    if lo < 0 or hi >= s.psd.size:
-        raise ParameterError(
-            f"search window [{lo}, {hi}] falls outside the spectrum (0..{s.psd.size - 1})"
-        )
+    lo, hi = _peak_search_bins(f_ref_hz, s.fft_size, s.sample_rate_hz)
     best_bin = lo + int(np.argmax(s.psd[lo : hi + 1]))
     g_lo = max(best_bin - 1, 0)
     g_hi = min(best_bin + 1, s.psd.size - 1)
@@ -403,7 +401,11 @@ def find_reference_peak(s: Spectrum, f_ref_hz: float) -> tuple[int, float]:
 
 def _band_mask(s: Spectrum, f_lo_hz: float, f_hi_hz: float) -> np.ndarray:
     """Bins whose center lies in [f_lo, f_hi]."""
-    if not (0.0 <= f_lo_hz < f_hi_hz <= s.nyquist_hz):
+    if not (
+        is_finite_number(f_lo_hz)
+        and is_finite_number(f_hi_hz)
+        and 0.0 <= f_lo_hz < f_hi_hz <= s.nyquist_hz
+    ):
         raise ParameterError(
             f"band must satisfy 0 <= f_lo < f_hi <= {s.nyquist_hz}, got [{f_lo_hz}, {f_hi_hz}]"
         )

@@ -1,11 +1,28 @@
-"""Public names: every exported and every benchmark-traced name is bound."""
+"""Public names: every exported and every benchmark-traced name is bound,
+and the public analysis functions reject arguments of the wrong type."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import nfbist
+from nfbist import (
+    ExperimentConfig,
+    NoiseSourceSpec,
+    ParameterError,
+    analyze_bitstreams,
+    analyze_spectra,
+    band_power,
+    digitize,
+    dut_from_nf,
+    find_reference_peak,
+    gaussian_noise,
+    psd,
+)
 
 TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,3 +52,24 @@ def test_every_traced_name_is_bound(monkeypatch):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert unbound == []
+
+
+CONFIG = ExperimentConfig(NoiseSourceSpec(10_000.0, 1_000.0), dut_from_nf(10.0, 1.0))
+SPECTRUM = psd(gaussian_noise(20_000, 1.0, seed=0, sample_rate_hz=50_000.0), 10_000)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: analyze_bitstreams(1, 2, CONFIG), id="analyze_bitstreams"),
+        pytest.param(lambda: analyze_spectra(1, 2, CONFIG), id="analyze_spectra"),
+        pytest.param(lambda: digitize(np.ones(3), np.ones(3)), id="digitize"),
+        pytest.param(lambda: find_reference_peak(SPECTRUM, "a"), id="find_reference_peak"),
+        pytest.param(lambda: band_power(SPECTRUM, "a", 2.0), id="band_power-f_lo"),
+        pytest.param(lambda: band_power(SPECTRUM, 1.0, None), id="band_power-f_hi"),
+    ],
+)
+def test_analysis_functions_reject_wrong_types(call):
+    # A typed error, not the AttributeError or TypeError of a bare access.
+    with pytest.raises(ParameterError):
+        call()

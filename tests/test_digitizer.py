@@ -214,6 +214,9 @@ def test_arcsine_map_array_and_domain():
         arcsine_map(1.0001)
     with pytest.raises(ParameterError):
         arcsine_map(np.array([0.0, -1.2]))
+    for bad_rho in ("a", 0.5j, np.array([0.5 + 0j])):
+        with pytest.raises(ParameterError):
+            arcsine_map(bad_rho)
 
 
 def test_empirical_autocorr_hand_computed():
@@ -248,6 +251,10 @@ def test_empirical_autocorr_validation():
         empirical_autocorr(np.zeros(4), max_lag=1)
     with pytest.raises(ShapeError):
         empirical_autocorr(np.ones((2, 2)), max_lag=1)
+    # Complex input would lose its imaginary parts in the float64 cast.
+    for bad_x in (np.array([1 + 1j, 2]), [1j, 2, 3], ["a", "b"]):
+        with pytest.raises(ParameterError):
+            empirical_autocorr(bad_x, max_lag=1)
 
 
 def test_hard_limited_ar1_follows_arcsine_law():

@@ -41,6 +41,10 @@ def test_sampled_signal_rejects_bad_input():
     for values in (np.array([1 + 2j, 3j]), [1 + 2j, 3j], np.zeros(3, dtype=np.complex64)):
         with pytest.raises(ParameterError):
             SampledSignal(1.0, values)
+    # Values that do not cast to float64.
+    for values in (["a"], ["1", "b"]):
+        with pytest.raises(ParameterError):
+            SampledSignal(1.0, values)
 
 
 def test_gaussian_noise_reproducible():
@@ -78,10 +82,10 @@ def test_gaussian_noise_validation():
     for bad_n in BAD_COUNTS:
         with pytest.raises(ParameterError):
             gaussian_noise(bad_n, 1.0, seed=0)
-    with pytest.raises(ParameterError):
-        gaussian_noise(10, -1.0, seed=0)
-    with pytest.raises(ParameterError):
-        gaussian_noise(10, float("nan"), seed=0)
+    # A bool is not a deviation (True would draw with sigma 1).
+    for bad_sigma in (-1.0, math.nan, math.inf, "1", None, True):
+        with pytest.raises(ParameterError):
+            gaussian_noise(10, bad_sigma, seed=0)
     assert gaussian_noise(3.0, 1.0, seed=0).samples.size == 3
 
 
@@ -105,10 +109,16 @@ def test_square_wave_zero_mean_over_whole_periods():
     assert float(sig.samples.sum()) == 0.0
 
 
-@pytest.mark.parametrize("f0", [0.0, -1.0, 4.0, 5.0, math.nan, math.inf])
+@pytest.mark.parametrize("f0", [0.0, -1.0, 4.0, 5.0, math.nan, math.inf, None, "1", True])
 def test_square_wave_rejects_out_of_range_f0(f0):
     with pytest.raises(ParameterError):
         square_wave(16, 8.0, f0, 1.0)
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf, None, "x", True])
+def test_square_wave_rejects_bad_amplitude(amplitude):
+    with pytest.raises(ParameterError):
+        square_wave(8, 10.0, 1.0, amplitude)
 
 
 @pytest.mark.parametrize("rate", [0.0, -8.0, math.nan, math.inf])

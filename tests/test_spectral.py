@@ -209,7 +209,11 @@ def test_spectra_one_thread_per_record_matches_single_pass(
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-@pytest.mark.parametrize("block_rows", [None, 3], ids=["default_blocks", "3_row_blocks"])
+@pytest.mark.parametrize(
+    "block_rows",
+    [None, 1, 3, 13],
+    ids=["default_blocks", "1_row_blocks", "3_row_blocks", "13_row_blocks"],
+)
 def test_psd_sums_segments_in_numpys_mean_order(monkeypatch, cores, block_rows):
     # psd adds each periodogram into running sums instead of averaging the
     # (freq, segment) array. The counts reach every branch of numpy's
