@@ -12,29 +12,29 @@ which keeps only the sign of p*x - p*r = p*(x - r), never sees it. The
 simulation therefore compares the DUT output before post-DUT gain with the
 reference before it: the Y-factor bits do not depend on the gain by
 construction, which is what makes the method immune to gain error, unlike
-the direct method. That method's record is drawn before post-DUT gain too,
-and since a PSD scales linearly with power gain, its band power is the
-record's band power times the gain: one spectrum serves every gain. The
-record is drawn block by block as its periodogram reads it, so its memory
-does not grow with its length.
+the direct method.
 
-The comparator works on the standard-normal draw z, one pass per state:
-per chunk, the state's z is drawn into a reused buffer and scaled there by
-the state's RMS, and each requested reference level r is decided as
-a >= r in the first half of the reference period and a >= -r in the
-second, taken from the cached square-wave pattern. For finite values
-a - r >= 0 holds exactly when a >= r, so the bits are those of digitize on
-the record and the square-wave reference, without building either waveform,
-their difference or a reference per chunk. The decisions are packed 8 per
-byte as they are made, so one pass serves every level of a
-reference-amplitude sweep in n/4 bytes per level, and each packed stream
-becomes a BitStream as it is, without a copy: the bits stay n/8 bytes per
-state from the comparator to the capture file and the spectra. The hot
-and the cold state share nothing but that pattern (each has its own
-generator), so on a host with two usable cores the hot state's pass runs
-on a worker thread while the cold state's runs on the calling thread, and
-their spectra are summed the same way (see spectral._spectra); the bits
-and the results are the same as on one core.
+Every record is a signals._NoiseDraw made by _record: the DUT output
+before post-DUT gain, white Gaussian noise of the state's RMS from the
+state's own sub-seed, drawn block by block as it is read, so its memory
+does not grow with its length. The direct method's record is taken before
+the gain too: a PSD scales linearly with power gain, so its band power is
+the record's times the gain, and one spectrum serves every gain.
+
+The comparator reads each state's record _CHUNK_SAMPLES samples at a time
+and decides each requested reference level r as a >= r in the first half
+of the reference period and a >= -r in the second, taken from the cached
+square-wave pattern. For finite values a - r >= 0 holds exactly when
+a >= r, so the bits are those of digitize on the record and the
+square-wave reference, without building either waveform, their difference
+or a reference per chunk. The decisions are packed 8 per byte as they are
+made, so one pass serves every level of a reference-amplitude sweep in n/4
+bytes per level, and each packed stream becomes a BitStream as it is,
+without a copy. The hot and the cold state share nothing but that pattern,
+so on a host with two usable cores the hot state's pass runs on a worker
+thread while the cold state's runs on the calling thread, and their
+spectra are summed the same way (see spectral._spectra); the bits and the
+results are the same as on one core.
 """
 
 from __future__ import annotations
@@ -242,34 +242,39 @@ def _nf_and_notes(f: float, context: str) -> tuple[float, list[str]]:
     return float("nan"), notes
 
 
+def _record(cfg: ExperimentConfig, temperature_k: float, sub_seed: int) -> _NoiseDraw:
+    """cfg's DUT output, before post-DUT gain, for a source at temperature_k.
+
+    One white Gaussian draw of RMS _sigma(cfg, temperature_k) from child
+    seed sub_seed of cfg.seed, streamed as it is read. The hot, cold and
+    direct-method (T0) records are sub-seeds 0, 2 and 4.
+    """
+    seed = _sub_seeds(cfg.seed, 6)[sub_seed]
+    return _NoiseDraw(cfg.n_samples, _sigma(cfg, temperature_k), seed, cfg.sample_rate_hz)
+
+
 def _comparator_bits(cfg: ExperimentConfig, fractions: Sequence[float]) -> np.ndarray:
     """Hot and cold comparator decisions of cfg's seed at each reference fraction, packed.
 
-    Draws cfg's hot and cold standard-normal records once, each from its own
-    generator (sub-seeds 0 and 2), and slices them against the square-wave
-    reference at each fraction of the analytic cold-state RMS;
-    cfg.ref_amplitude is not read. Each state's z is scaled by the state's
-    RMS. The post-DUT gain scales the record and the reference alike and so
-    drops out of the comparison (see the module docstring); it enters only
-    the check that each reference amplitude at the comparator is finite.
-    A decision is 1 where the scaled value is at least the reference, which
-    for finite values is where digitize's difference is >= 0. The draws
-    depend only on the seed and n_samples, never on the fractions, so every
-    fraction of a sweep is decided on the same draws (common random
-    numbers).
+    Slices cfg's hot and cold records (_record, sub-seeds 0 and 2) against
+    the square-wave reference at each fraction of the analytic cold-state
+    RMS; cfg.ref_amplitude is not read. The post-DUT gain drops out of the
+    comparison (see the module docstring); it enters only the check that
+    each reference amplitude at the comparator is finite. The records
+    depend only on the seed and n_samples, so every fraction of a sweep is
+    decided on the same draws (common random numbers).
 
-    Each state runs _state_bits over its whole record in buffers allocated
-    here, 1 MiB of float64 and one 128 KiB bool chunk per state: the hot
-    state on a worker thread and the cold state on this one when two cores
-    are usable, one after the other on this thread otherwise, with the same
-    bits. Returns a uint8 array of shape (len(fractions), 2, ceil(n / 8)),
-    hot before cold: each decision stream packed 8 per byte, LSB first, with
-    the unused bits of the last byte zero, as NFB1 captures store bits. That
-    is n/4 bytes per fraction.
+    Each state runs _state_bits over its record: the hot state on a worker
+    thread and the cold state on this one when two cores are usable, one
+    after the other on this thread otherwise, with the same bits. Returns a
+    uint8 array of shape (len(fractions), 2, ceil(n / 8)), hot before cold:
+    each decision stream packed 8 per byte, LSB first, with the unused bits
+    of the last byte zero, as NFB1 captures store bits: n/4 bytes per
+    fraction.
     """
     fs, n = cfg.sample_rate_hz, cfg.n_samples
-    src = cfg.source
-    sigmas = (_sigma(cfg, src.t_hot_k), _sigma(cfg, src.t_cold_k))
+    temperatures = (cfg.source.t_hot_k, cfg.source.t_cold_k)
+    sigmas = [_sigma(cfg, t) for t in temperatures]
     levels = [fraction * sigmas[1] for fraction in fractions]
     at_comparator = [math.sqrt(cfg.post_dut_gain_linear) * level for level in levels]
     if not all(math.isfinite(v) for v in (*sigmas, *at_comparator)):
@@ -278,55 +283,43 @@ def _comparator_bits(cfg: ExperimentConfig, fractions: Sequence[float]) -> np.nd
             f"amplitude at the comparator ({', '.join(map(repr, at_comparator))}) must be finite"
         )
     first_half = _first_half_mask(n, fs, cfg.f_ref_hz)
-    size = min(n, _CHUNK_SAMPLES)
-    # Each state's chunk buffers, allocated before the result that outlives
-    # them: allocated after it, they left about 3 MB more of a sweep process
-    # resident when the direct method's record was drawn next (peak RSS
-    # 52.5 instead of 49.1 MB).
-    buffers = [(np.empty(size), np.empty(size, dtype=np.bool_)) for _ in range(2)]
+    # Each state's record, whose 1 MiB draw buffer is made with it, and its
+    # 128 KiB bool chunk: allocated on this thread, as a worker's own
+    # allocations come from a separate malloc arena, and before the result
+    # that outlives them, as allocated after it they left about 3 MB more of
+    # a sweep process resident when the direct method's record was drawn
+    # next (peak RSS 52.5 instead of 49.1 MB).
+    records = [_record(cfg, t, k) for t, k in zip(temperatures, (0, 2))]
+    decided = [np.empty(min(n, _CHUNK_SAMPLES), dtype=np.bool_) for _ in records]
     packed = np.empty((len(fractions), 2, -(-n // 8)), dtype=np.uint8)
-    seeds = _sub_seeds(cfg.seed, 6)
     hot, cold = (
-        functools.partial(
-            _state_bits,
-            np.random.default_rng(seed),
-            sigma,
-            levels,
-            first_half,
-            n,
-            packed[:, k],
-            *b,
-        )
-        for k, (seed, sigma, b) in enumerate(zip((seeds[0], seeds[2]), sigmas, buffers))
+        functools.partial(_state_bits, record, levels, first_half, packed[:, k], buffer)
+        for k, (record, buffer) in enumerate(zip(records, decided))
     )
     _in_two_threads(hot, cold)
     return packed
 
 
-def _state_bits(rng, sigma, levels, first_half, n, out, z_buffer, decided_buffer):
+def _state_bits(record, levels, first_half, out, decided_buffer):
     """One state's comparator pass: out[k] = the packed decisions at levels[k].
 
-    Draws the state's standard-normal record into z_buffer, _CHUNK_SAMPLES
-    samples at a time (the last chunk shorter). standard_normal(out=...)
-    gives the values of the allocating call and the generator continues
-    from chunk to chunk, so the chunks concatenate bit for bit to one
-    full-length draw. Each chunk is scaled by sigma in place to the samples
-    a, and each level's decisions are a >= level in the first half of the
+    Reads the record's samples a through record._span, _CHUNK_SAMPLES at a
+    time (the last chunk shorter), front to back as a streamed record is
+    read. Each level's decisions are a >= level in the first half of the
     reference period and a >= -level in the second: elementwise the
     comparison with the square-wave reference. Both comparisons are packed
     as out is, and merged bytewise by first_half, the pattern packed the
     same way: high where its bit is 1, low elsewhere. _CHUNK_SAMPLES is a
     multiple of 8, so every chunk starts on a byte of out and of first_half.
     """
+    n = len(record)
     for start in range(0, n, _CHUNK_SAMPLES):
         stop = min(start + _CHUNK_SAMPLES, n)
-        z, decided = z_buffer[: stop - start], decided_buffer[: stop - start]
-        rng.standard_normal(out=z)
-        z *= sigma
+        a, decided = record._span(start, stop), decided_buffer[: stop - start]
         chunk = slice(start // 8, -(-stop // 8))
         for level, state_bits in zip(levels, out):
-            high = np.packbits(np.greater_equal(z, level, out=decided), bitorder="little")
-            low = np.packbits(np.greater_equal(z, -level, out=decided), bitorder="little")
+            high = np.packbits(np.greater_equal(a, level, out=decided), bitorder="little")
+            low = np.packbits(np.greater_equal(a, -level, out=decided), bitorder="little")
             # low ^ ((low ^ high) & first_half): high's bit where the pattern's is 1.
             high ^= low
             high &= first_half[chunk]
@@ -341,15 +334,15 @@ def _bitstream(cfg: ExperimentConfig, packed: np.ndarray) -> BitStream:
 def simulate_bitstreams(cfg: ExperimentConfig) -> tuple[BitStream, BitStream]:
     """Synthesize the (hot, cold) comparator bitstreams for a configuration.
 
-    Draws each state's standard-normal record _CHUNK_SAMPLES samples at a
-    time and scales and compares each chunk with the same chunk of the
-    reference (see _comparator_bits), so the float working memory is one
-    chunk per state whatever the record length. Each bitstream holds its
-    state's packed decisions, n/8 bytes. With two usable cores the
-    hot and the cold state are drawn and compared on two threads at once,
-    with the same bits as on one. The reference-amplitude sweep makes the
-    same pass with all of its fractions at once, so its bits equal this
-    function's for each point's config.
+    Reads each state's record _CHUNK_SAMPLES samples at a time and
+    compares each chunk with the same chunk of the reference (see
+    _comparator_bits), so the float working memory is one chunk per state
+    whatever the record length. Each bitstream holds its state's packed
+    decisions, n/8 bytes. With two usable cores the hot and the cold state
+    are read and compared on two threads at once, with the same bits as on
+    one. The reference-amplitude sweep makes the same pass with all of its
+    fractions at once, so its bits equal this function's for each point's
+    config.
     """
     (hot, cold), = _comparator_bits(cfg, [cfg.ref_amplitude])
     return _bitstream(cfg, hot), _bitstream(cfg, cold)
@@ -455,24 +448,10 @@ def analyze_spectra(
     )
 
 
-def _direct_record(cfg: ExperimentConfig) -> _NoiseDraw:
-    """DUT output for the direct method's matched load at T0.
-
-    One white Gaussian draw of RMS _sigma(cfg, T0), streamed: psd draws it
-    block by block as it reads it, so no n-sample array is built, and its
-    values are those of gaussian_noise with the same arguments. Like the
-    Y-factor records it is taken before post-DUT gain, so it depends on the
-    seed but not on post_dut_gain_linear.
-    """
-    seeds = _sub_seeds(cfg.seed, 6)
-    sigma_t0 = _sigma(cfg, cfg.source.t0_k)
-    return _NoiseDraw(cfg.n_samples, sigma_t0, seeds[4], cfg.sample_rate_hz)
-
-
 def _direct_result(
     cfg: ExperimentConfig, spectrum: Spectrum, assumed_gain_linear: float
 ) -> MeasurementResult:
-    """Direct-method F from the spectrum of cfg's direct record (_direct_record).
+    """Direct-method F from the spectrum of cfg's T0 record (_record, sub-seed 4).
 
     The record is taken before post-DUT gain, and a PSD scales linearly
     with power gain, so the measured band power is post_dut_gain_linear
@@ -511,7 +490,7 @@ def run_direct_experiment(
     made.
     """
     check_positive("assumed_gain_linear", assumed_gain_linear)
-    spectrum = psd(_direct_record(cfg), cfg.fft_size, window, overlap_fraction)
+    spectrum = psd(_record(cfg, cfg.source.t0_k, 4), cfg.fft_size, window, overlap_fraction)
     return _direct_result(cfg, spectrum, assumed_gain_linear)
 
 
@@ -529,7 +508,7 @@ def sweep_reference_amplitude(
     |y_est - y_ideal| / y_ideal, where y_ideal comes from the DUT's nominal
     noise factor. Returns (fraction, error) pairs in the order given.
 
-    Each seed's standard-normal records are drawn once and compared with
+    Each seed's hot and cold records are drawn once and compared with
     every fraction's reference in one comparator pass (common random
     numbers), which keeps the decisions packed, n/4 bytes per fraction
     (below the 16 bytes per sample of kept float64 hot and cold records up
@@ -604,7 +583,7 @@ def gain_sensitivity_study(
     drifted = [
         replace(cfg, post_dut_gain_linear=cfg.post_dut_gain_linear * r) for r in gain_ratios
     ]
-    spectrum = psd(_direct_record(cfg), cfg.fft_size, window, overlap_fraction)
+    spectrum = psd(_record(cfg, cfg.source.t0_k, 4), cfg.fft_size, window, overlap_fraction)
     base_direct = _direct_result(cfg, spectrum, assumed).nf_db
     base_y = run_y_factor_experiment(
         cfg, window=window, overlap_fraction=overlap_fraction

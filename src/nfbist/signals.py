@@ -36,26 +36,34 @@ __all__ = [
 _CHUNK_SAMPLES = 1 << 17
 
 
-def _as_f64(values, name: str) -> np.ndarray:
+def _as_f64(values, name: str, finite: bool = True) -> np.ndarray:
     """values as a float64 array, without a copy if they are one. Complex
-    values, whose imaginary parts the cast would drop, and values that do
-    not cast raise ParameterError."""
+    values, whose imaginary parts the cast would drop, bools and values that
+    do not cast raise ParameterError, as do NaN and inf. With finite False,
+    NaN and inf pass where the caller gives them as floats, but not where
+    the cast makes them, as it makes NaN of None."""
     arr = np.asarray(values)
-    if np.iscomplexobj(arr):
-        raise ParameterError(f"{name} must be real, got dtype {arr.dtype}")
+    if np.iscomplexobj(arr) or arr.dtype == np.bool_:
+        raise ParameterError(f"{name} must be real numbers, got dtype {arr.dtype}")
     try:
-        return np.asarray(arr, dtype=np.float64)
+        cast = np.asarray(arr, dtype=np.float64)
     except (TypeError, ValueError):
         raise ParameterError(f"{name} must be real numbers, got dtype {arr.dtype}") from None
+    if (finite or arr.dtype.kind != "f") and not np.isfinite(cast).all():
+        raise ParameterError(f"{name} must be finite real numbers, got dtype {arr.dtype}")
+    return cast
 
 
 def _as_readonly_f64(values) -> np.ndarray:
-    arr = _as_f64(values, "samples")
+    # digitize is defined on NaN and inf samples too.
+    arr = _as_f64(values, "samples", finite=False)
     if arr.ndim != 1:
         raise ShapeError(f"samples must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ParameterError("signal must contain at least one sample")
-    arr = np.ascontiguousarray(arr)
+    # A copy, so that the caller's array stays writeable and a later write
+    # to it or to its base cannot change the signal.
+    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -117,58 +125,48 @@ class NoiseSourceSpec:
 def gaussian_noise(
     n: int, sigma: float, seed: int | np.random.Generator, sample_rate_hz: float = 1.0
 ) -> SampledSignal:
-    """White Gaussian noise with standard deviation ``sigma``.
+    """White Gaussian noise with standard deviation ``sigma``: a _NoiseDraw
+    read whole.
 
     The same ``(n, sigma, seed)`` always reproduces the same samples.
     ``seed`` may also be a ``numpy.random.Generator``, whose stream the draw
     continues: consecutive draws from one generator concatenate to a single
     draw of their total length, bit for bit.
     """
-    n = _check_draw(n, sigma)
-    samples = np.empty(n)
-    _fill_normal(np.random.default_rng(seed), sigma, samples)
-    return SampledSignal(sample_rate_hz, samples)
-
-
-def _check_draw(n, sigma) -> int:
-    n = check_integer("n", n, 1)
-    check_non_negative("sigma", sigma)
-    return n
-
-
-def _fill_normal(rng: np.random.Generator, sigma: float, out: np.ndarray):
-    """Fill out with the next out.size samples of rng, scaled by sigma: the
-    values of rng.normal(0.0, 1.0, out.size) * sigma, bit for bit. normal's
-    0.0 + 1.0 * z maps -0.0 to +0.0, hence the += 0.0. The generator
-    continues, so consecutive fills concatenate to one fill of their total
-    length."""
-    rng.standard_normal(out=out)
-    out += 0.0
-    out *= sigma
+    record = _NoiseDraw(n, sigma, seed, sample_rate_hz)
+    return SampledSignal(record.sample_rate_hz, record._span(0, len(record)))
 
 
 class _NoiseDraw:
-    """gaussian_noise(n, sigma, seed, sample_rate_hz) drawn as it is read.
+    """n samples of white Gaussian noise of standard deviation sigma, drawn
+    as they are read: the package's one scaled normal draw.
 
-    Offers what psd reads of a record (len, sample_rate_hz, _span), so the
-    record is never held whole: _span(start, stop) draws on demand into one
-    reused buffer and keeps the samples from start onward, which covers the
-    overlap that the next request re-reads. The record is read once, front
-    to back, as spectral._SegmentSums reads it: each request must start
-    within the kept samples, that is, no earlier than the previous start
-    and no later than the furthest sample drawn; any other request raises
-    ParameterError. The values equal gaussian_noise(n, sigma,
-    seed).samples[start:stop] bit for bit. One thread at a time may read
-    it: the buffer and the generator are shared by every request.
+    Offers what psd and the comparator read of a record (len,
+    sample_rate_hz, _span), so the record is never held whole: _span(start,
+    stop) draws on demand into one reused buffer and keeps the samples from
+    start onward, which covers the overlap that the next request re-reads.
+    Each fill is the next samples of one generator, made from seed, as
+    rng.normal(0.0, 1.0, size) * sigma computes them (normal's 0.0 + 1.0 * z
+    maps -0.0 to +0.0, hence the += 0.0), so the fills concatenate to one
+    draw of the whole record bit for bit. The record is read once, front to
+    back: each request must start no earlier than the previous start and no
+    later than the furthest sample drawn; any other raises ParameterError.
+    One thread at a time may read it. The buffer, min(n, _CHUNK_SAMPLES)
+    samples, is allocated here, on the thread that makes the record, and
+    grows only for a longer request, so a worker that reads the record in
+    chunks allocates nothing.
     """
 
-    def __init__(self, n: int, sigma: float, seed: int, sample_rate_hz: float):
-        self._n = _check_draw(n, sigma)
+    def __init__(
+        self, n: int, sigma: float, seed: int | np.random.Generator, sample_rate_hz: float
+    ):
+        self._n = check_integer("n", n, 1)
+        check_non_negative("sigma", sigma)
         self._sigma = sigma
         self.sample_rate_hz = float(sample_rate_hz)
         check_positive("sample_rate_hz", self.sample_rate_hz)
         self._rng = np.random.default_rng(seed)
-        self._buffer = np.empty(0)
+        self._buffer = np.empty(min(self._n, _CHUNK_SAMPLES))
         # The buffer holds samples _first .. _drawn - 1.
         self._first = self._drawn = 0
 
@@ -187,7 +185,10 @@ class _NoiseDraw:
             self._buffer = np.empty(stop - start)
         # Within one buffer, a forward copy that numpy makes in place.
         self._buffer[: kept.size] = kept
-        _fill_normal(self._rng, self._sigma, self._buffer[kept.size : stop - start])
+        fill = self._buffer[kept.size : stop - start]
+        self._rng.standard_normal(out=fill)
+        fill += 0.0
+        fill *= self._sigma
         self._first, self._drawn = start, start + max(kept.size, stop - start)
         return self._buffer[: stop - start]
 

@@ -219,6 +219,23 @@ def test_arcsine_map_array_and_domain():
             arcsine_map(bad_rho)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: arcsine_map(True),
+        lambda: arcsine_map(np.array([True, False])),
+        lambda: arcsine_map(math.nan),
+        lambda: empirical_autocorr([1.0, math.nan, 2.0], 1),
+        lambda: empirical_autocorr(np.array([1.0, math.inf, 2.0]), 1),
+        lambda: empirical_autocorr(np.array([True, False, True]), 1),
+    ],
+    ids=["rho-true", "rho-bools", "rho-nan", "x-nan", "x-inf", "x-bools"],
+)
+def test_arcsine_map_and_autocorr_reject_bools_and_non_finite_values(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
 def test_empirical_autocorr_hand_computed():
     r = empirical_autocorr(np.array([1.0, 2.0, 3.0, 4.0]), max_lag=3)
     # denom = 30; lag sums are 20, 11 and 4.

@@ -38,7 +38,7 @@ from nfbist.cli import DEFAULT_AMPLITUDE_FRACTIONS, DEFAULT_GAIN_RATIOS
 from nfbist.pipeline import (
     _CHUNK_SAMPLES,
     _comparator_bits,
-    _direct_record,
+    _record,
     _sigma,
     _sub_seeds,
     check_sweep_points,
@@ -227,7 +227,8 @@ def _dut_output_records(cfg):
         _sigma(cfg, t) * np.random.default_rng(seed).standard_normal(cfg.n_samples)
         for t, seed in zip((src.t_hot_k, src.t_cold_k), (seeds[0], seeds[2]))
     )
-    return {"hot": hot, "cold": cold, "direct": _direct_record(cfg)._span(0, cfg.n_samples)}
+    direct = _record(cfg, cfg.source.t0_k, 4)._span(0, cfg.n_samples)
+    return {"hot": hot, "cold": cold, "direct": direct}
 
 
 # A non-unit gain and power scale, so every term of g * P * T + na counts.
@@ -568,7 +569,7 @@ def test_direct_method_band_power_is_the_gain_times_that_of_the_record(analysis)
     # A PSD scales linearly with power gain, so the direct method takes the
     # spectrum of the record before post-DUT gain and scales its band power.
     cfg = make_config(seed=4, **FAST)
-    spectrum = psd(_direct_record(cfg), cfg.fft_size, **analysis)
+    spectrum = psd(_record(cfg, cfg.source.t0_k, 4), cfg.fft_size, **analysis)
     for gain in (0.794, 2.5):
         result = run_direct_experiment(replace(cfg, post_dut_gain_linear=gain), 1.0, **analysis)
         assert result.n_segments == spectrum.n_segments
@@ -710,9 +711,9 @@ def test_comparator_bits_are_the_same_on_one_and_two_cores(monkeypatch):
     passes = []
     state_bits = pipeline._state_bits
 
-    def recording(rng, sigma, *args):
-        passes.append((sigma, threading.current_thread() is threading.main_thread()))
-        return state_bits(rng, sigma, *args)
+    def recording(record, *args):
+        passes.append((record._sigma, threading.current_thread() is threading.main_thread()))
+        return state_bits(record, *args)
 
     monkeypatch.setattr(pipeline, "_state_bits", recording)
     packed = _per_core_count(

@@ -47,6 +47,32 @@ def test_sampled_signal_rejects_bad_input():
             SampledSignal(1.0, values)
 
 
+def test_sampled_signal_copies_the_callers_array():
+    # The caller's array and a view's base stay writeable, and a later write
+    # to either leaves the signal as it was made.
+    v = np.ones(4)
+    sig = SampledSignal(1.0, v)
+    v[0] = 7.0
+    base = np.ones(4)
+    view_sig = SampledSignal(1.0, base[:3])
+    base[0] = 7.0
+    assert v.flags.writeable and base.flags.writeable
+    np.testing.assert_array_equal(sig.samples, np.ones(4))
+    np.testing.assert_array_equal(view_sig.samples, np.ones(3))
+    assert not sig.samples.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.array([True, False]), [True, False], [None, 1.0]],
+    ids=["bool-array", "bools", "none"],
+)
+def test_sampled_signal_rejects_bools_and_none(values):
+    # A bool is not a sample, and the float cast would make NaN of None.
+    with pytest.raises(ParameterError):
+        SampledSignal(1.0, values)
+
+
 def test_gaussian_noise_reproducible():
     a = gaussian_noise(1000, 2.0, seed=42)
     b = gaussian_noise(1000, 2.0, seed=42)
@@ -185,6 +211,22 @@ def test_source_output_deterministic_per_seed():
     b = source_output(src, "hot", 64, 10.0, seed=7)
     np.testing.assert_array_equal(a.samples, b.samples)
     assert a.sample_rate_hz == 10.0
+
+
+def test_noise_draw_allocates_its_buffer_when_made():
+    # The buffer is made with the record, so a worker thread that reads the
+    # record chunk by chunk, as the comparator's hot state does, allocates
+    # nothing; a read front to back in _CHUNK_SAMPLES spans keeps it.
+    n = 3 * _CHUNK_SAMPLES + 7
+    record = signals._NoiseDraw(n, 1.5, 9, 1.0)
+    buffer = record._buffer
+    assert buffer.size == _CHUNK_SAMPLES
+    chunks = []
+    for start in range(0, n, _CHUNK_SAMPLES):
+        chunks.append(record._span(start, min(start + _CHUNK_SAMPLES, n)).copy())
+        assert record._buffer is buffer
+    assert np.concatenate(chunks).tobytes() == gaussian_noise(n, 1.5, 9).samples.tobytes()
+    assert signals._NoiseDraw(5, 1.0, 9, 1.0)._buffer.size == 5
 
 
 def test_square_wave_pattern_is_cached_one_bit_per_sample():

@@ -321,6 +321,21 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_import_loads_only_numpy_and_the_standard_library():
+    # nfbist simulate pays for every module that import nfbist.cli loads.
+    # Compared with what the interpreter has loaded before it, since site
+    # hooks are already loaded at start-up.
+    code = (
+        "import sys; before = set(sys.modules); import nfbist.cli; "
+        "added = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(added - set(sys.stdlib_module_names) - {'nfbist', 'numpy'}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_psd_validation():
     sig = gaussian_noise(1000, 1.0, seed=0)
     with pytest.raises(ParameterError):
