@@ -3,11 +3,11 @@
 Subcommands:
   simulate  run a Y-factor experiment from a JSON config, write a report
   analyze   recompute Y and NF from two capture files plus a config
-  sweep     parameter studies (ref-amplitude, th-error, gain) to CSV
+  sweep     parameter studies, one per --kind, to CSV
   psd       spectrum of a capture file to CSV
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numeric or
-degenerate-data error.
+Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numeric,
+degenerate-data or out-of-memory error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import (
     CaptureFormatError,
     ConfigError,
     NfbistError,
+    ParameterError,
     check_integer,
 )
 from .pipeline import (
@@ -42,7 +43,14 @@ from .pipeline import (
     th_uncertainty_study,
 )
 from .signals import NoiseSourceSpec
-from .spectral import MAX_OVERLAP_FRACTION, Spectrum, _spectra, psd
+from .spectral import (
+    MAX_OVERLAP_FRACTION,
+    Spectrum,
+    _check_fft_size,
+    _check_overlap_fraction,
+    _spectra,
+    psd,
+)
 
 __all__ = ["main", "load_experiment_config", "config_to_dict", "write_spectrum_csv"]
 
@@ -55,59 +63,43 @@ _WINDOW_CHOICES = {"rect": "rectangular", "hann": "hann"}
 _SOURCE_KEYS = {f.name for f in dataclasses.fields(NoiseSourceSpec)}
 _DUT_KEYS = {f.name for f in dataclasses.fields(DutSpec)} | {"nf_db"}
 _TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
-_REQUIRED_KEYS = ("source", "dut", "band")
 
 DEFAULT_AMPLITUDE_FRACTIONS = (0.02, 0.1, 0.25, 0.4, 1.0, 1.5)
 DEFAULT_TH_REL_ERRORS = (-0.05, 0.05)
 DEFAULT_GAIN_RATIOS = (0.794328234724281, 1.0, 1.258925411794167)
 
 
-def _build_source(obj, problems) -> NoiseSourceSpec | None:
+def _section(label: str, obj, keys, required, build, problems):
+    """build(**obj) for one section of a config, or None with a line in problems
+    for each fault: obj is not an object, has keys outside keys or lacks one in
+    required, or build raises. A build that returns None has reported its own."""
     if not isinstance(obj, dict):
-        problems.append("source: must be an object")
+        problems.append(f"{label}: must be an object")
         return None
-    unknown = sorted(set(obj) - _SOURCE_KEYS)
+    unknown = sorted(set(obj) - keys)
+    missing = [key for key in required if key not in obj]
     if unknown:
-        problems.append(f"source: unknown keys {unknown}")
-        return None
-    missing = sorted({"t_hot_k", "t_cold_k"} - set(obj))
+        problems.append(f"{label}: unknown keys {unknown}")
     if missing:
-        problems.append(f"source: missing required keys {missing}")
+        problems.append(f"{label}: missing required keys {missing}")
+    if unknown or missing:
         return None
     try:
-        return NoiseSourceSpec(**obj)
+        return build(**obj)
     except (NfbistError, TypeError, ValueError) as exc:
-        problems.append(f"source: {exc}")
+        problems.append(f"{label}: {exc}")
         return None
 
 
-def _build_dut(obj, source: NoiseSourceSpec | None, problems) -> DutSpec | None:
-    if not isinstance(obj, dict):
-        problems.append("dut: must be an object")
-        return None
-    unknown = sorted(set(obj) - _DUT_KEYS)
-    if unknown:
-        problems.append(f"dut: unknown keys {unknown}")
-        return None
-    if "gain_linear" not in obj:
-        problems.append("dut: missing required key 'gain_linear'")
-        return None
-    has_na = "added_noise_power" in obj
-    has_nf = "nf_db" in obj
-    if has_na == has_nf:
-        problems.append("dut: give exactly one of 'added_noise_power' or 'nf_db'")
-        return None
-    try:
-        if has_nf:
-            kwargs = {}
-            if source is not None:
-                kwargs["t0_k"] = source.t0_k
-                kwargs["power_scale"] = source.power_scale
-            return dut_from_nf(obj["nf_db"], obj["gain_linear"], **kwargs)
-        return DutSpec(**obj)
-    except (NfbistError, TypeError, ValueError) as exc:
-        problems.append(f"dut: {exc}")
-        return None
+def _dut_spec(source: NoiseSourceSpec | None, **fields) -> DutSpec:
+    """The DUT from 'added_noise_power' or from 'nf_db', converted at the
+    source's t0_k and power_scale (the defaults if the source is invalid)."""
+    if ("nf_db" in fields) == ("added_noise_power" in fields):
+        raise ParameterError("give exactly one of 'added_noise_power' or 'nf_db'")
+    if "added_noise_power" in fields:
+        return DutSpec(**fields)
+    scale = {} if source is None else {"t0_k": source.t0_k, "power_scale": source.power_scale}
+    return dut_from_nf(**fields, **scale)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -117,39 +109,34 @@ def load_experiment_config(path) -> ExperimentConfig:
     are optional and fall back to their defaults. A DUT may be specified by
     'added_noise_power' or, more conveniently, by its nominal 'nf_db' (the
     added noise is then derived using the source's t0_k and power_scale).
-    Raises ConfigError listing every offending field.
+    Raises ConfigError with one line per problem, each naming its section:
+    source, dut, or the file for the top level, whose values
+    ExperimentConfig checks.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError([f"{path}: not valid JSON ({exc})"]) from exc
-    if not isinstance(data, dict):
-        raise ConfigError([f"{path}: top level must be a JSON object"])
+    problems: list[str] = []
 
-    problems = []
-    unknown = sorted(set(data) - _TOP_KEYS)
-    if unknown:
-        problems.append(f"unknown keys {unknown}")
-    for key in _REQUIRED_KEYS:
-        if key not in data:
-            problems.append(f"{key}: missing required key")
-    if problems:
+    def build(source, dut, **fields):
+        source = _section(
+            "source", source, _SOURCE_KEYS, ("t_hot_k", "t_cold_k"), NoiseSourceSpec, problems
+        )
+        dut = _section(
+            "dut", dut, _DUT_KEYS, ("gain_linear",), lambda **f: _dut_spec(source, **f), problems
+        )
+        # Returned, not raised: a ConfigError would be caught and reported
+        # a second time as the top level's problem.
+        if source is None or dut is None:
+            return None
+        return ExperimentConfig(source=source, dut=dut, **fields)
+
+    cfg = _section(str(path), data, _TOP_KEYS, ("source", "dut", "band"), build, problems)
+    if cfg is None:
         raise ConfigError(problems)
-
-    source = _build_source(data["source"], problems)
-    dut = _build_dut(data["dut"], source, problems)
-    if problems:
-        raise ConfigError(problems)
-
-    kwargs = {k: v for k, v in data.items() if k not in ("source", "dut", "band")}
-    band = data["band"]
-    if not (isinstance(band, (list, tuple)) and len(band) == 2):
-        raise ConfigError(["band: must be a two-element array [f_lo_hz, f_hi_hz]"])
-    try:
-        return ExperimentConfig(source=source, dut=dut, band=tuple(band), **kwargs)
-    except (NfbistError, TypeError, ValueError) as exc:
-        raise ConfigError([str(exc)]) from exc
+    return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -191,12 +178,8 @@ def cmd_simulate(args) -> int:
     # at once (each equals psd of its bits); the report, the spectrum CSVs
     # and the captures are all written from these objects.
     streams = dict(zip(("hot", "cold"), simulate_bitstreams(cfg)))
-    spectra = dict(
-        zip(
-            streams,
-            _spectra(list(streams.values()), cfg.fft_size, args.window, args.segments_overlap),
-        )
-    )
+    pair = _spectra(list(streams.values()), cfg.fft_size, args.window, args.segments_overlap)
+    spectra = dict(zip(streams, pair))
     result = analyze_spectra(spectra["hot"], spectra["cold"], cfg)
 
     report = _report_scaffold(cfg)
@@ -218,9 +201,7 @@ def cmd_analyze(args) -> int:
     cfg = load_experiment_config(args.config)
     hot = read_capture(args.hot)
     cold = read_capture(args.cold)
-    result = analyze_bitstreams(
-        hot, cold, cfg, window=args.window, overlap_fraction=args.segments_overlap
-    )
+    result = analyze_bitstreams(hot, cold, cfg, args.window, args.segments_overlap)
     report = _report_scaffold(cfg)
     report["inputs"] = {"hot": str(args.hot), "cold": str(args.cold)}
     report["result"] = dataclasses.asdict(result)
@@ -245,8 +226,36 @@ def _finish_report(report: dict, result, report_path) -> int:
     return EXIT_OK
 
 
-def _sweep_points(kind: str, text: str) -> list[float]:
-    """--points value: the comma-separated points, checked as the study checks them."""
+# Each sweep kind: its CSV header, its default points, and its study,
+# called with the config, the points and the parsed flags.
+_SWEEPS = {
+    "ref-amplitude": (
+        ["ref_amplitude_fraction", "mean_abs_y_error_fraction"],
+        DEFAULT_AMPLITUDE_FRACTIONS,
+        lambda cfg, points, a: sweep_reference_amplitude(
+            cfg, points, n_seeds=a.seeds, window=a.window, overlap_fraction=a.segments_overlap
+        ),
+    ),
+    "th-error": (
+        ["th_rel_error", "delta_nf_db"],
+        DEFAULT_TH_REL_ERRORS,
+        lambda cfg, points, a: th_uncertainty_study(cfg, points),
+    ),
+    "gain": (
+        ["method", "gain_ratio", "nf_bias_db"],
+        DEFAULT_GAIN_RATIOS,
+        lambda cfg, points, a: gain_sensitivity_study(
+            cfg, points, window=a.window, overlap_fraction=a.segments_overlap
+        ),
+    ),
+}
+
+
+def _sweep_points(kind: str, text: str | None) -> list[float]:
+    """--points value: the comma-separated points, checked as the study
+    checks them, or the kind's default points when the flag is absent."""
+    if text is None:
+        return list(_SWEEPS[kind][1])
     try:
         return check_sweep_points(kind, [float(v) for v in text.split(",") if v.strip()])
     except ValueError as exc:  # a ParameterError is a ValueError too
@@ -255,33 +264,12 @@ def _sweep_points(kind: str, text: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     # Checked before any input is read, as argparse checks the other flags.
-    points = _sweep_points(args.kind, args.points) if args.points is not None else None
+    points = _sweep_points(args.kind, args.points)
     cfg = _apply_seed_override(load_experiment_config(args.config), args.seed)
-    rows: list[list] = []
-    if args.kind == "ref-amplitude":
-        fractions = points if points is not None else list(DEFAULT_AMPLITUDE_FRACTIONS)
-        data = sweep_reference_amplitude(
-            cfg,
-            fractions,
-            n_seeds=args.seeds,
-            window=args.window,
-            overlap_fraction=args.segments_overlap,
-        )
-        header = ["ref_amplitude_fraction", "mean_abs_y_error_fraction"]
-        rows = [[repr(a), repr(e)] for a, e in data]
-    elif args.kind == "th-error":
-        rel = points if points is not None else list(DEFAULT_TH_REL_ERRORS)
-        data = th_uncertainty_study(cfg, rel)
-        header = ["th_rel_error", "delta_nf_db"]
-        rows = [[repr(e), repr(d)] for e, d in data]
-    else:  # gain
-        ratios = points if points is not None else list(DEFAULT_GAIN_RATIOS)
-        data = gain_sensitivity_study(
-            cfg, ratios, window=args.window, overlap_fraction=args.segments_overlap
-        )
-        header = ["method", "gain_ratio", "nf_bias_db"]
-        rows = [[m, repr(r), repr(b)] for m, r, b in data]
-
+    header, _, study = _SWEEPS[args.kind]
+    rows = [
+        [v if isinstance(v, str) else repr(v) for v in row] for row in study(cfg, points, args)
+    ]
     args.out.parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -293,9 +281,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_psd(args) -> int:
     bits = read_capture(args.capture)
-    spectrum = psd(
-        bits, args.fft_size, window=args.window, overlap_fraction=args.segments_overlap
-    )
+    spectrum = psd(bits, args.fft_size, args.window, args.segments_overlap)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_spectrum_csv(args.out, spectrum)
     print(
@@ -305,40 +291,22 @@ def cmd_psd(args) -> int:
     return EXIT_OK
 
 
-def _overlap_fraction(text: str) -> float:
-    """--segments-overlap value: a number in [0, MAX_OVERLAP_FRACTION], so not NaN."""
-    try:
-        value = float(text)
-        ok = 0.0 <= value <= MAX_OVERLAP_FRACTION
-    except ValueError:
-        ok = False
-    if not ok:
-        raise argparse.ArgumentTypeError(
-            f"must be a number in [0, {MAX_OVERLAP_FRACTION}], got {text!r}"
-        )
-    return value
+def _flag(cast, check):
+    """argparse type: check(cast(text)), or check(text) where cast refuses
+    the text, so that a bad value is refused with the message of the
+    library's own check."""
 
-
-def _integer_flag(minimum: int):
-    """argparse type for an integer flag value >= minimum, checked by check_integer."""
-
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            return check_integer("value", int(text), minimum)
+            value = cast(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"must be an integer >= {minimum}, got {text!r}"
-            ) from None
+            value = text
+        try:
+            return check(value)
+        except ValueError as exc:  # a ParameterError is a ValueError too
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
-
-
-def _fft_size(text: str) -> int:
-    """--fft-size value: an even integer >= 2, as psd requires."""
-    value = _integer_flag(2)(text)
-    if value % 2 != 0:
-        raise argparse.ArgumentTypeError(f"must be even, got {text!r}")
-    return value
 
 
 def _add_common_analysis_flags(parser: argparse.ArgumentParser):
@@ -350,7 +318,7 @@ def _add_common_analysis_flags(parser: argparse.ArgumentParser):
     )
     parser.add_argument(
         "--segments-overlap",
-        type=_overlap_fraction,
+        type=_flag(float, _check_overlap_fraction),
         default=None,
         help=f"segment overlap fraction 0..{MAX_OVERLAP_FRACTION} "
         "(default: 0, or 0.5 with --window hann)",
@@ -364,13 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = _flag(int, lambda value: check_integer("seed", value, 0))
 
     p_sim = sub.add_parser("simulate", help="run a Y-factor experiment from a config")
     p_sim.add_argument("--config", type=pathlib.Path, required=True)
     p_sim.add_argument("--out", type=pathlib.Path, required=True, help="output directory")
-    p_sim.add_argument(
-        "--seed", type=_integer_flag(0), default=None, help="override the config seed"
-    )
+    p_sim.add_argument("--seed", type=seed, default=None, help="override the config seed")
     p_sim.add_argument(
         "--save-captures", action="store_true", help="also write hot/cold NFB1 captures"
     )
@@ -387,19 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="parameter studies, CSV output")
     p_sw.add_argument("--config", type=pathlib.Path, required=True)
-    p_sw.add_argument(
-        "--kind", choices=("ref-amplitude", "th-error", "gain"), required=True
-    )
+    p_sw.add_argument("--kind", choices=tuple(_SWEEPS), required=True)
     p_sw.add_argument("--out", type=pathlib.Path, required=True, help="output CSV path")
-    p_sw.add_argument(
-        "--seed", type=_integer_flag(0), default=None, help="override the config seed"
-    )
+    p_sw.add_argument("--seed", type=seed, default=None, help="override the config seed")
     p_sw.add_argument(
         "--points", default=None, help="comma-separated sweep points (kind-specific units)"
     )
     p_sw.add_argument(
         "--seeds",
-        type=_integer_flag(1),
+        type=_flag(int, lambda value: check_integer("seeds", value, 1)),
         default=10,
         help="seeds per point for ref-amplitude (default 10)",
     )
@@ -408,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_psd = sub.add_parser("psd", help="PSD of a capture file")
     p_psd.add_argument("--capture", type=pathlib.Path, required=True)
-    p_psd.add_argument("--fft-size", type=_fft_size, default=10_000, dest="fft_size")
+    p_psd.add_argument(
+        "--fft-size", type=_flag(int, _check_fft_size), default=10_000, dest="fft_size"
+    )
     p_psd.add_argument("--out", type=pathlib.Path, required=True, help="output CSV path")
     _add_common_analysis_flags(p_psd)
     p_psd.set_defaults(func=cmd_psd)
@@ -434,7 +399,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except NfbistError as exc:
+    except (NfbistError, MemoryError) as exc:
+        # numpy refuses a record too long to hold before computing anything.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -49,12 +49,12 @@ def apply_dut(
     """
     amplified = math.sqrt(dut.gain_linear) * signal.samples
     if dut.added_noise_power == 0.0:
-        return SampledSignal(signal.sample_rate_hz, amplified)
+        return SampledSignal._adopt(signal.sample_rate_hz, amplified)
     # In place, with the rounding of sqrt(g) * x + normal(0, 1) * sqrt(na).
     noise = np.random.default_rng(seed).normal(0.0, 1.0, signal.samples.size)
     noise *= math.sqrt(dut.added_noise_power)
     amplified += noise
-    return SampledSignal(signal.sample_rate_hz, amplified)
+    return SampledSignal._adopt(signal.sample_rate_hz, amplified)
 
 
 def dut_from_nf(

@@ -75,6 +75,7 @@ from .signals import (
 )
 from .spectral import (
     Spectrum,
+    _check_fft_size,
     _in_two_threads,
     _peak_search_bins,
     _spectra,
@@ -123,15 +124,9 @@ class ExperimentConfig:
         check_positive("sample_rate_hz", self.sample_rate_hz)
         # Integral floats (1000.0) are stored as int; bool is an int subclass
         # and is rejected, and numpy seeds must be >= 0.
-        for name, minimum in (
-            ("n_samples", 1),
-            ("fft_size", 2),
-            ("ref_exclusion_halfwidth_bins", 0),
-            ("seed", 0),
-        ):
+        for name, minimum in (("n_samples", 1), ("ref_exclusion_halfwidth_bins", 0), ("seed", 0)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
-        if self.fft_size % 2 != 0:
-            raise ParameterError(f"fft_size must be even, got {self.fft_size!r}")
+        object.__setattr__(self, "fft_size", _check_fft_size(self.fft_size))
         if self.n_samples < self.fft_size:
             raise ParameterError(
                 f"n_samples ({self.n_samples}) must be >= fft_size ({self.fft_size})"

@@ -84,13 +84,20 @@ class SampledSignal:
     def __len__(self) -> int:
         return self.samples.size
 
+    @classmethod
+    def _adopt(cls, sample_rate_hz: float, samples: np.ndarray) -> SampledSignal:
+        """A signal over samples the package has just made, a valid float64
+        array that nothing else writes: made read-only and held without a
+        copy or a check."""
+        samples.setflags(write=False)
+        signal = cls.__new__(cls)
+        object.__setattr__(signal, "sample_rate_hz", float(sample_rate_hz))
+        object.__setattr__(signal, "samples", samples)
+        return signal
+
     def _span(self, start: int, stop: int) -> np.ndarray:
         """Samples start .. stop - 1, a read-only view."""
         return self.samples[start:stop]
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
 
 
 @dataclass(frozen=True)
@@ -134,7 +141,7 @@ def gaussian_noise(
     draw of their total length, bit for bit.
     """
     record = _NoiseDraw(n, sigma, seed, sample_rate_hz)
-    return SampledSignal(record.sample_rate_hz, record._span(0, len(record)))
+    return SampledSignal._adopt(record.sample_rate_hz, record._span(0, len(record)))
 
 
 class _NoiseDraw:
@@ -215,7 +222,8 @@ def square_wave(
         raise ParameterError(f"amplitude must be finite, got {amplitude!r}")
     packed = _first_half_mask(n, sample_rate_hz, f0_hz)
     mask = np.unpackbits(packed, count=n, bitorder="little").view(np.bool_)
-    return SampledSignal(sample_rate_hz, np.where(mask, amplitude, -amplitude))
+    amplitude = float(amplitude)
+    return SampledSignal._adopt(sample_rate_hz, np.where(mask, amplitude, -amplitude))
 
 
 @functools.lru_cache(maxsize=1)

@@ -126,6 +126,27 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
     return spectrum
 
 
+def _check_fft_size(fft_size) -> int:
+    """fft_size as an int, if it is an even integer >= 2: the segment length
+    psd takes and ExperimentConfig and the CLI's --fft-size accept."""
+    fft_size = check_integer("fft_size", fft_size, 2)
+    if fft_size % 2 != 0:
+        raise ParameterError(f"fft_size must be even, got {fft_size}")
+    return fft_size
+
+
+def _check_overlap_fraction(overlap_fraction) -> float:
+    """overlap_fraction, if it is a number in [0, MAX_OVERLAP_FRACTION] (so
+    not NaN), as psd and the CLI's --segments-overlap accept."""
+    if not (
+        is_finite_number(overlap_fraction) and 0.0 <= overlap_fraction <= MAX_OVERLAP_FRACTION
+    ):
+        raise ParameterError(
+            f"overlap_fraction must lie in [0, {MAX_OVERLAP_FRACTION}], got {overlap_fraction}"
+        )
+    return overlap_fraction
+
+
 def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> list[Spectrum]:
     """psd of each record, read through its len, sample_rate_hz and
     _span(start, stop), its values start .. stop - 1.
@@ -144,20 +165,13 @@ def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> li
     for x in records:
         if not isinstance(x, (SampledSignal, BitStream, _NoiseDraw)):
             raise ParameterError(f"expected SampledSignal or BitStream, got {type(x).__name__}")
-    fft_size = check_integer("fft_size", fft_size, 2)
-    if fft_size % 2 != 0:
-        raise ParameterError(f"fft_size must be even, got {fft_size}")
+    fft_size = _check_fft_size(fft_size)
     for x in records:
         if fft_size > len(x):
             raise InsufficientDataError(f"fft_size {fft_size} exceeds record length {len(x)}")
     if window not in _WINDOWS:
         raise ParameterError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
-    if not (
-        is_finite_number(overlap_fraction) and 0.0 <= overlap_fraction <= MAX_OVERLAP_FRACTION
-    ):
-        raise ParameterError(
-            f"overlap_fraction must lie in [0, {MAX_OVERLAP_FRACTION}], got {overlap_fraction}"
-        )
+    _check_overlap_fraction(overlap_fraction)
     step = fft_size - int(round(fft_size * overlap_fraction))
     if step < 1:
         raise ParameterError(

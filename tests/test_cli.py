@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from nfbist import (
     BitStream,
     ExperimentConfig,
+    ParameterError,
     psd,
     read_capture,
     run_y_factor_experiment,
@@ -491,6 +492,26 @@ def test_config_reports_all_problems_at_once(tmp_path, capsys):
     assert "band" in err and "dut" in err
 
 
+def test_bad_source_and_dut_print_one_line_each(tmp_path, capsys):
+    # Each section reports its own problem once; the top level adds none.
+    source = {"t_hot_k": -1.0, "t_cold_k": 1_000.0}
+    cfg_path = write_config(tmp_path, source=source, dut={"gain_linear": 0.0, "nf_db": 10.0})
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("config error: ") for line in lines)
+    assert lines[0].startswith("config error: source: t_hot_k")
+    assert lines[1].startswith("config error: dut: gain_linear")
+
+
+@pytest.mark.parametrize("band", [[1, 2, 3], "ab", None, {}], ids=["three", "str", "null", "obj"])
+def test_bad_band_exits_2_with_the_configs_message(tmp_path, band, capsys):
+    cfg_path = write_config(tmp_path, band=band)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "band" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_dut_requires_exactly_one_noise_spec(tmp_path, capsys):
     dut = {"gain_linear": 1.0, "nf_db": 10.0, "added_noise_power": 2610.0}
     cfg_path = write_config(tmp_path, dut=dut)
@@ -636,6 +657,33 @@ def test_psd_command_matches_library(tmp_path):
     np.testing.assert_array_equal(got_psd, expected.psd)
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--fft-size", v) for v in ("2", "3", "0", "-2", "10000")]
+    + [("--segments-overlap", v) for v in ("0", "0.75", "0.9", "-0.1", "nan")],
+)
+def test_psd_flags_refuse_what_psd_refuses(tmp_path, flag, value, capsys):
+    # The flag is checked by psd's own rule, so it exits 2 exactly where
+    # psd raises ParameterError, and runs where psd runs.
+    bits = BitStream(50_000.0, np.random.default_rng(5).choice(np.array([-1, 1], np.int8), 20_000))
+    cap_path = tmp_path / "cap.nfb"
+    write_capture(cap_path, bits)
+    fft_size, overlap = (int(value), 0.0) if flag == "--fft-size" else (2_000, float(value))
+    try:
+        psd(bits, fft_size, overlap_fraction=overlap)
+        refused = False
+    except ParameterError:
+        refused = True
+    args = ["psd", "--capture", str(cap_path), "--out", str(tmp_path / "psd.csv")]
+    args += ["--fft-size", "2000"] if flag == "--segments-overlap" else []
+    try:
+        code = main([*args, f"{flag}={value}"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == (2 if refused else 0)
+    assert (flag in capsys.readouterr().err) == refused
+
+
 def test_psd_command_without_a_hop_exits_4(tmp_path, capsys):
     # A 2-point FFT at 75% overlap rounds to an overlap of both samples.
     cap_path = tmp_path / "cap.nfb"
@@ -646,6 +694,15 @@ def test_psd_command_without_a_hop_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "psd.csv").exists()
+
+
+def test_record_too_long_to_allocate_exits_4(tmp_path, capsys):
+    # numpy refuses the 1e18-sample record's first array at once, without
+    # allocating it.
+    cfg_path = write_config(tmp_path, n_samples=10**18)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # Config values of every JSON kind, valid or not: numbers at and past the

