@@ -25,7 +25,7 @@ import numpy as np
 from .digitizer import BitStream
 from .errors import CaptureCorruptError, CaptureFormatError, ParameterError
 
-__all__ = ["MAGIC", "VERSION", "write_capture", "read_capture"]
+__all__ = ["write_capture", "read_capture"]
 
 MAGIC = b"NFB1"
 VERSION = 1

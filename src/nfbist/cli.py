@@ -67,6 +67,7 @@ _TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 DEFAULT_AMPLITUDE_FRACTIONS = (0.02, 0.1, 0.25, 0.4, 1.0, 1.5)
 DEFAULT_TH_REL_ERRORS = (-0.05, 0.05)
 DEFAULT_GAIN_RATIOS = (0.794328234724281, 1.0, 1.258925411794167)
+DEFAULT_SWEEP_SEEDS = 10
 
 
 def _section(label: str, obj, keys, required, build, problems):
@@ -226,12 +227,13 @@ def _finish_report(report: dict, result, report_path) -> int:
     return EXIT_OK
 
 
-# Each sweep kind: its CSV header, its default points, and its study,
-# called with the config, the points and the parsed flags.
+# Each sweep kind: its CSV header, its default points, the parsed flags its
+# study reads besides --points, and its study, study(config, points, flags).
 _SWEEPS = {
     "ref-amplitude": (
         ["ref_amplitude_fraction", "mean_abs_y_error_fraction"],
         DEFAULT_AMPLITUDE_FRACTIONS,
+        ("seed", "seeds", "window", "segments_overlap"),
         lambda cfg, points, a: sweep_reference_amplitude(
             cfg, points, n_seeds=a.seeds, window=a.window, overlap_fraction=a.segments_overlap
         ),
@@ -239,16 +241,28 @@ _SWEEPS = {
     "th-error": (
         ["th_rel_error", "delta_nf_db"],
         DEFAULT_TH_REL_ERRORS,
+        (),
         lambda cfg, points, a: th_uncertainty_study(cfg, points),
     ),
     "gain": (
         ["method", "gain_ratio", "nf_bias_db"],
         DEFAULT_GAIN_RATIOS,
+        ("seed", "window", "segments_overlap"),
         lambda cfg, points, a: gain_sensitivity_study(
             cfg, points, window=a.window, overlap_fraction=a.segments_overlap
         ),
     ),
 }
+
+
+def _check_sweep_flags(args) -> None:
+    """ConfigError for the first flag, still as parsed, that is not at its
+    default and that the kind's study does not read."""
+    defaults = dict(seed=None, seeds=DEFAULT_SWEEP_SEEDS, window="rect", segments_overlap=None)
+    for name, default in defaults.items():
+        if name not in _SWEEPS[args.kind][2] and getattr(args, name) != default:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError([f"{flag}: the {args.kind} sweep does not read it"])
 
 
 def _sweep_points(kind: str, text: str | None) -> list[float]:
@@ -266,7 +280,7 @@ def cmd_sweep(args) -> int:
     # Checked before any input is read, as argparse checks the other flags.
     points = _sweep_points(args.kind, args.points)
     cfg = _apply_seed_override(load_experiment_config(args.config), args.seed)
-    header, _, study = _SWEEPS[args.kind]
+    header, _, _, study = _SWEEPS[args.kind]
     rows = [
         [v if isinstance(v, str) else repr(v) for v in row] for row in study(cfg, points, args)
     ]
@@ -363,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument(
         "--seeds",
         type=_flag(int, lambda value: check_integer("seeds", value, 1)),
-        default=10,
-        help="seeds per point for ref-amplitude (default 10)",
+        default=DEFAULT_SWEEP_SEEDS,
+        help=f"seeds per point for ref-amplitude (default {DEFAULT_SWEEP_SEEDS})",
     )
     _add_common_analysis_flags(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
@@ -383,11 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "window", None) is not None:
-        args.window = _WINDOW_CHOICES[args.window]
-        if args.segments_overlap is None:
-            args.segments_overlap = 0.5 if args.window == "hann" else 0.0
     try:
+        if args.func is cmd_sweep:
+            _check_sweep_flags(args)
+        if getattr(args, "window", None) is not None:
+            args.window = _WINDOW_CHOICES[args.window]
+            if args.segments_overlap is None:
+                args.segments_overlap = 0.5 if args.window == "hann" else 0.0
         return args.func(args)
     except ConfigError as exc:
         for line in exc.fields:

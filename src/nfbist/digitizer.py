@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError, ShapeError, check_integer, check_positive
-from .signals import SampledSignal, _as_f64
+from .signals import SampledSignal, _as_f64, _packed
 
 __all__ = [
     "BitStream",
@@ -28,10 +28,6 @@ __all__ = [
     "arcsine_map",
     "empirical_autocorr",
 ]
-
-# BitStream checks and packs its values this many at a time; a multiple of
-# 8, so every block starts on a byte.
-_CHECK_BLOCK = 1 << 16
 
 
 class BitStream:
@@ -56,17 +52,16 @@ class BitStream:
             raise ParameterError("bitstream must contain at least one bit")
         if arr.dtype == np.bool_:
             raise ParameterError("bits must be +1/-1 numbers, got a bool array")
-        packed = np.empty(-(-arr.size // 8), dtype=np.uint8)
-        # Check the values as given: a cast first would wrap 257 to 1 and
-        # truncate 1.5 to 1. Blocks keep the boolean temporaries small.
-        for start in range(0, arr.size, _CHECK_BLOCK):
-            block = arr[start : start + _CHECK_BLOCK]
+
+        def decide(start, stop):
+            # Check the values as given: a cast first would wrap 257 to 1
+            # and truncate 1.5 to 1.
+            block = arr[start:stop]
             if not np.all((block == 1) | (block == -1)):
                 raise ParameterError("bits must only contain +1 and -1")
-            stop = start + block.size
-            packed[start // 8 : -(-stop // 8)] = np.packbits(block > 0, bitorder="little")
-        packed.setflags(write=False)
-        self._init(rate, arr.size, packed)
+            return block > 0
+
+        self._init(rate, arr.size, _packed(arr.size, decide))
 
     @classmethod
     def _from_packed(cls, sample_rate_hz: float, payload: np.ndarray, n: int) -> BitStream:
@@ -132,9 +127,9 @@ def digitize(signal: SampledSignal, reference: SampledSignal) -> BitStream:
         )
     if len(signal) != len(reference):
         raise ShapeError(f"lengths differ: {len(signal)} vs {len(reference)}")
-    decisions = signal.samples - reference.samples >= 0.0
-    payload = np.packbits(decisions, bitorder="little")
-    return BitStream._from_packed(signal.sample_rate_hz, payload, decisions.size)
+    x, r = signal.samples, reference.samples
+    payload = _packed(x.size, lambda start, stop: x[start:stop] - r[start:stop] >= 0.0)
+    return BitStream._from_packed(signal.sample_rate_hz, payload, x.size)
 
 
 def arcsine_map(rho):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import check_non_negative, check_positive
 from .nfcore import T0_K, nf_to_f
-from .signals import SampledSignal
+from .signals import _CHUNK_SAMPLES, SampledSignal, _NoiseDraw
 
 __all__ = [
     "DutSpec",
@@ -50,10 +50,11 @@ def apply_dut(
     amplified = math.sqrt(dut.gain_linear) * signal.samples
     if dut.added_noise_power == 0.0:
         return SampledSignal._adopt(signal.sample_rate_hz, amplified)
-    # In place, with the rounding of sqrt(g) * x + normal(0, 1) * sqrt(na).
-    noise = np.random.default_rng(seed).normal(0.0, 1.0, signal.samples.size)
-    noise *= math.sqrt(dut.added_noise_power)
-    amplified += noise
+    n = amplified.size
+    noise = _NoiseDraw(n, math.sqrt(dut.added_noise_power), seed, signal.sample_rate_hz)
+    for start in range(0, n, _CHUNK_SAMPLES):
+        stop = min(start + _CHUNK_SAMPLES, n)
+        amplified[start:stop] += noise._span(start, stop)
     return SampledSignal._adopt(signal.sample_rate_hz, amplified)
 
 

@@ -5,6 +5,19 @@ import math
 
 import numpy as np
 
+__all__ = [
+    "NfbistError",
+    "ParameterError",
+    "ShapeError",
+    "InsufficientDataError",
+    "DegenerateReferenceError",
+    "DegenerateBandError",
+    "SingularYError",
+    "ConfigError",
+    "CaptureFormatError",
+    "CaptureCorruptError",
+]
+
 
 class NfbistError(Exception):
     """Base class for all errors raised by this package."""

@@ -538,7 +538,8 @@ def th_uncertainty_study(cfg: ExperimentConfig, rel_errors) -> list[tuple[float,
 
     Holds the measured Y at its ideal value and redoes only the
     temperature-to-F conversion with Th scaled by (1 + rel_error); returns
-    (rel_error, delta_nf_db) pairs. Purely analytic, no simulation.
+    (rel_error, delta_nf_db) pairs, NaN where the perturbed F is <= 0, as
+    _nf_and_notes reads it. Purely analytic, no simulation.
     """
     rel_errors = check_sweep_points("th-error", rel_errors)
     src = cfg.source
@@ -548,7 +549,7 @@ def th_uncertainty_study(cfg: ExperimentConfig, rel_errors) -> list[tuple[float,
     out = []
     for e in rel_errors:
         f_perturbed = f_from_y_temps(y_true, src.t_hot_k * (1.0 + e), src.t_cold_k, src.t0_k)
-        out.append((e, f_to_nf(f_perturbed) - nf_nominal))
+        out.append((e, _nf_and_notes(f_perturbed, "th-error")[0] - nf_nominal))
     return out
 
 

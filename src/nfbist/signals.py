@@ -31,8 +31,8 @@ __all__ = [
     "source_output",
 ]
 
-# Samples per block of the square-wave pattern and per simulation chunk:
-# 1 MiB of float64.
+# Samples per block of packed decisions and per simulation chunk: 1 MiB of
+# float64, and a multiple of 8, so each packed block starts on a byte.
 _CHUNK_SAMPLES = 1 << 17
 
 
@@ -226,35 +226,45 @@ def square_wave(
     return SampledSignal._adopt(sample_rate_hz, np.where(mask, amplitude, -amplitude))
 
 
+def _packed(n: int, decide) -> np.ndarray:
+    """Read-only payload of n decisions in the BitStream layout (see
+    digitizer), packed one block at a time: decide(start, stop) gives the
+    bools of samples start .. stop - 1 for each _CHUNK_SAMPLES block."""
+    payload = np.empty(-(-n // 8), dtype=np.uint8)
+    for start in range(0, n, _CHUNK_SAMPLES):
+        stop = min(start + _CHUNK_SAMPLES, n)
+        payload[start // 8 : -(-stop // 8)] = np.packbits(decide(start, stop), bitorder="little")
+    payload.setflags(write=False)
+    return payload
+
+
 @functools.lru_cache(maxsize=1)
 def _first_half_mask(n: int, sample_rate_hz: float, f0_hz: float) -> np.ndarray:
     """Read-only packed mask of the samples in the first half of their period.
 
-    Bit i is 1 where sample i lies in the first half; the bits are packed 8
-    per byte, LSB first, with the unused bits of the last byte zero, as the
-    comparator packs its decisions, so the cache holds n/8 bytes. The
+    Bit i is 1 where sample i lies in the first half, packed by _packed as
+    the comparator's decisions are, so the cache holds n/8 bytes. The
     pattern does not depend on the amplitude, so a sweep that only rescales
-    the reference, chunk by chunk, computes it once. It is built in blocks
-    of _CHUNK_SAMPLES samples (a multiple of 8, so each block starts on a
-    byte), so its temporaries stay a few blocks long whatever n is. The
-    steps round exactly as f0 * (arange(n) / fs), elementwise, and
-    cycle - floor(cycle) equals np.mod(cycle, 1.0) bit for bit (exact,
-    since cycle >= 0).
+    the reference, chunk by chunk, computes it once. The blocks share two
+    buffers (fresh ones per block doubled the first call's time), made
+    after _packed's payload, so that the cached payload lies below them on
+    the heap and does not pin their freed space. The steps round exactly as
+    f0 * (arange(n) / fs), elementwise, and cycle - floor(cycle) equals
+    np.mod(cycle, 1.0) bit for bit (exact, since cycle >= 0).
     """
-    mask = np.empty(-(-n // 8), dtype=np.uint8)
-    size = min(n, _CHUNK_SAMPLES)
-    whole = np.empty(size, dtype=np.float64)
-    first = np.empty(size, dtype=np.bool_)
-    for start in range(0, n, _CHUNK_SAMPLES):
-        stop = min(start + _CHUNK_SAMPLES, n)
+    whole = first = None
+
+    def decide(start, stop):
+        nonlocal whole, first
+        if start == 0:
+            whole, first = np.empty(stop, dtype=np.float64), np.empty(stop, dtype=np.bool_)
         cycle = np.arange(start, stop, dtype=np.float64)
         cycle /= sample_rate_hz
         cycle *= f0_hz
         cycle -= np.floor(cycle, out=whole[: stop - start])
-        block = np.less(cycle, 0.5, out=first[: stop - start])
-        mask[start // 8 : -(-stop // 8)] = np.packbits(block, bitorder="little")
-    mask.setflags(write=False)
-    return mask
+        return np.less(cycle, 0.5, out=first[: stop - start])
+
+    return _packed(n, decide)
 
 
 def source_output(

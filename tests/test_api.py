@@ -43,6 +43,17 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_the_package_exports_each_modules_public_names_once():
+    # nfbist.__all__ is built from the modules' lists, and each name is
+    # bound to the module's own object.
+    modules = "capture digitizer dut errors nfcore pipeline signals spectral".split()
+    for module in modules:
+        source = importlib.import_module(f"nfbist.{module}")
+        moved = [n for n in source.__all__ if getattr(nfbist, n) is not getattr(source, n)]
+        assert moved == [], module
+    assert len(nfbist.__all__) == len(set(nfbist.__all__))
+
+
 def test_every_traced_name_is_bound(monkeypatch):
     patches = _tracing_module(monkeypatch).PATCHES
     assert patches

@@ -621,6 +621,56 @@ def test_sweep_bad_point_exits_2_before_any_work(tmp_path, kind, point, capsys):
     assert not out_csv.parent.exists()
 
 
+def test_sweep_th_error_writes_nan_where_the_perturbed_f_is_not_positive(tmp_path):
+    # Every point above -1 is accepted; at -0.99 the perturbed F is below 0,
+    # so its row reads nan instead of aborting the study.
+    out_csv = tmp_path / "th.csv"
+    args = [
+        "sweep", "--config", str(write_config(tmp_path)), "--kind", "th-error",
+        "--out", str(out_csv), "--points=-0.99,0.05",
+    ]
+    assert main(args) == 0
+    assert read_rows(out_csv)[1] == ["-0.99", "nan"]
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [
+        ("th-error", ["--seed", "3"]),
+        ("th-error", ["--seeds", "7"]),
+        ("th-error", ["--window", "hann"]),
+        ("th-error", ["--segments-overlap", "0.25"]),
+        ("gain", ["--seeds", "7"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_sweep_flag_the_study_does_not_read_exits_2(tmp_path, kind, flag, capsys):
+    # Checked before the config is read: a missing config would exit 3.
+    out_csv = tmp_path / "out" / "sweep.csv"
+    args = [
+        "sweep", "--config", str(tmp_path / "missing.json"), "--kind", kind,
+        "--out", str(out_csv), *flag,
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"config error: {flag[0]}: the {kind} sweep does not read it"]
+    assert not out_csv.parent.exists()
+
+
+def test_sweep_accepts_unread_flags_left_at_their_defaults(tmp_path):
+    cfg_path = write_config(tmp_path)
+    written = []
+    for extra in ([], ["--seeds", "10", "--window", "rect"]):
+        out_csv = tmp_path / f"th{len(extra)}.csv"
+        args = [
+            "sweep", "--config", str(cfg_path), "--kind", "th-error",
+            "--out", str(out_csv), *extra,
+        ]
+        assert main(args) == 0
+        written.append(out_csv.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_sweep_th_error_nonphysical_f_keeps_stderr_empty(tmp_path):
     # -5% on the hot temperature of a 0.5 dB device perturbs F below 1.
     cfg_path = write_config(tmp_path, dut={"gain_linear": 1.0, "nf_db": 0.5})

@@ -16,7 +16,9 @@ from nfbist import (
     digitize,
     empirical_autocorr,
     gaussian_noise,
+    square_wave,
 )
+from nfbist.signals import _CHUNK_SAMPLES
 
 
 def _const_signal(values, rate=1.0):
@@ -97,9 +99,9 @@ def test_bitstream_packs_every_input():
         stream = BitStream(10.0, other)
         assert stream._packed.tolist() == [0b10111001, 0b1]
         np.testing.assert_array_equal(stream.bits, values)
-    # Blocks of _CHECK_BLOCK values pack to the bytes of one whole-array pack.
+    # Blocks of _CHUNK_SAMPLES values pack to the bytes of one whole-array pack.
     rng = np.random.default_rng(3)
-    values = rng.choice(np.array([-1.0, 1.0]), 3 * (1 << 16) + 13)
+    values = rng.choice(np.array([-1.0, 1.0]), 3 * _CHUNK_SAMPLES + 13)
     stream = BitStream(10.0, values)
     assert stream._packed.tobytes() == np.packbits(values > 0, bitorder="little").tobytes()
     with pytest.raises(AttributeError):
@@ -160,6 +162,22 @@ def test_digitize_threshold_and_ties():
     # Exact equality counts as +1.
     np.testing.assert_array_equal(bits.bits, [1, 1, -1, 1])
     assert bits.sample_rate_hz == 1.0
+
+
+def test_digitize_holds_one_block_of_temporaries():
+    # The difference and its decisions are made one _CHUNK_SAMPLES block at
+    # a time: a whole-record difference and bool array put the peak at
+    # 8.58 MiB at 1e6 samples, beyond the n/8-byte payload.
+    n = 1_000_000
+    x = gaussian_noise(n, 1.0, 0, 50_000.0)
+    r = square_wave(n, 50_000.0, 3_000.0, 0.25)
+    tracemalloc.start()
+    try:
+        bits = digitize(x, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20 + bits._packed.nbytes
 
 
 def test_digitize_rejects_mismatched_inputs():

@@ -6,8 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nfbist import BitStream, SampledSignal, psd, read_capture, write_capture
-from nfbist import spectral
+from nfbist import (
+    BitStream,
+    SampledSignal,
+    digitize,
+    gaussian_noise,
+    psd,
+    read_capture,
+    square_wave,
+    write_capture,
+)
+from nfbist import signals, spectral
+from nfbist.signals import _CHUNK_SAMPLES
 
 HEADER_SIZE = struct.calcsize("<4sIdQ")
 ANALYSES = [("rectangular", 0.0), ("hann", 0.5), ("hann", 0.75)]
@@ -77,3 +87,20 @@ def test_packed_spectra_in_every_block_shape(monkeypatch, cores, block_rows):
             assert _same_spectrum(psd(back, fft_size, window, overlap), want)
         pair = spectral._spectra([back, as_float], fft_size, "hann", 0.75)
         assert _same_spectrum(pair[0], pair[1])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, _CHUNK_SAMPLES, 3 * _CHUNK_SAMPLES + 5])
+def test_block_packing_gives_the_bytes_of_one_whole_array_pack(n):
+    # The pattern, BitStream(rate, values) and digitize all pack through
+    # signals._packed, one _CHUNK_SAMPLES block at a time.
+    def whole(decisions):
+        return np.packbits(decisions, bitorder="little").tobytes()
+
+    values = _values(n, n)
+    assert BitStream(50_000.0, values)._packed.tobytes() == whole(values > 0)
+    x = gaussian_noise(n, 1.0, n, 50_000.0)
+    r = square_wave(n, 50_000.0, 3_000.0, 0.25)
+    assert digitize(x, r)._packed.tobytes() == whole(x.samples - r.samples >= 0.0)
+    signals._first_half_mask.cache_clear()
+    cycle = np.mod(3_000.0 * (np.arange(n) / 50_000.0), 1.0)
+    assert signals._first_half_mask(n, 50_000.0, 3_000.0).tobytes() == whole(cycle < 0.5)

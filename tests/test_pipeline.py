@@ -619,6 +619,16 @@ def test_th_uncertainty_study_closed_form():
         th_uncertainty_study(cfg, [])
 
 
+def test_th_uncertainty_study_reads_nan_where_the_perturbed_f_is_not_positive():
+    # -99% on the hot temperature puts the perturbed F at -3.69, which has
+    # no decibel form; every point above -1 is accepted, so its row reads
+    # NaN, as _nf_and_notes reads a measured F <= 0. The other rows keep
+    # their floats.
+    rows = th_uncertainty_study(make_config(**FAST), [-0.99, -0.5, 0.5])
+    assert rows[0][0] == -0.99 and math.isnan(rows[0][1])
+    assert rows[1:] == [(-0.5, -5.108446269704123), (0.5, 2.2829020057530656)]
+
+
 def test_gain_sensitivity_study_contrast():
     cfg = make_config(seed=0, **FAST)
     rows = gain_sensitivity_study(cfg, [1.0, 10 ** 0.1])

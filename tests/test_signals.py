@@ -252,8 +252,7 @@ def test_square_wave_pattern_is_cached_one_bit_per_sample():
         (lambda x: gaussian_noise(x.samples.size, 1.0, 0), 1.5),
         (lambda x: square_wave(x.samples.size, 50_000.0, 3_000.0, 1.0), 1.5),
         (lambda x: apply_dut(DutSpec(2.0, 0.0), x, 0), 1.5),
-        # The DUT's noise draw is a second record-long array.
-        (lambda x: apply_dut(DutSpec(2.0, 3.0), x, 0), 2.5),
+        (lambda x: apply_dut(DutSpec(2.0, 3.0), x, 0), 1.5),
     ],
     ids=["gaussian_noise", "square_wave", "apply_dut-noiseless", "apply_dut"],
 )
