@@ -256,11 +256,12 @@ _SWEEPS = {
 
 
 def _check_sweep_flags(args) -> None:
-    """ConfigError for the first flag, still as parsed, that is not at its
-    default and that the kind's study does not read."""
-    defaults = dict(seed=None, seeds=DEFAULT_SWEEP_SEEDS, window="rect", segments_overlap=None)
-    for name, default in defaults.items():
-        if name not in _SWEEPS[args.kind][2] and getattr(args, name) != default:
+    """ConfigError for the first flag, still as parsed, that is not at the
+    sweep parser's default and that the kind's study does not read."""
+    read = _SWEEPS[args.kind][2]
+    # Every flag that some kind's study reads, in the order _SWEEPS names them.
+    for name in dict.fromkeys(name for sweep in _SWEEPS.values() for name in sweep[2]):
+        if name not in read and getattr(args, name) != args.sweep_parser.get_default(name):
             flag = "--" + name.replace("_", "-")
             raise ConfigError([f"{flag}: the {args.kind} sweep does not read it"])
 
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"seeds per point for ref-amplitude (default {DEFAULT_SWEEP_SEEDS})",
     )
     _add_common_analysis_flags(p_sw)
-    p_sw.set_defaults(func=cmd_sweep)
+    p_sw.set_defaults(func=cmd_sweep, sweep_parser=p_sw)
 
     p_psd = sub.add_parser("psd", help="PSD of a capture file")
     p_psd.add_argument("--capture", type=pathlib.Path, required=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import check_non_negative, check_positive
 from .nfcore import T0_K, nf_to_f
-from .signals import _CHUNK_SAMPLES, SampledSignal, _NoiseDraw
+from .signals import _CHUNK_SAMPLES, SampledSignal, _NoiseDraw, _generator
 
 __all__ = [
     "DutSpec",
@@ -44,14 +44,16 @@ def apply_dut(
     output = sqrt(gain_linear) * input + n, where n is fresh white Gaussian
     noise of power ``added_noise_power`` (output-referred). With zero added
     noise and unit gain the input passes through unchanged, and nothing is
-    drawn. ``seed`` may be a ``numpy.random.Generator``, whose stream the
-    noise draw continues, so a record can be passed through in chunks.
+    drawn, though ``seed`` is still checked. ``seed`` is an integer >= 0 or
+    a ``numpy.random.Generator``, whose stream the noise draw continues, so
+    a record can be passed through in chunks.
     """
+    rng = _generator(seed)
     amplified = math.sqrt(dut.gain_linear) * signal.samples
     if dut.added_noise_power == 0.0:
         return SampledSignal._adopt(signal.sample_rate_hz, amplified)
     n = amplified.size
-    noise = _NoiseDraw(n, math.sqrt(dut.added_noise_power), seed, signal.sample_rate_hz)
+    noise = _NoiseDraw(n, math.sqrt(dut.added_noise_power), rng, signal.sample_rate_hz)
     for start in range(0, n, _CHUNK_SAMPLES):
         stop = min(start + _CHUNK_SAMPLES, n)
         amplified[start:stop] += noise._span(start, stop)

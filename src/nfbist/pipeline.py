@@ -142,13 +142,12 @@ class ExperimentConfig:
         check_positive("ref_amplitude", self.ref_amplitude)
         if not isinstance(self.band, Iterable):
             raise ParameterError(f"band must be an (f_lo, f_hi) pair, got {self.band!r}")
-        for edge in self.band:
+        band = tuple(self.band)
+        for edge in band:
             check_non_negative("band edge", edge)
-        band = tuple(float(f) for f in self.band)
+        band = tuple(float(f) for f in band)
         if len(band) != 2 or not (0.0 <= band[0] < band[1] <= nyquist):
-            raise ParameterError(
-                f"band must satisfy 0 <= f_lo < f_hi <= {nyquist}, got {self.band!r}"
-            )
+            raise ParameterError(f"band must satisfy 0 <= f_lo < f_hi <= {nyquist}, got {band!r}")
         object.__setattr__(self, "band", band)
         check_positive("post_dut_gain_linear", self.post_dut_gain_linear)
 

@@ -136,9 +136,9 @@ def gaussian_noise(
     read whole.
 
     The same ``(n, sigma, seed)`` always reproduces the same samples.
-    ``seed`` may also be a ``numpy.random.Generator``, whose stream the draw
-    continues: consecutive draws from one generator concatenate to a single
-    draw of their total length, bit for bit.
+    ``seed`` is an integer >= 0 or a ``numpy.random.Generator``, whose
+    stream the draw continues: consecutive draws from one generator
+    concatenate to a single draw of their total length, bit for bit.
     """
     record = _NoiseDraw(n, sigma, seed, sample_rate_hz)
     return SampledSignal._adopt(record.sample_rate_hz, record._span(0, len(record)))
@@ -172,7 +172,7 @@ class _NoiseDraw:
         self._sigma = sigma
         self.sample_rate_hz = float(sample_rate_hz)
         check_positive("sample_rate_hz", self.sample_rate_hz)
-        self._rng = np.random.default_rng(seed)
+        self._rng = _generator(seed)
         self._buffer = np.empty(min(self._n, _CHUNK_SAMPLES))
         # The buffer holds samples _first .. _drawn - 1.
         self._first = self._drawn = 0
@@ -198,6 +198,14 @@ class _NoiseDraw:
         fill *= self._sigma
         self._first, self._drawn = start, start + max(kept.size, stop - start)
         return self._buffer[: stop - start]
+
+
+def _generator(seed) -> np.random.Generator:
+    """seed itself if it is a numpy.random.Generator, else a new generator
+    made from seed, which must be an integer >= 0 (not None or a bool)."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(check_integer("seed", seed, 0))
 
 
 def square_wave(
@@ -276,8 +284,9 @@ def source_output(
 ) -> SampledSignal:
     """Noise record for one source state, variance power_scale * T(state).
 
-    ``seed`` may be a ``numpy.random.Generator``, whose stream the draw
-    continues (see gaussian_noise), so a record can be drawn in chunks.
+    ``seed`` is an integer >= 0 or a ``numpy.random.Generator``, whose
+    stream the draw continues (see gaussian_noise), so a record can be
+    drawn in chunks.
     """
     t_state = src.state_temperature_k(state)
     sigma = math.sqrt(src.power_scale * t_state)

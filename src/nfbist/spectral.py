@@ -3,11 +3,10 @@
 Spectra are one-sided power spectral densities calibrated so the Riemann
 sum psd * bin_width recovers total signal power. Segments are rectangular
 and non-overlapping by default (a Hann window with fractional overlap is
-available for leakage-sensitive work). The segment periodograms are summed
-as they are computed, in numpy's pairwise order, so a spectrum takes memory
-for a few blocks of segments and O(log n) partial sums, not for every
-segment, and still equals the mean of all periodograms bit for bit. A
-packed bitstream's segments are read from its payload one block at a time:
+available for leakage-sensitive work). Each segment's periodogram is added
+into a running sum as it is computed, in segment order, so a spectrum takes
+memory for a block of segments, not for every segment. A packed
+bitstream's segments are read from its payload one block at a time:
 the bytes that cover the block are unpacked to +1/-1 int8 and copied into
 the windowed buffer, so the bits are never unpacked whole.
 
@@ -116,11 +115,11 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
     averages their one-sided periodograms, and scales to power per Hz so
     that sum(psd) * bin_width equals the record's total power. The
     arithmetic follows scipy.signal.welch (periodic Hann, no detrending,
-    mean over segments) step for step, so the result equals it bit for bit.
+    mean over segments), so the result agrees with it to a few ulps.
 
-    The periodograms are folded into running sums as they are computed, in
-    the order numpy's mean adds a contiguous row (see _SegmentSums), so the
-    working memory is a few blocks of segments whatever the record length.
+    Each periodogram is added into a running sum as it is computed, in
+    segment order (see _SegmentSums), so the working memory is a block of
+    segments whatever the record length.
     """
     (spectrum,) = _spectra([x], fft_size, window, overlap_fraction)
     return spectrum
@@ -157,10 +156,10 @@ def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> li
     allocated here (a worker's own temporaries would come from a separate
     malloc arena); only a packed bitstream's unpacked bytes, at most one
     block's worth at a time, are allocated by the thread that reads them.
-    A row costs about half a lane set, so two rows fewer per
-    thread pay for the second thread's lanes and both threads fit one
-    thread's budget. Otherwise the records are summed one after the other
-    on this thread, with the buffers of one record alive at a time.
+    A thread's buffers are in proportion to its rows, so each of the two
+    threads takes half of one thread's rows and both fit one thread's
+    budget. Otherwise the records are summed one after the other on this
+    thread, with the buffers of one record alive at a time.
     """
     for x in records:
         if not isinstance(x, (SampledSignal, BitStream, _NoiseDraw)):
@@ -181,24 +180,24 @@ def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> li
     counts = [(len(x) - fft_size) // step + 1 for x in records]
     rows = max(1, _PSD_BLOCK_BYTES // (8 * fft_size))
 
-    def sums(x, count, rows):
+    def sums(x, rows):
         win = _scaled_window(window, fft_size, x.sample_rate_hz)
-        return _SegmentSums(x._span, step, count, win, rows)
+        return _SegmentSums(x._span, step, win, rows)
 
     if len(records) == 2 and _usable_cores() >= 2:
-        rows = max(1, rows // 2 - 1)
+        rows = max(1, rows // 2)
         worker, caller = (
-            functools.partial(sums(x, count, rows).sum_range, 0, count, total)
+            functools.partial(sums(x, rows).sum_segments, count, total)
             for x, count, total in zip(records, counts, totals)
         )
         _in_two_threads(worker, caller)
     else:
         for x, count, total in zip(records, counts, totals):
-            sums(x, count, rows).sum_range(0, count, total)
+            sums(x, rows).sum_segments(count, total)
     spectra = []
     for x, count, total in zip(records, counts, totals):
-        # Doubling is exact, so doubling the sums equals summing doubled
-        # periodograms; the mean then divides by the count, as np.mean does.
+        # Doubling is exact, so doubling the sum equals summing doubled
+        # periodograms; the mean then divides by the count.
         total[1:-1] *= 2
         total /= count
         spectra.append(Spectrum(total, fft_size, count, x.sample_rate_hz))
@@ -237,36 +236,9 @@ def _in_two_threads(in_worker, in_caller):
         raise failure[0]
 
 
-# numpy adds a contiguous float64 row pairwise (pairwise_sum in
-# loops_utils.h.src): a row of at most _LEAF_SEGMENTS items is summed in
-# _LANES running sums, r[j] += a[i + j], which are then combined as
-# ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the items past the
-# last whole group of _LANES are added one by one; a row of fewer than
-# _LANES items is a plain running sum from zero; a longer row is split at
-# _pairwise_split(n) and its halves' sums are added, left + right.
-_LANES = 8
-_LEAF_SEGMENTS = 128
-
-
-def _pairwise_split(n: int) -> int:
-    half = n // 2
-    return half - half % _LANES
-
-
-@functools.lru_cache(maxsize=256)
-def _open_partials(n: int) -> int:
-    """How many partial sums _SegmentSums.sum_range holds at once for n
-    segments: one for each enclosing split whose right half is split again."""
-    if n <= _LEAF_SEGMENTS:
-        return 0
-    half = _pairwise_split(n)
-    right = n - half
-    return max(_open_partials(half), _open_partials(right) + (right > _LEAF_SEGMENTS))
-
-
 class _SegmentSums:
-    """One thread's buffers for transforming segments and summing their
-    periodograms in numpy's pairwise order, segment by segment.
+    """One thread's buffers for transforming segments and adding their
+    periodograms into a running sum, one segment after another.
 
     Segment i is the record's values i * step .. i * step + fft_size - 1,
     read through span, the record's _span(start, stop), so a packed
@@ -274,29 +246,26 @@ class _SegmentSums:
     used before the next is requested, and each span starts no earlier than
     the previous one and, as the hop is at most fft_size, no later than the
     previous stop, which a streamed noise record relies on: it keeps only
-    the samples from the latest start onward. The sum of n periodograms
-    equals the contiguous (freq, segment) array's sum over its last axis
-    bit for bit, so their mean equals np.mean's. Only rows segments are
-    transformed at a time, and a partial sum is held for each open split,
-    so memory grows with log(n), not with n.
+    the samples from the latest start onward. Only rows segments are
+    transformed at a time, so the memory does not grow with the record.
     """
 
-    def __init__(self, span, step, n_segments, win, rows):
+    def __init__(self, span, step, win, rows):
         fft_size = win.size
         n_freq = fft_size // 2 + 1
         self.span = span
         self.step = step
         self.win = win
         self.rows = rows
-        # The windowed block; once transformed, its memory holds the powers.
-        self.windowed = np.empty(rows * fft_size)
+        # The windowed block; once transformed, its memory holds the running
+        # sum and the powers (see sum_segments).
+        self.windowed = np.empty(max(rows * fft_size, (rows + 1) * n_freq))
         self.spectra = np.empty(rows * n_freq, dtype=np.complex128)
-        self.lanes = np.empty((_LANES, n_freq))
-        self.partials = np.empty((_open_partials(n_segments), n_freq))
 
-    def periodograms(self, first: int, count: int) -> np.ndarray:
-        """|rfft(segment * win)|^2 of segments first .. first + count - 1
-        (count at most rows), shape (count, n_freq)."""
+    def periodograms(self, first: int, count: int, out: np.ndarray):
+        """out = |rfft(segment * win)|^2 of segments first .. first + count - 1
+        (count at most rows), shape (count, n_freq). out may share memory
+        with the windowed buffer: it is written once the block is transformed."""
         fft_size = self.win.size
         n_freq = fft_size // 2 + 1
         start = first * self.step
@@ -316,53 +285,22 @@ class _SegmentSums:
         np.fft.rfft(windowed, out=spectra)
         parts = spectra.view(np.float64)
         np.square(parts, out=parts)
-        power = self.windowed[: count * n_freq].reshape(count, n_freq)
-        np.add(parts[:, 0::2], parts[:, 1::2], out=power)
-        return power
+        np.add(parts[:, 0::2], parts[:, 1::2], out=out)
 
-    def sum_range(self, lo: int, n: int, out: np.ndarray, depth: int = 0):
-        """out = the pairwise sum of the periodograms of segments lo .. lo + n - 1."""
-        if n <= _LEAF_SEGMENTS:
-            np.copyto(out, self.leaf_sum(lo, n))
-            return
-        half = _pairwise_split(n)
-        self.sum_range(lo, half, out, depth)
-        if n - half <= _LEAF_SEGMENTS:
-            out += self.leaf_sum(lo + half, n - half)
-        else:
-            right = self.partials[depth]
-            self.sum_range(lo + half, n - half, right, depth + 1)
-            out += right
-
-    def leaf_sum(self, lo: int, n: int) -> np.ndarray:
-        """The sum of at most _LEAF_SEGMENTS segments' periodograms, held in
-        self.lanes[0]: segment lo + i goes into lane i % _LANES for i below
-        the last whole group of _LANES, the lanes are combined, and the
-        remaining segments are added one by one."""
-        r = self.lanes
-        r.fill(0.0)
-        lanes = n - n % _LANES
-        if lanes:
-            # Blocks of whole groups of _LANES segments where rows allows;
-            # for huge segments (rows < _LANES), blocks of rows segments
-            # whose slabs wrap around the lanes.
-            block = self.rows - self.rows % _LANES or self.rows
-            for first in range(lo, lo + lanes, block):
-                powers = self.periodograms(first, min(block, lo + lanes - first))
-                j = 0
-                while j < len(powers):
-                    a = (first - lo + j) % _LANES
-                    width = min(_LANES - a, len(powers) - j)
-                    r[a : a + width] += powers[j : j + width]
-                    j += width
-            np.add(r[0::2], r[1::2], out=r[0::2])
-            np.add(r[0::4], r[2::4], out=r[0::4])
-            r[0] += r[4]
-        total = r[0]
-        for a in range(lo + lanes, lo + n, self.rows):
-            for power in self.periodograms(a, min(self.rows, lo + n - a)):
-                total += power
-        return total
+    def sum_segments(self, n: int, out: np.ndarray):
+        """out = the sum of the periodograms of segments 0 .. n - 1, added
+        one by one in segment order."""
+        n_freq = out.size
+        out.fill(0.0)
+        for first in range(0, n, self.rows):
+            count = min(self.rows, n - first)
+            # Row 0 carries the sum so far and rows 1 .. count the powers. A
+            # sum over the slow axis of a C-ordered array adds each row to
+            # the result in turn, so the block continues the running sum.
+            block = self.windowed[: (count + 1) * n_freq].reshape(count + 1, n_freq)
+            self.periodograms(first, count, block[1:])
+            block[0] = out
+            np.add.reduce(block, axis=0, out=out)
 
 
 @functools.lru_cache(maxsize=4)
@@ -372,7 +310,7 @@ def _scaled_window(window: str, fft_size: int, sample_rate_hz: float) -> np.ndar
         win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, fft_size + 1)[:-1])
     else:
         win = np.ones(fft_size)
-    # Builtin sum adds sequentially, as welch does; np.sum would pair terms.
+    # Builtin sum adds the squares one by one, as welch does.
     win = win * (1 / np.sqrt(sum(win**2) / (1 / sample_rate_hz)))
     win.setflags(write=False)
     return win

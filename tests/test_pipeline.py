@@ -121,6 +121,12 @@ def test_experiment_config_stores_integral_floats_as_int():
     assert all(type(v) is int for v in values)
 
 
+def test_experiment_config_reads_the_band_once():
+    # A one-pass iterable of two valid edges is a valid band.
+    cfg = make_config(band=(edge for edge in (500, 1_500.0)))
+    assert cfg.band == (500.0, 1_500.0)
+
+
 @pytest.mark.parametrize("kind", ["ref-amplitude", "th-error", "gain"])
 @pytest.mark.parametrize(
     "points",
@@ -352,8 +358,8 @@ def test_gain_sensitivity_study_working_memory():
 
 
 def test_analyze_bitstreams_two_threads_hold_no_more_memory_than_one(monkeypatch):
-    # Each of the two threads transforms blocks of rows // 2 - 1 segments,
-    # so both together fit the one-thread budget.
+    # Each of the two threads transforms blocks of rows // 2 segments, so
+    # both together fit the one-thread budget.
     cfg = make_config(seed=2)
     hot, cold = simulate_bitstreams(cfg)
     peaks = {}

@@ -214,6 +214,22 @@ def test_source_output_deterministic_per_seed():
     assert a.sample_rate_hz == 10.0
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", np.True_, True, None], ids=repr)
+def test_every_draw_refuses_a_seed_that_is_not_an_integer_or_a_generator(seed):
+    # default_rng would raise a bare ValueError or TypeError, draw True as
+    # seed 1, or draw fresh OS entropy for None, which no seed reproduces.
+    src = NoiseSourceSpec(t_hot_k=400.0, t_cold_k=100.0)
+    sig = gaussian_noise(8, 1.0, seed=0)
+    with pytest.raises(ParameterError, match="seed"):
+        gaussian_noise(8, 1.0, seed)
+    with pytest.raises(ParameterError, match="seed"):
+        source_output(src, "hot", 8, 1.0, seed)
+    # Checked even where the DUT adds no noise and so draws nothing.
+    for added in (0.0, 1.0):
+        with pytest.raises(ParameterError, match="seed"):
+            apply_dut(DutSpec(gain_linear=1.0, added_noise_power=added), sig, seed)
+
+
 def test_noise_draw_allocates_its_buffer_when_made():
     # The buffer is made with the record, so a worker thread that reads the
     # record chunk by chunk, as the comparator's hot state does, allocates

@@ -119,7 +119,8 @@ def test_psd_matches_scipy_welch(window, scipy_window, overlap, fft_size):
 
 
 def _single_pass_psd(values, fs, fft_size, window, overlap):
-    """All segments at once, the form psd's row blocks must reproduce."""
+    """All segments at once, their periodograms added one by one in segment
+    order: the sum psd's row blocks must reproduce."""
     step = fft_size - int(round(fft_size * overlap))
     if window == "hann":
         win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, fft_size + 1)[:-1])
@@ -129,8 +130,11 @@ def _single_pass_psd(values, fs, fft_size, window, overlap):
     segments = np.lib.stride_tricks.sliding_window_view(values, fft_size)[::step]
     spec = np.fft.rfft(segments * win)
     power = spec.real**2 + spec.imag**2
-    power[:, 1:-1] *= 2
-    return np.ascontiguousarray(power.T).mean(axis=-1)
+    total = np.zeros(fft_size // 2 + 1)
+    for p in power:
+        total += p
+    total[1:-1] *= 2
+    return total / len(power)
 
 
 @pytest.mark.parametrize(
@@ -167,23 +171,20 @@ def test_spectra_one_thread_per_record_matches_single_pass(
     monkeypatch, cores, window, overlap, fft_size
 ):
     # Segment counts: one, exactly one full row block, one block plus a
-    # segment, and three blocks (two pairwise subtrees at fft 2 000). A
-    # single record is summed whole on the calling thread; two records on
-    # two usable cores are summed one per thread, whatever their length.
+    # segment, and three blocks. A single record is summed whole on the
+    # calling thread; two records on two usable cores are summed one per
+    # thread, whatever their length, each in blocks of half the rows.
     rows = spectral._PSD_BLOCK_BYTES // (8 * fft_size)
     monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
     first_call = {}  # each thread's first entry into the summation: its share
+    sum_segments = spectral._SegmentSums.sum_segments
 
-    def recording(method, describe):
-        def wrapper(self, *args):
-            on_main = threading.current_thread() is threading.main_thread()
-            first_call.setdefault(on_main, (method.__name__, *describe(*args), self.rows))
-            return method(self, *args)
+    def recording(self, n, out):
+        on_main = threading.current_thread() is threading.main_thread()
+        first_call.setdefault(on_main, (n, self.rows))
+        return sum_segments(self, n, out)
 
-        return wrapper
-
-    sums = spectral._SegmentSums
-    monkeypatch.setattr(sums, "sum_range", recording(sums.sum_range, lambda lo, n, *_: (lo, n)))
+    monkeypatch.setattr(spectral._SegmentSums, "sum_segments", recording)
     for n_segments in (1, rows, rows + 1, 3 * rows):
         noise, bits = _split_input(n_segments, fft_size, overlap)
         for sig, values in ((noise, noise.samples), (bits, bits.bits.astype(np.float64))):
@@ -192,7 +193,7 @@ def test_spectra_one_thread_per_record_matches_single_pass(
             assert s.n_segments == n_segments
             want = _single_pass_psd(values, sig.sample_rate_hz, fft_size, window, overlap)
             assert np.array_equal(s.psd, want)
-            assert first_call == {True: ("sum_range", 0, n_segments, rows)}
+            assert first_call == {True: (n_segments, rows)}
         first_call.clear()
         pair = spectral._spectra([noise, bits], fft_size, window, overlap)
         for s, values in zip(pair, (noise.samples, bits.bits.astype(np.float64))):
@@ -200,12 +201,9 @@ def test_spectra_one_thread_per_record_matches_single_pass(
             want = _single_pass_psd(values, noise.sample_rate_hz, fft_size, window, overlap)
             assert np.array_equal(s.psd, want)
         if cores == 2:
-            assert first_call == {
-                False: ("sum_range", 0, n_segments, rows // 2 - 1),
-                True: ("sum_range", 0, n_segments, rows // 2 - 1),
-            }
+            assert first_call == {False: (n_segments, rows // 2), True: (n_segments, rows // 2)}
         else:
-            assert first_call == {True: ("sum_range", 0, n_segments, rows)}
+            assert first_call == {True: (n_segments, rows)}
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -214,11 +212,11 @@ def test_spectra_one_thread_per_record_matches_single_pass(
     [None, 1, 3, 13],
     ids=["default_blocks", "1_row_blocks", "3_row_blocks", "13_row_blocks"],
 )
-def test_psd_sums_segments_in_numpys_mean_order(monkeypatch, cores, block_rows):
-    # psd adds each periodogram into running sums instead of averaging the
-    # (freq, segment) array. The counts reach every branch of numpy's
-    # pairwise order (under 8 items, 8 lanes with and without leftovers,
-    # one split and many), so a numpy change to that order fails here.
+def test_psd_sums_segments_in_segment_order(monkeypatch, cores, block_rows):
+    # psd adds each periodogram into a running sum, block by block. Against
+    # each block size the counts give part of a block, one block, blocks and
+    # a part, and many blocks, so a block that does not continue the running
+    # sum, or adds its rows in another order, fails here.
     fft_size, fs = 16, 1_000.0
     monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
     if block_rows is not None:
@@ -236,8 +234,8 @@ def test_psd_sums_segments_in_numpys_mean_order(monkeypatch, cores, block_rows):
 
 
 def test_psd_memory_does_not_grow_with_the_record():
-    # Only blocks of segments and O(log n) partial sums are held, so ten
-    # times the record costs at most 10% more working memory.
+    # Only a block of segments and the running sum are held, so ten times
+    # the record costs at most 1% more working memory.
     rng = np.random.default_rng(13)
     analyses = ((10_000, "rectangular", 0.0), (10_000, "hann", 0.5), (2_000, "rectangular", 0.0))
     for fft_size, window, _ in analyses:
@@ -256,7 +254,7 @@ def test_psd_memory_does_not_grow_with_the_record():
         del sig
     for (n, *analysis), peak in peaks.items():
         if n == 10_000_000:
-            assert peak <= 1.1 * peaks[(1_000_000, *analysis)], analysis
+            assert peak <= 1.01 * peaks[(1_000_000, *analysis)], analysis
 
 
 def test_psd_worker_failure_propagates(monkeypatch):
