@@ -90,7 +90,7 @@ class BitStream:
     def bits(self) -> np.ndarray:
         """The decisions as a read-only +1/-1 int8 array, unpacked afresh
         on every read."""
-        bits = self._span(0, self._n)
+        bits = self._unpacked(0, self._n)
         bits.setflags(write=False)
         return bits
 
@@ -101,9 +101,12 @@ class BitStream:
         ones = int(np.bitwise_count(self._packed).sum(dtype=np.int64))
         return (2 * ones - self._n) / self._n
 
-    def _span(self, start: int, stop: int) -> np.ndarray:
-        """Decisions start .. stop - 1 as +1/-1 int8, unpacked afresh from
-        the bytes that hold them."""
+    def _read(self, start: int, out: np.ndarray):
+        """Writes decisions start .. start + out.size - 1 into out as +1/-1."""
+        np.copyto(out, self._unpacked(start, start + out.size))
+
+    def _unpacked(self, start: int, stop: int) -> np.ndarray:
+        """Decisions start .. stop - 1 as +1/-1 int8, unpacked from their bytes afresh."""
         first = start // 8
         bits = np.unpackbits(
             self._packed[first : -(-stop // 8)], count=stop - 8 * first, bitorder="little"
@@ -164,7 +167,10 @@ def empirical_autocorr(x, max_lag: int) -> np.ndarray:
     max_lag = check_integer("max_lag", max_lag, 0)
     if max_lag >= n:
         raise ParameterError(f"max_lag must be < n = {n}, got {max_lag}")
-    denom = float(np.dot(values, values))
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        denom = float(np.dot(values, values))
+    if not math.isfinite(denom):
+        raise ParameterError("autocorrelation needs samples whose squares sum to a finite number")
     if denom == 0.0:
         raise ParameterError("autocorrelation is undefined for an all-zero input")
     r = np.empty(max_lag + 1, dtype=np.float64)

@@ -54,9 +54,11 @@ def apply_dut(
         return SampledSignal._adopt(signal.sample_rate_hz, amplified)
     n = amplified.size
     noise = _NoiseDraw(n, math.sqrt(dut.added_noise_power), rng, signal.sample_rate_hz)
+    chunk = np.empty(min(n, _CHUNK_SAMPLES))
     for start in range(0, n, _CHUNK_SAMPLES):
-        stop = min(start + _CHUNK_SAMPLES, n)
-        amplified[start:stop] += noise._span(start, stop)
+        drawn = chunk[: min(_CHUNK_SAMPLES, n - start)]
+        noise._read(start, drawn)
+        amplified[start : start + drawn.size] += drawn
     return SampledSignal._adopt(signal.sample_rate_hz, amplified)
 
 

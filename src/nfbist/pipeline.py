@@ -16,8 +16,8 @@ the direct method.
 
 Every record is a signals._NoiseDraw made by _record: the DUT output
 before post-DUT gain, white Gaussian noise of the state's RMS from the
-state's own sub-seed, drawn block by block as it is read, so its memory
-does not grow with its length. The direct method's record is taken before
+state's own sub-seed, drawn block by block into its reader's buffer as it
+is read, so it holds no samples. The direct method's record is taken before
 the gain too: a PSD scales linearly with power gain, so its band power is
 the record's times the gain, and one spectrum serves every gain.
 
@@ -277,39 +277,40 @@ def _comparator_bits(cfg: ExperimentConfig, fractions: Sequence[float]) -> np.nd
             f"amplitude at the comparator ({', '.join(map(repr, at_comparator))}) must be finite"
         )
     first_half = _first_half_mask(n, fs, cfg.f_ref_hz)
-    # Each state's record, whose 1 MiB draw buffer is made with it, and its
-    # 128 KiB bool chunk: allocated on this thread, as a worker's own
-    # allocations come from a separate malloc arena, and before the result
-    # that outlives them, as allocated after it they left about 3 MB more of
-    # a sweep process resident when the direct method's record was drawn
-    # next (peak RSS 52.5 instead of 49.1 MB).
+    # Each state's 1 MiB float chunk and 128 KiB bool chunk: allocated on
+    # this thread, as a worker's own allocations come from a separate malloc
+    # arena, and before the result that outlives them, as allocated after it
+    # they left about 3 MB more of a sweep process resident when the direct
+    # method's record was drawn next (peak RSS 52.5 instead of 49.1 MB).
     records = [_record(cfg, t, k) for t, k in zip(temperatures, (0, 2))]
-    decided = [np.empty(min(n, _CHUNK_SAMPLES), dtype=np.bool_) for _ in records]
+    chunk = min(n, _CHUNK_SAMPLES)
+    buffers = [(np.empty(chunk), np.empty(chunk, dtype=np.bool_)) for _ in records]
     packed = np.empty((len(fractions), 2, -(-n // 8)), dtype=np.uint8)
     hot, cold = (
-        functools.partial(_state_bits, record, levels, first_half, packed[:, k], buffer)
-        for k, (record, buffer) in enumerate(zip(records, decided))
+        functools.partial(_state_bits, record, levels, first_half, packed[:, k], *buffer)
+        for k, (record, buffer) in enumerate(zip(records, buffers))
     )
-    _in_two_threads(hot, cold)
+    _in_two_threads(lambda threads: hot, lambda threads: cold)
     return packed
 
 
-def _state_bits(record, levels, first_half, out, decided_buffer):
+def _state_bits(record, levels, first_half, out, samples, decided_buffer):
     """One state's comparator pass: out[k] = the packed decisions at levels[k].
 
-    Reads the record's samples a through record._span, _CHUNK_SAMPLES at a
-    time (the last chunk shorter), front to back as a streamed record is
-    read. Each level's decisions are a >= level in the first half of the
-    reference period and a >= -level in the second: elementwise the
-    comparison with the square-wave reference. Both comparisons are packed
-    as out is, and merged bytewise by first_half, the pattern packed the
-    same way: high where its bit is 1, low elsewhere. _CHUNK_SAMPLES is a
-    multiple of 8, so every chunk starts on a byte of out and of first_half.
+    Reads the record's samples a into samples through record._read,
+    _CHUNK_SAMPLES at a time (the last chunk shorter), front to back. Each
+    level's decisions are a >= level in the first half of the reference
+    period and a >= -level in the second: elementwise the comparison with
+    the square-wave reference. Both comparisons are packed as out is, and
+    merged bytewise by first_half, the pattern packed the same way: high
+    where its bit is 1, low elsewhere. _CHUNK_SAMPLES is a multiple of 8,
+    so every chunk starts on a byte of out and of first_half.
     """
     n = len(record)
     for start in range(0, n, _CHUNK_SAMPLES):
         stop = min(start + _CHUNK_SAMPLES, n)
-        a, decided = record._span(start, stop), decided_buffer[: stop - start]
+        a, decided = samples[: stop - start], decided_buffer[: stop - start]
+        record._read(start, a)
         chunk = slice(start // 8, -(-stop // 8))
         for level, state_bits in zip(levels, out):
             high = np.packbits(np.greater_equal(a, level, out=decided), bitorder="little")

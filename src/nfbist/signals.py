@@ -95,9 +95,9 @@ class SampledSignal:
         object.__setattr__(signal, "samples", samples)
         return signal
 
-    def _span(self, start: int, stop: int) -> np.ndarray:
-        """Samples start .. stop - 1, a read-only view."""
-        return self.samples[start:stop]
+    def _read(self, start: int, out: np.ndarray):
+        """Writes samples start .. start + out.size - 1 into out."""
+        out[:] = self.samples[start : start + out.size]
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,9 @@ def gaussian_noise(
     concatenate to a single draw of their total length, bit for bit.
     """
     record = _NoiseDraw(n, sigma, seed, sample_rate_hz)
-    return SampledSignal._adopt(record.sample_rate_hz, record._span(0, len(record)))
+    samples = np.empty(len(record))
+    record._read(0, samples)
+    return SampledSignal._adopt(record.sample_rate_hz, samples)
 
 
 class _NoiseDraw:
@@ -149,19 +151,13 @@ class _NoiseDraw:
     as they are read: the package's one scaled normal draw.
 
     Offers what psd and the comparator read of a record (len,
-    sample_rate_hz, _span), so the record is never held whole: _span(start,
-    stop) draws on demand into one reused buffer and keeps the samples from
-    start onward, which covers the overlap that the next request re-reads.
-    Each fill is the next samples of one generator, made from seed, as
-    rng.normal(0.0, 1.0, size) * sigma computes them (normal's 0.0 + 1.0 * z
-    maps -0.0 to +0.0, hence the += 0.0), so the fills concatenate to one
-    draw of the whole record bit for bit. The record is read once, front to
-    back: each request must start no earlier than the previous start and no
-    later than the furthest sample drawn; any other raises ParameterError.
-    One thread at a time may read it. The buffer, min(n, _CHUNK_SAMPLES)
-    samples, is allocated here, on the thread that makes the record, and
-    grows only for a longer request, so a worker that reads the record in
-    chunks allocates nothing.
+    sample_rate_hz, _read) and holds no samples: _read(start, out) draws the
+    next out.size samples into the caller's out as rng.normal(0.0, 1.0,
+    size) * sigma computes them (normal's 0.0 + 1.0 * z maps -0.0 to +0.0,
+    hence the += 0.0), so the reads concatenate to one draw bit for bit. A
+    read must start where the last one stopped and end within the record;
+    any other raises ParameterError and draws nothing. One thread at a time
+    may read it.
     """
 
     def __init__(
@@ -173,31 +169,22 @@ class _NoiseDraw:
         self.sample_rate_hz = float(sample_rate_hz)
         check_positive("sample_rate_hz", self.sample_rate_hz)
         self._rng = _generator(seed)
-        self._buffer = np.empty(min(self._n, _CHUNK_SAMPLES))
-        # The buffer holds samples _first .. _drawn - 1.
-        self._first = self._drawn = 0
+        self._drawn = 0
 
     def __len__(self) -> int:
         return self._n
 
-    def _span(self, start: int, stop: int) -> np.ndarray:
-        """Samples start .. stop - 1, valid until the next request."""
-        if not self._first <= start <= self._drawn:
+    def _read(self, start: int, out: np.ndarray):
+        """Draws samples start .. start + out.size - 1 into out (C-contiguous float64)."""
+        if not (start == self._drawn and start + out.size <= self._n):
             raise ParameterError(
-                f"request from sample {start} lies outside the kept samples "
-                f"{self._first} .. {self._drawn}; a streamed record is read once, front to back"
+                f"read of samples {start} .. {start + out.size - 1} of {self._n} does not go on "
+                f"from sample {self._drawn}; a streamed record is read once, front to back"
             )
-        kept = self._buffer[start - self._first : self._drawn - self._first]
-        if self._buffer.size < stop - start:
-            self._buffer = np.empty(stop - start)
-        # Within one buffer, a forward copy that numpy makes in place.
-        self._buffer[: kept.size] = kept
-        fill = self._buffer[kept.size : stop - start]
-        self._rng.standard_normal(out=fill)
-        fill += 0.0
-        fill *= self._sigma
-        self._first, self._drawn = start, start + max(kept.size, stop - start)
-        return self._buffer[: stop - start]
+        self._rng.standard_normal(out=out)
+        out += 0.0
+        out *= self._sigma
+        self._drawn += out.size
 
 
 def _generator(seed) -> np.random.Generator:

@@ -5,10 +5,10 @@ sum psd * bin_width recovers total signal power. Segments are rectangular
 and non-overlapping by default (a Hann window with fractional overlap is
 available for leakage-sensitive work). Each segment's periodogram is added
 into a running sum as it is computed, in segment order, so a spectrum takes
-memory for a block of segments, not for every segment. A packed
-bitstream's segments are read from its payload one block at a time:
-the bytes that cover the block are unpacked to +1/-1 int8 and copied into
-the windowed buffer, so the bits are never unpacked whole.
+memory for a block of segments, not for every segment. A record is read
+one block at a time, each value once, into a frame that keeps the overlap
+between blocks, so a packed bitstream unpacks only the bytes that cover a
+block and a streamed noise record is never drawn whole.
 
 Hot/cold spectra from a 1-bit digitizer cannot be compared directly because
 the comparator erases absolute levels. ``power_ratio_detail`` therefore
@@ -54,10 +54,12 @@ MAX_OVERLAP_FRACTION = 0.75
 # find_reference_peak looks for the strongest bin this many bins either side
 # of the bin nearest the nominal reference frequency.
 _PEAK_SEARCH_HALFWIDTH_BINS = 5
-# psd transforms this many bytes of windowed float64 segments at a time, so
-# its buffers stay small whatever the record length. With a worker thread
-# the two threads share the budget (see _spectra).
+# A block of windowed float64 segments and its frame's kept overlap fit this
+# many bytes whatever the record length; two records summed at once share it.
 _PSD_BLOCK_BYTES = 1 << 20
+# numpy's ufunc buffer, in items, while a block is summed: windowing by a
+# shorter window fills 8 KiB with copies of it, not 64 KiB, and as fast.
+_UFUNC_BUFFER_ITEMS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,19 +149,15 @@ def _check_overlap_fraction(overlap_fraction) -> float:
 
 
 def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> list[Spectrum]:
-    """psd of each record, read through its len, sample_rate_hz and
-    _span(start, stop), its values start .. stop - 1.
+    """psd of each record (one or two), read through its len,
+    sample_rate_hz and _read(start, out), which writes its values
+    start .. start + out.size - 1 into out.
 
-    When the process may run on two cores, two records are summed at once,
-    one on a worker thread and one on this thread; np.fft.rfft and the
-    ufuncs release the GIL. Each thread owns one record's sums, in buffers
-    allocated here (a worker's own temporaries would come from a separate
-    malloc arena); only a packed bitstream's unpacked bytes, at most one
-    block's worth at a time, are allocated by the thread that reads them.
-    A thread's buffers are in proportion to its rows, so each of the two
-    threads takes half of one thread's rows and both fit one thread's
-    budget. Otherwise the records are summed one after the other on this
-    thread, with the buffers of one record alive at a time.
+    A pair goes to _in_two_threads: on two cores a worker thread sums one
+    record while this thread sums the other (np.fft.rfft and the ufuncs
+    release the GIL), each with half the block budget; on one core they are
+    summed in turn, each with the whole budget. The periodograms are added
+    in segment order either way, so the spectra are the same.
     """
     for x in records:
         if not isinstance(x, (SampledSignal, BitStream, _NoiseDraw)):
@@ -178,22 +176,16 @@ def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> li
         )
     totals = [np.empty(fft_size // 2 + 1) for _ in records]
     counts = [(len(x) - fft_size) // step + 1 for x in records]
-    rows = max(1, _PSD_BLOCK_BYTES // (8 * fft_size))
 
-    def sums(x, rows):
-        win = _scaled_window(window, fft_size, x.sample_rate_hz)
-        return _SegmentSums(x._span, step, win, rows)
+    def job(x, count, total, threads):
+        sums = _SegmentSums(x, step, _scaled_window(window, fft_size, x.sample_rate_hz), threads)
+        return functools.partial(sums.sum_segments, count, total)
 
-    if len(records) == 2 and _usable_cores() >= 2:
-        rows = max(1, rows // 2)
-        worker, caller = (
-            functools.partial(sums(x, rows).sum_segments, count, total)
-            for x, count, total in zip(records, counts, totals)
-        )
-        _in_two_threads(worker, caller)
+    makers = [functools.partial(job, *args) for args in zip(records, counts, totals)]
+    if len(makers) == 2:
+        _in_two_threads(*makers)
     else:
-        for x, count, total in zip(records, counts, totals):
-            sums(x, rows).sum_segments(count, total)
+        makers[0](1)()
     spectra = []
     for x, count, total in zip(records, counts, totals):
         # Doubling is exact, so doubling the sum equals summing doubled
@@ -210,14 +202,18 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _in_two_threads(in_worker, in_caller):
-    """Run in_worker on a new thread and in_caller on this one; re-raise
-    the worker's exception here after both have finished. With fewer than
-    two usable cores, run in_worker and then in_caller on this thread."""
+def _in_two_threads(make_worker, make_caller):
+    """Make two jobs and run them: make_worker's on a new thread and
+    make_caller's on this one when the process may use two cores, else in
+    turn on this thread. A maker, called here with the number of jobs that
+    run at once, sizes its job's buffers for it and allocates them on this
+    thread (a worker's own come from a separate malloc arena). The worker's
+    exception is re-raised here after both jobs have finished."""
     if _usable_cores() < 2:
-        in_worker()
-        in_caller()
+        make_worker(1)()
+        make_caller(1)()
         return
+    in_worker, in_caller = make_worker(2), make_caller(2)
     failure = []
 
     def run():
@@ -237,70 +233,75 @@ def _in_two_threads(in_worker, in_caller):
 
 
 class _SegmentSums:
-    """One thread's buffers for transforming segments and adding their
+    """One record's buffers for transforming its segments and adding their
     periodograms into a running sum, one segment after another.
 
-    Segment i is the record's values i * step .. i * step + fft_size - 1,
-    read through span, the record's _span(start, stop), so a packed
-    bitstream is unpacked one block of segments at a time. Each span is
-    used before the next is requested, and each span starts no earlier than
-    the previous one and, as the hop is at most fft_size, no later than the
-    previous stop, which a streamed noise record relies on: it keeps only
-    the samples from the latest start onward. Only rows segments are
-    transformed at a time, so the memory does not grow with the record.
+    Segment i is the record's values i * step .. i * step + fft_size - 1.
+    A block of rows segments, as many as fit a 1 / threads share of
+    _PSD_BLOCK_BYTES, is transformed at a time. The frame holds a block's
+    values: the fft_size - step that its first segment shares with the
+    previous block's last, kept from that block, then those read for it
+    through _read, front to back, each value once, as a streamed record is
+    read. This is the one place that keeps the overlap.
     """
 
-    def __init__(self, span, step, win, rows):
+    def __init__(self, record, step, win, threads):
         fft_size = win.size
         n_freq = fft_size // 2 + 1
-        self.span = span
+        self.read = record._read
         self.step = step
         self.win = win
-        self.rows = rows
+        self.kept = fft_size - step
+        self.rows = rows = max(1, (_PSD_BLOCK_BYTES // (8 * threads) - self.kept) // fft_size)
         # The windowed block; once transformed, its memory holds the running
         # sum and the powers (see sum_segments).
         self.windowed = np.empty(max(rows * fft_size, (rows + 1) * n_freq))
-        self.spectra = np.empty(rows * n_freq, dtype=np.complex128)
-
-    def periodograms(self, first: int, count: int, out: np.ndarray):
-        """out = |rfft(segment * win)|^2 of segments first .. first + count - 1
-        (count at most rows), shape (count, n_freq). out may share memory
-        with the windowed buffer: it is written once the block is transformed."""
-        fft_size = self.win.size
-        n_freq = fft_size // 2 + 1
-        start = first * self.step
-        values = self.span(start, start + (count - 1) * self.step + fft_size)
-        # The segments as rows of a strided view of the span. Built directly:
-        # sliding_window_view, called once per block, left a 0.9 MiB
-        # allocation alive after a few hundred analyses.
-        size = values.itemsize
-        segments = np.ndarray((count, fft_size), values.dtype, values, 0, (self.step * size, size))
-        windowed = self.windowed[: count * fft_size].reshape(count, fft_size)
-        # Cast first, then multiply in place: a mixed-type product (int8 bits
-        # by the float64 window) allocates numpy cast buffers and runs a
-        # slower buffered loop. The cast is exact, so the products are the same.
-        np.copyto(windowed, segments)
-        windowed *= self.win
-        spectra = self.spectra[: count * n_freq].reshape(count, n_freq)
-        np.fft.rfft(windowed, out=spectra)
-        parts = spectra.view(np.float64)
-        np.square(parts, out=parts)
-        np.add(parts[:, 0::2], parts[:, 1::2], out=out)
+        # The transform, after the kept values from a whole complex on. With
+        # overlap the frame is this memory, which the block's values leave
+        # once windowed. Without, the segments lie end to end and the frame
+        # is the windowed buffer, windowed in place: a pass over memory less.
+        spectra = self.kept + self.kept % 2
+        memory = np.empty(spectra + 2 * rows * n_freq)
+        self.spectra = memory[spectra:].view(np.complex128)
+        self.frame = memory if self.kept else self.windowed
 
     def sum_segments(self, n: int, out: np.ndarray):
         """out = the sum of the periodograms of segments 0 .. n - 1, added
-        one by one in segment order."""
-        n_freq = out.size
+        one by one in segment order. Values, or squares, that are not finite
+        give a sum that is not, which Spectrum refuses, and no numpy warning."""
+        fft_size, step, kept, frame = self.win.size, self.step, self.kept, self.frame
+        n_freq, size = out.size, frame.itemsize
         out.fill(0.0)
-        for first in range(0, n, self.rows):
-            count = min(self.rows, n - first)
-            # Row 0 carries the sum so far and rows 1 .. count the powers. A
-            # sum over the slow axis of a C-ordered array adds each row to
-            # the result in turn, so the block continues the running sum.
-            block = self.windowed[: (count + 1) * n_freq].reshape(count + 1, n_freq)
-            self.periodograms(first, count, block[1:])
-            block[0] = out
-            np.add.reduce(block, axis=0, out=out)
+        self.read(0, frame[:kept])
+        with np.errstate(all="ignore"):
+            np.setbufsize(_UFUNC_BUFFER_ITEMS)
+            for first in range(0, n, self.rows):
+                count = min(self.rows, n - first)
+                hop = count * step
+                self.read(first * step + kept, frame[kept : kept + hop])
+                # The segments as rows of a strided view of the frame. Built
+                # directly: sliding_window_view, called once per block, left
+                # a 0.9 MiB allocation alive after a few hundred analyses.
+                segments = np.ndarray((count, fft_size), frame.dtype, frame, 0, (step * size, size))
+                windowed = self.windowed[: count * fft_size].reshape(count, fft_size)
+                # A copy (of nothing if the frame is the windowed buffer), then
+                # windowing in place: faster than a product out of the frame.
+                np.copyto(windowed, segments)
+                windowed *= self.win
+                # The values the next block's first segment shares with this
+                # block's last, before the transform takes their place.
+                frame[:kept] = frame[hop : hop + kept]
+                spectra = self.spectra[: count * n_freq].reshape(count, n_freq)
+                np.fft.rfft(windowed, out=spectra)
+                parts = spectra.view(np.float64)
+                np.square(parts, out=parts)
+                # Row 0 carries the sum so far and rows 1 .. count the powers.
+                # A sum over the slow axis of a C-ordered array adds each row
+                # to the result in turn, so the block continues the running sum.
+                block = self.windowed[: (count + 1) * n_freq].reshape(count + 1, n_freq)
+                np.add(parts[:, 0::2], parts[:, 1::2], out=block[1:])
+                block[0] = out
+                np.add.reduce(block, axis=0, out=out)
 
 
 @functools.lru_cache(maxsize=4)

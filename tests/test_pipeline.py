@@ -233,7 +233,8 @@ def _dut_output_records(cfg):
         _sigma(cfg, t) * np.random.default_rng(seed).standard_normal(cfg.n_samples)
         for t, seed in zip((src.t_hot_k, src.t_cold_k), (seeds[0], seeds[2]))
     )
-    direct = _record(cfg, cfg.source.t0_k, 4)._span(0, cfg.n_samples)
+    direct = np.empty(cfg.n_samples)
+    _record(cfg, cfg.source.t0_k, 4)._read(0, direct)
     return {"hot": hot, "cold": cold, "direct": direct}
 
 
@@ -357,18 +358,26 @@ def test_gain_sensitivity_study_working_memory():
     assert _warm_peak(study, make_config(seed=2)) < 4 * 2**20
 
 
-def test_analyze_bitstreams_two_threads_hold_no_more_memory_than_one(monkeypatch):
-    # Each of the two threads transforms blocks of rows // 2 segments, so
-    # both together fit the one-thread budget.
-    cfg = make_config(seed=2)
+@pytest.mark.parametrize(
+    "fft_size, window, overlap",
+    [(10_000, "rectangular", 0.0), (2_000, "rectangular", 0.0), (2_000, "hann", 0.5)],
+    ids=["rect_10000", "rect_2000", "hann_50_2000"],
+)
+def test_analyze_bitstreams_two_threads_hold_no_more_memory_than_one(
+    monkeypatch, fft_size, window, overlap
+):
+    # Each of the two threads transforms blocks of fewer than half the
+    # segments of one thread's, so both together fit the one-thread budget
+    # with a row to spare for the worker's own allocations.
+    cfg = make_config(seed=2, fft_size=fft_size)
     hot, cold = simulate_bitstreams(cfg)
     peaks = {}
     for cores in (1, 2):
         monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
-        analyze_bitstreams(hot, cold, cfg)  # warm-up: the window cache
+        analyze_bitstreams(hot, cold, cfg, window, overlap)  # warm-up: the window cache
         tracemalloc.start()
         try:
-            analyze_bitstreams(hot, cold, cfg)
+            analyze_bitstreams(hot, cold, cfg, window, overlap)
             peaks[cores] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

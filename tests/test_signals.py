@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nfbist import (
+    BitStream,
     DutSpec,
     NoiseSourceSpec,
     ParameterError,
@@ -230,20 +231,64 @@ def test_every_draw_refuses_a_seed_that_is_not_an_integer_or_a_generator(seed):
             apply_dut(DutSpec(gain_linear=1.0, added_noise_power=added), sig, seed)
 
 
-def test_noise_draw_allocates_its_buffer_when_made():
-    # The buffer is made with the record, so a worker thread that reads the
-    # record chunk by chunk, as the comparator's hot state does, allocates
-    # nothing; a read front to back in _CHUNK_SAMPLES spans keeps it.
+def _records(n):
+    """Each record type over one n-value record, with those values as float64."""
+    noise = gaussian_noise(n, 2.5, 11)
+    bits = BitStream(1.0, np.where(noise.samples >= 0.0, 1, -1))
+    return {
+        "SampledSignal": (noise, noise.samples),
+        "BitStream": (bits, bits.bits.astype(np.float64)),
+        "_NoiseDraw": (signals._NoiseDraw(n, 2.5, 11, 1.0), noise.samples),
+    }
+
+
+@pytest.mark.parametrize("kind", ["SampledSignal", "BitStream", "_NoiseDraw"])
+def test_reads_fill_the_callers_buffer_with_slices_of_the_record(kind):
+    # Reads front to back in mixed sizes, from starts on and off a byte of a
+    # packed bitstream, each into a buffer of the caller's.
+    n = 5_000
+    record, values = _records(n)[kind]
+    sizes = [1, 2, 7, 8, 9, 0, 100, 3, 1_000, 2_000, 13]
+    starts = np.cumsum([0] + sizes)
+    for start, size in zip(starts, sizes):
+        out = np.full(size, np.nan)
+        record._read(int(start), out)
+        assert out.tobytes() == values[start : start + size].tobytes()
+        out[:] = 0.0  # the buffer is the caller's: the record does not see this
+    if kind == "_NoiseDraw":
+        # A read that does not go on from the last one, or runs past the
+        # end, raises and draws nothing: the record reads on from where it was.
+        for start in (0, starts[-1] - 1, starts[-1] + 1):
+            with pytest.raises(ParameterError):
+                record._read(int(start), np.empty(10))
+        with pytest.raises(ParameterError):
+            record._read(int(starts[-1]), np.empty(n - starts[-1] + 1))
+    rest = np.empty(n - starts[-1])
+    record._read(int(starts[-1]), rest)
+    assert rest.tobytes() == values[starts[-1] :].tobytes()
+    assert len(record) == n and record.sample_rate_hz == 1.0
+
+
+def test_noise_draw_holds_no_samples():
+    # A read draws into the caller's buffer, so a worker thread that reads
+    # a record chunk by chunk into buffers made on the calling thread, as
+    # the comparator's hot state does, allocates no sample buffer.
     n = 3 * _CHUNK_SAMPLES + 7
+    samples = gaussian_noise(n, 1.5, 9).samples
     record = signals._NoiseDraw(n, 1.5, 9, 1.0)
-    buffer = record._buffer
-    assert buffer.size == _CHUNK_SAMPLES
-    chunks = []
+    assert not any(isinstance(v, np.ndarray) for v in vars(record).values())
+    chunk = np.empty(_CHUNK_SAMPLES)
     for start in range(0, n, _CHUNK_SAMPLES):
-        chunks.append(record._span(start, min(start + _CHUNK_SAMPLES, n)).copy())
-        assert record._buffer is buffer
-    assert np.concatenate(chunks).tobytes() == gaussian_noise(n, 1.5, 9).samples.tobytes()
-    assert signals._NoiseDraw(5, 1.0, 9, 1.0)._buffer.size == 5
+        drawn = chunk[: min(_CHUNK_SAMPLES, n - start)]
+        tracemalloc.start()
+        try:
+            record._read(start, drawn)
+            assert tracemalloc.get_traced_memory()[1] < 4_096
+        finally:
+            tracemalloc.stop()
+        assert drawn.tobytes() == samples[start : start + drawn.size].tobytes()
+    with pytest.raises(ParameterError):
+        signals._NoiseDraw(n, math.nan, 9, 1.0)
 
 
 def test_square_wave_pattern_is_cached_one_bit_per_sample():
