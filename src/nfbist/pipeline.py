@@ -35,6 +35,15 @@ so on a host with two usable cores the hot state's pass runs on a worker
 thread while the cold state's runs on the calling thread, and their
 spectra are summed the same way (see spectral._spectra); the bits and the
 results are the same as on one core.
+
+The studies keep both cores busy with one spectra pass per seed: the
+reference-amplitude sweep sums every fraction's hot spectrum on the worker
+while the calling thread sums every cold one, and the gain study sums the
+direct method's T0 record (through psd) on the worker while the calling
+thread sums its Y-factor pair. While the worker runs, the calling thread
+calls none of the public functions this module binds (it sums through
+spectral._SegmentSums), so a wrapper put on them, as the benchmark's
+tracer does, sees one call at a time.
 """
 
 from __future__ import annotations
@@ -79,6 +88,7 @@ from .spectral import (
     _in_two_threads,
     _peak_search_bins,
     _spectra,
+    _spectra_job,
     band_power,
     band_width_hz,
     power_ratio_detail,
@@ -508,9 +518,13 @@ def sweep_reference_amplitude(
     numbers), which keeps the decisions packed, n/4 bytes per fraction
     (below the 16 bytes per sample of kept float64 hot and cold records up
     to 64 fractions); each fraction's streams are wrapped as bitstreams,
-    without a copy, for its own analysis. The bits of each point equal
-    those of simulate_bitstreams at that point's config, so every row is the
-    same as running each experiment on its own.
+    without a copy. Then one two-thread pass sums the spectra: every
+    fraction's hot spectrum in turn on a worker thread and every cold one
+    on this thread, when two cores are usable, or all hot then all cold
+    spectra on this thread. Each row is then analyze_spectra of its
+    fraction's pair. The bits of each point equal those of
+    simulate_bitstreams at that point's config, and each spectrum that of
+    psd, so every row is the same as running each experiment on its own.
     """
     fractions = check_sweep_points("ref-amplitude", fractions)
     n_seeds = check_integer("n_seeds", n_seeds, 1)
@@ -521,14 +535,20 @@ def sweep_reference_amplitude(
     for k in range(n_seeds):
         seed_cfg = replace(cfg, seed=cfg.seed + k)
         packed = _comparator_bits(seed_cfg, fractions)
-        for fraction, fraction_bits, fraction_errors in zip(fractions, packed, errors):
-            run_cfg = replace(seed_cfg, ref_amplitude=fraction)
-            out = analyze_bitstreams(
-                *(_bitstream(run_cfg, bits) for bits in fraction_bits),
-                run_cfg,
-                window=window,
-                overlap_fraction=overlap_fraction,
+        hot, cold = _in_two_threads(
+            *(
+                functools.partial(
+                    _spectra_job,
+                    [_bitstream(seed_cfg, bits) for bits in packed[:, state]],
+                    cfg.fft_size,
+                    window,
+                    overlap_fraction,
+                )
+                for state in (0, 1)
             )
+        )
+        for fraction, spec_hot, spec_cold, fraction_errors in zip(fractions, hot, cold, errors):
+            out = analyze_spectra(spec_hot, spec_cold, replace(seed_cfg, ref_amplitude=fraction))
             fraction_errors.append(abs(out.y - y_ideal) / y_ideal)
     return [(a, float(np.mean(e))) for a, e in zip(fractions, errors)]
 
@@ -566,24 +586,37 @@ def gain_sensitivity_study(
     NF difference against the same-seed run at ratio 1. The direct method
     inherits the full gain error. The comparator never sees the post-DUT
     gain (see the module docstring), so every ratio's Y-factor bits are
-    the base bits: one Y-factor run gives each row's bias, base - base,
-    which is 0.0, or NaN where the base NF is undefined.
+    the base bits: one comparator pass and one hot/cold pair of spectra
+    give each row's bias, base - base, which is 0.0, or NaN where the base
+    NF is undefined.
 
     The direct method's analog record is drawn once and its spectrum taken
-    once; each ratio's result is that spectrum's band power times the
-    ratio's post-DUT gain (see _direct_result). The rows equal those of
-    run_direct_experiment and run_y_factor_experiment run per ratio.
+    once, by psd; each ratio's result is that spectrum's band power times
+    the ratio's post-DUT gain (see _direct_result). With two usable cores
+    psd runs on a worker thread while this thread sums the hot spectrum and
+    then the cold one, each with half the block budget; on one core the
+    three run in turn here. The rows equal those of run_direct_experiment
+    and run_y_factor_experiment run per ratio.
     """
     gain_ratios = check_sweep_points("gain", gain_ratios)
     assumed = cfg.dut.gain_linear * cfg.post_dut_gain_linear
     drifted = [
         replace(cfg, post_dut_gain_linear=cfg.post_dut_gain_linear * r) for r in gain_ratios
     ]
-    spectrum = psd(_record(cfg, cfg.source.t0_k, 4), cfg.fft_size, window, overlap_fraction)
+    (hot, cold), = _comparator_bits(cfg, [cfg.ref_amplitude])
+    t0_record = _record(cfg, cfg.source.t0_k, 4)
+    spectrum, (spec_hot, spec_cold) = _in_two_threads(
+        lambda threads: functools.partial(psd, t0_record, cfg.fft_size, window, overlap_fraction),
+        functools.partial(
+            _spectra_job,
+            [_bitstream(cfg, hot), _bitstream(cfg, cold)],
+            cfg.fft_size,
+            window,
+            overlap_fraction,
+        ),
+    )
     base_direct = _direct_result(cfg, spectrum, assumed).nf_db
-    base_y = run_y_factor_experiment(
-        cfg, window=window, overlap_fraction=overlap_fraction
-    ).nf_db
+    base_y = analyze_spectra(spec_hot, spec_cold, cfg).nf_db
     rows = []
     for ratio, c in zip(gain_ratios, drifted):
         direct = _direct_result(c, spectrum, assumed).nf_db

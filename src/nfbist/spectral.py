@@ -153,12 +153,58 @@ def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> li
     sample_rate_hz and _read(start, out), which writes its values
     start .. start + out.size - 1 into out.
 
-    A pair goes to _in_two_threads: on two cores a worker thread sums one
-    record while this thread sums the other (np.fft.rfft and the ufuncs
-    release the GIL), each with half the block budget; on one core they are
-    summed in turn, each with the whole budget. The periodograms are added
-    in segment order either way, so the spectra are the same.
+    One record is summed on this thread, as _spectra_job sums it. A pair
+    goes to _in_two_threads: on two cores a worker thread sums one record
+    while this thread sums the other (np.fft.rfft and the ufuncs release the
+    GIL), each with half the block budget; on one core they are summed in
+    turn, each with the whole budget. The periodograms are added in segment
+    order either way, so the spectra are the same.
     """
+    if len(records) == 1:
+        return _spectra_job(records, fft_size, window, overlap_fraction, 1)()
+    fft_size, step = _check_analysis(records, fft_size, window, overlap_fraction)
+    totals = [np.empty(fft_size // 2 + 1) for _ in records]
+    counts = [(len(x) - fft_size) // step + 1 for x in records]
+
+    def job(x, count, total, threads):
+        sums = _SegmentSums(x, step, _scaled_window(window, fft_size, x.sample_rate_hz), threads)
+        return functools.partial(sums.sum_segments, count, total)
+
+    _in_two_threads(*(functools.partial(job, *args) for args in zip(records, counts, totals)))
+    return [
+        _mean_spectrum(total, count, fft_size, x.sample_rate_hz)
+        for x, count, total in zip(records, counts, totals)
+    ]
+
+
+def _spectra_job(records, fft_size: int, window: str, overlap_fraction: float, threads: int):
+    """A job that returns psd of each record, for a thread that sums them in
+    turn: a job maker for _in_two_threads, given the other arguments.
+
+    The records and the analysis are checked here, as psd checks them. The
+    job sums one record at a time, in buffers it allocates just before,
+    sized for a 1 / threads share of the block budget, and drops them
+    before the next record, so a list of records takes one record's memory.
+    """
+    fft_size, step = _check_analysis(records, fft_size, window, overlap_fraction)
+
+    def job() -> list[Spectrum]:
+        spectra = []
+        for x in records:
+            total = np.empty(fft_size // 2 + 1)
+            count = (len(x) - fft_size) // step + 1
+            win = _scaled_window(window, fft_size, x.sample_rate_hz)
+            _SegmentSums(x, step, win, threads).sum_segments(count, total)
+            spectra.append(_mean_spectrum(total, count, fft_size, x.sample_rate_hz))
+        return spectra
+
+    return job
+
+
+def _check_analysis(records, fft_size, window, overlap_fraction) -> tuple[int, int]:
+    """(fft_size, step) of psd's analysis of records, where step is the hop
+    between segments, if each record is one psd reads and the analysis
+    suits them."""
     for x in records:
         if not isinstance(x, (SampledSignal, BitStream, _NoiseDraw)):
             raise ParameterError(f"expected SampledSignal or BitStream, got {type(x).__name__}")
@@ -174,26 +220,19 @@ def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> li
         raise ParameterError(
             f"overlap_fraction {overlap_fraction} leaves no hop between {fft_size}-sample segments"
         )
-    totals = [np.empty(fft_size // 2 + 1) for _ in records]
-    counts = [(len(x) - fft_size) // step + 1 for x in records]
+    return fft_size, step
 
-    def job(x, count, total, threads):
-        sums = _SegmentSums(x, step, _scaled_window(window, fft_size, x.sample_rate_hz), threads)
-        return functools.partial(sums.sum_segments, count, total)
 
-    makers = [functools.partial(job, *args) for args in zip(records, counts, totals)]
-    if len(makers) == 2:
-        _in_two_threads(*makers)
-    else:
-        makers[0](1)()
-    spectra = []
-    for x, count, total in zip(records, counts, totals):
-        # Doubling is exact, so doubling the sum equals summing doubled
-        # periodograms; the mean then divides by the count.
-        total[1:-1] *= 2
-        total /= count
-        spectra.append(Spectrum(total, fft_size, count, x.sample_rate_hz))
-    return spectra
+def _mean_spectrum(
+    total: np.ndarray, count: int, fft_size: int, sample_rate_hz: float
+) -> Spectrum:
+    """The spectrum of count segments whose periodograms sum to total,
+    which is scaled in place."""
+    # Doubling is exact, so doubling the sum equals summing doubled
+    # periodograms; the mean then divides by the count.
+    total[1:-1] *= 2
+    total /= count
+    return Spectrum(total, fft_size, count, sample_rate_hz)
 
 
 def _usable_cores() -> int:
@@ -203,33 +242,33 @@ def _usable_cores() -> int:
 
 
 def _in_two_threads(make_worker, make_caller):
-    """Make two jobs and run them: make_worker's on a new thread and
-    make_caller's on this one when the process may use two cores, else in
-    turn on this thread. A maker, called here with the number of jobs that
-    run at once, sizes its job's buffers for it and allocates them on this
-    thread (a worker's own come from a separate malloc arena). The worker's
-    exception is re-raised here after both jobs have finished."""
+    """Make two jobs, run them and return their results, the worker's
+    first: make_worker's job on a new thread and make_caller's on this one
+    when the process may use two cores, else in turn on this thread. A
+    maker, called here with the number of jobs that run at once, sizes its
+    job's buffers for it and allocates them on this thread (a worker's own
+    come from a separate malloc arena), or leaves that to its job. The
+    worker's exception is re-raised here after both jobs have finished."""
     if _usable_cores() < 2:
-        make_worker(1)()
-        make_caller(1)()
-        return
+        return make_worker(1)(), make_caller(1)()
     in_worker, in_caller = make_worker(2), make_caller(2)
-    failure = []
+    outcome = {}
 
     def run():
         try:
-            in_worker()
+            outcome["result"] = in_worker()
         except BaseException as exc:  # re-raised by the calling thread
-            failure.append(exc)
+            outcome["failure"] = exc
 
     worker = threading.Thread(target=run, name="nfbist-worker")
     worker.start()
     try:
-        in_caller()
+        result = in_caller()
     finally:
         worker.join()
-    if failure:
-        raise failure[0]
+    if "failure" in outcome:
+        raise outcome["failure"]
+    return outcome["result"], result
 
 
 class _SegmentSums:

@@ -4,6 +4,8 @@ and the public analysis functions reject arguments of the wrong type."""
 import importlib
 import importlib.util
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,8 @@ from nfbist import (
     gaussian_noise,
     psd,
 )
+from nfbist import pipeline, spectral
+from nfbist.cli import DEFAULT_AMPLITUDE_FRACTIONS, DEFAULT_GAIN_RATIOS
 
 TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -66,6 +70,47 @@ def test_every_traced_name_is_bound(monkeypatch):
 
 
 CONFIG = ExperimentConfig(NoiseSourceSpec(10_000.0, 1_000.0), dut_from_nf(10.0, 1.0))
+
+
+def test_traced_sweep_ops_add_up(monkeypatch):
+    # The benchmark's sweep op at a reduced size, twice, each under its own
+    # root span. The gain study's psd runs on a worker thread while the
+    # calling thread sums the Y-factor spectra through untraced code, so
+    # the tracer's one span stack still sees one traced call at a time: the
+    # self times of each op add up to its wall time, every span's parent
+    # lies in the span's own op and spans its time, and no traced call
+    # nests in psd, which makes none.
+    tracing = _tracing_module(monkeypatch)
+    monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
+    cfg = replace(CONFIG, n_samples=100_000, fft_size=2_000)
+
+    def op():
+        pipeline.sweep_reference_amplitude(cfg, DEFAULT_AMPLITUDE_FRACTIONS, n_seeds=1)
+        pipeline.gain_sensitivity_study(cfg, DEFAULT_GAIN_RATIOS)
+
+    tracer = tracing.Tracer()
+    walls = []
+    tracer.install()
+    try:
+        for op_id in (0, 1):
+            tracer.op = op_id
+            start = time.perf_counter()
+            tracer.call(tracing.ROOT_SPAN, op)
+            walls.append(time.perf_counter() - start)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    selfs = tracing.self_times(spans)
+    for op_id, wall in enumerate(walls):
+        assert tracing.accounting_gap(spans, selfs, op_id, wall) <= 0.01
+    by_id = {s.id: s for s in spans}
+    parents = [(s, by_id[s.parent]) for s in spans if s.parent is not None]
+    assert all(p.op == s.op and p.start <= s.start and s.end <= p.end for s, p in parents)
+    assert all(p.name != "spectral.psd" for _, p in parents)
+    direct = [s for s in spans if s.name == "spectral.psd"]
+    assert [by_id[s.parent].name for s in direct] == ["pipeline.gain_sensitivity_study"] * 2
+
+
 SPECTRUM = psd(gaussian_noise(20_000, 1.0, seed=0, sample_rate_hz=50_000.0), 10_000)
 
 

@@ -778,6 +778,107 @@ def test_comparator_worker_failure_reaches_the_caller(monkeypatch):
     assert threading.active_count() == threads_before
 
 
+def _recording_sums(monkeypatch):
+    """Record (record, on the main thread) for each record _SegmentSums sums."""
+    passes = []
+
+    class Recording(spectral._SegmentSums):
+        def __init__(self, record, *args):
+            super().__init__(record, *args)
+            self.record = record
+
+        def sum_segments(self, *args):
+            passes.append((self.record, threading.current_thread() is threading.main_thread()))
+            return super().sum_segments(*args)
+
+    monkeypatch.setattr(spectral, "_SegmentSums", Recording)
+    return passes
+
+
+@pytest.mark.parametrize("analysis", CRN_ANALYSES, ids=["rect", "hann50"])
+def test_sweep_reference_amplitude_is_the_same_on_one_and_two_cores(monkeypatch, analysis):
+    # On two cores each seed's hot spectra are summed on a worker thread
+    # and its cold spectra on the calling thread, each in fraction order;
+    # on one core all of them on the calling thread, hot before cold.
+    cfg = make_config(seed=5, **CRN_CONFIG)
+    fractions = [0.02, 0.25, 1.5, 0.25]
+    passes = _recording_sums(monkeypatch)
+    rows = _per_core_count(
+        monkeypatch, lambda: sweep_reference_amplitude(cfg, fractions, n_seeds=2, **analysis)
+    )
+    assert rows[1] == rows[2]
+    streams = [
+        [[bits.tobytes() for bits in packed[:, state]] for state in (0, 1)]
+        for packed in (_comparator_bits(replace(cfg, seed=seed), fractions) for seed in (5, 6))
+    ]
+    summed = [(record._packed.tobytes(), main) for record, main in passes]
+    one_core, two_cores = summed[: len(summed) // 2], summed[len(summed) // 2 :]
+    assert one_core == [(b, True) for hot, cold in streams for b in hot + cold]
+    assert [b for b, main in two_cores if not main] == [b for hot, _ in streams for b in hot]
+    assert [b for b, main in two_cores if main] == [b for _, cold in streams for b in cold]
+
+
+@pytest.mark.parametrize("analysis", CRN_ANALYSES, ids=["rect", "hann50"])
+def test_gain_sensitivity_study_is_the_same_on_one_and_two_cores(monkeypatch, analysis):
+    # On two cores the direct method's T0 record is drawn and summed by psd
+    # on a worker thread while the calling thread sums the hot spectrum and
+    # then the cold one; on one core all three run on the calling thread.
+    cfg = make_config(seed=5, **CRN_CONFIG)
+    psd_threads = []
+    monkeypatch.setattr(
+        pipeline,
+        "psd",
+        lambda *args: psd_threads.append(threading.current_thread() is threading.main_thread())
+        or psd(*args),
+    )
+    passes = _recording_sums(monkeypatch)
+    rows = _per_core_count(
+        monkeypatch, lambda: gain_sensitivity_study(cfg, DEFAULT_GAIN_RATIOS, **analysis)
+    )
+    assert rows[1] == rows[2]
+    assert psd_threads == [True, False]
+    hot, cold = (bits.tobytes() for bits in _comparator_bits(cfg, [cfg.ref_amplitude])[0])
+    summed = [
+        ("T0" if isinstance(record, signals._NoiseDraw) else record._packed.tobytes(), main)
+        for record, main in passes
+    ]
+    assert summed[:3] == [("T0", True), (hot, True), (cold, True)]
+    assert [p for p in summed[3:] if not p[1]] == [("T0", False)]
+    assert [p for p in summed[3:] if p[1]] == [(hot, True), (cold, True)]
+
+
+def _failing_in_worker(monkeypatch, module, name):
+    """Patch module.name to raise RuntimeError when called off the main thread."""
+    original = getattr(module, name)
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(f"{name} failed in the worker")
+        return original(*args)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+@pytest.mark.parametrize(
+    "target, study",
+    [
+        ((pipeline, "psd"), lambda c: gain_sensitivity_study(c, DEFAULT_GAIN_RATIOS)),
+        (
+            (spectral._SegmentSums, "sum_segments"),
+            lambda c: sweep_reference_amplitude(c, [0.1, 0.25], n_seeds=2),
+        ),
+    ],
+    ids=["gain_study_psd", "sweep_spectra"],
+)
+def test_a_study_worker_failure_reaches_the_caller(monkeypatch, target, study):
+    monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
+    _failing_in_worker(monkeypatch, *target)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="in the worker"):
+        study(make_config(**FAST))
+    assert threading.active_count() == threads_before
+
+
 @pytest.mark.parametrize("analysis", CRN_ANALYSES, ids=["rect", "hann50"])
 def test_gain_sensitivity_study_equals_per_ratio_runs(analysis):
     cfg = make_config(seed=5, **CRN_CONFIG)
