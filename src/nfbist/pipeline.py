@@ -33,17 +33,17 @@ bytes per level, and each packed stream becomes a BitStream as it is,
 without a copy. The hot and the cold state share nothing but that pattern,
 so on a host with two usable cores the hot state's pass runs on a worker
 thread while the cold state's runs on the calling thread, and their
-spectra are summed the same way (see spectral._spectra); the bits and the
-results are the same as on one core.
+spectra are summed the same way; the bits and the results are the same as
+on one core. Every spectrum is summed by a spectral._spectra_job, in a
+workspace that the calling thread allocates.
 
 The studies keep both cores busy with one spectra pass per seed: the
 reference-amplitude sweep sums every fraction's hot spectrum on the worker
-while the calling thread sums every cold one, and the gain study sums the
-direct method's T0 record (through psd) on the worker while the calling
-thread sums its Y-factor pair. While the worker runs, the calling thread
-calls none of the public functions this module binds (it sums through
-spectral._SegmentSums), so a wrapper put on them, as the benchmark's
-tracer does, sees one call at a time.
+while the calling thread sums every cold one, and the gain study sums its
+Y-factor pair on the worker while the calling thread runs psd of the
+direct method's T0 record. The worker calls none of the public functions
+this module binds, so a wrapper put on them, as the benchmark's tracer
+does, sees one call at a time.
 """
 
 from __future__ import annotations
@@ -592,11 +592,12 @@ def gain_sensitivity_study(
 
     The direct method's analog record is drawn once and its spectrum taken
     once, by psd; each ratio's result is that spectrum's band power times
-    the ratio's post-DUT gain (see _direct_result). With two usable cores
-    psd runs on a worker thread while this thread sums the hot spectrum and
-    then the cold one, each with half the block budget; on one core the
-    three run in turn here. The rows equal those of run_direct_experiment
-    and run_y_factor_experiment run per ratio.
+    the ratio's post-DUT gain (see _direct_result). With two usable cores a
+    worker thread sums the hot spectrum and then the cold one with half the
+    block budget, in a workspace this thread allocates, while this thread
+    runs psd; on one core the three run in turn here, psd last. The rows
+    equal those of run_direct_experiment and run_y_factor_experiment run
+    per ratio.
     """
     gain_ratios = check_sweep_points("gain", gain_ratios)
     assumed = cfg.dut.gain_linear * cfg.post_dut_gain_linear
@@ -605,8 +606,7 @@ def gain_sensitivity_study(
     ]
     (hot, cold), = _comparator_bits(cfg, [cfg.ref_amplitude])
     t0_record = _record(cfg, cfg.source.t0_k, 4)
-    spectrum, (spec_hot, spec_cold) = _in_two_threads(
-        lambda threads: functools.partial(psd, t0_record, cfg.fft_size, window, overlap_fraction),
+    (spec_hot, spec_cold), spectrum = _in_two_threads(
         functools.partial(
             _spectra_job,
             [_bitstream(cfg, hot), _bitstream(cfg, cold)],
@@ -614,6 +614,7 @@ def gain_sensitivity_study(
             window,
             overlap_fraction,
         ),
+        lambda threads: functools.partial(psd, t0_record, cfg.fft_size, window, overlap_fraction),
     )
     base_direct = _direct_result(cfg, spectrum, assumed).nf_db
     base_y = analyze_spectra(spec_hot, spec_cold, cfg).nf_db

@@ -123,7 +123,7 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
     segment order (see _SegmentSums), so the working memory is a block of
     segments whatever the record length.
     """
-    (spectrum,) = _spectra([x], fft_size, window, overlap_fraction)
+    (spectrum,) = _spectra_job([x], fft_size, window, overlap_fraction, 1)()
     return spectrum
 
 
@@ -148,33 +148,16 @@ def _check_overlap_fraction(overlap_fraction) -> float:
     return overlap_fraction
 
 
-def _spectra(records, fft_size: int, window: str, overlap_fraction: float) -> list[Spectrum]:
-    """psd of each record (one or two), read through its len,
-    sample_rate_hz and _read(start, out), which writes its values
-    start .. start + out.size - 1 into out.
-
-    One record is summed on this thread, as _spectra_job sums it. A pair
-    goes to _in_two_threads: on two cores a worker thread sums one record
-    while this thread sums the other (np.fft.rfft and the ufuncs release the
-    GIL), each with half the block budget; on one core they are summed in
-    turn, each with the whole budget. The periodograms are added in segment
-    order either way, so the spectra are the same.
+def _spectra(pair, fft_size: int, window: str, overlap_fraction: float) -> list[Spectrum]:
+    """psd of each record of a pair, one _spectra_job per record, run by
+    _in_two_threads: on two cores a worker thread sums the first record
+    while this thread sums the second (np.fft.rfft and the ufuncs release
+    the GIL), each with half the block budget; on one core they are summed
+    in turn, each with the whole budget. The periodograms are added in
+    segment order either way, so the spectra are the same.
     """
-    if len(records) == 1:
-        return _spectra_job(records, fft_size, window, overlap_fraction, 1)()
-    fft_size, step = _check_analysis(records, fft_size, window, overlap_fraction)
-    totals = [np.empty(fft_size // 2 + 1) for _ in records]
-    counts = [(len(x) - fft_size) // step + 1 for x in records]
-
-    def job(x, count, total, threads):
-        sums = _SegmentSums(x, step, _scaled_window(window, fft_size, x.sample_rate_hz), threads)
-        return functools.partial(sums.sum_segments, count, total)
-
-    _in_two_threads(*(functools.partial(job, *args) for args in zip(records, counts, totals)))
-    return [
-        _mean_spectrum(total, count, fft_size, x.sample_rate_hz)
-        for x, count, total in zip(records, counts, totals)
-    ]
+    jobs = (functools.partial(_spectra_job, [x], fft_size, window, overlap_fraction) for x in pair)
+    return [spectrum for spectra in _in_two_threads(*jobs) for spectrum in spectra]
 
 
 def _spectra_job(records, fft_size: int, window: str, overlap_fraction: float, threads: int):
@@ -182,19 +165,26 @@ def _spectra_job(records, fft_size: int, window: str, overlap_fraction: float, t
     turn: a job maker for _in_two_threads, given the other arguments.
 
     The records and the analysis are checked here, as psd checks them. The
-    job sums one record at a time, in buffers it allocates just before,
-    sized for a 1 / threads share of the block budget, and drops them
-    before the next record, so a list of records takes one record's memory.
+    job's one _SegmentSums workspace, sized for a 1 / threads share of the
+    block budget, and the records' scaled windows are made here too: a
+    window first built on a worker thread grew that thread's malloc arena,
+    and the benchmark's experiment peak RSS read 1.4 MB more (2-core x86-64
+    VM, glibc 2.36). The job sums the records one after another in the
+    workspace, so a list of records takes one record's memory. A record is
+    read, each value once, through its len, sample_rate_hz and
+    _read(start, out), which writes its values start .. start + out.size - 1
+    into out.
     """
     fft_size, step = _check_analysis(records, fft_size, window, overlap_fraction)
+    sums = _SegmentSums(fft_size, step, threads)
+    wins = [_scaled_window(window, fft_size, x.sample_rate_hz) for x in records]
 
     def job() -> list[Spectrum]:
         spectra = []
-        for x in records:
+        for x, win in zip(records, wins):
             total = np.empty(fft_size // 2 + 1)
             count = (len(x) - fft_size) // step + 1
-            win = _scaled_window(window, fft_size, x.sample_rate_hz)
-            _SegmentSums(x, step, win, threads).sum_segments(count, total)
+            sums.sum_segments(x, win, count, total)
             spectra.append(_mean_spectrum(total, count, fft_size, x.sample_rate_hz))
         return spectra
 
@@ -247,8 +237,8 @@ def _in_two_threads(make_worker, make_caller):
     when the process may use two cores, else in turn on this thread. A
     maker, called here with the number of jobs that run at once, sizes its
     job's buffers for it and allocates them on this thread (a worker's own
-    come from a separate malloc arena), or leaves that to its job. The
-    worker's exception is re-raised here after both jobs have finished."""
+    would come from a separate malloc arena). The worker's exception is
+    re-raised here after both jobs have finished."""
     if _usable_cores() < 2:
         return make_worker(1)(), make_caller(1)()
     in_worker, in_caller = make_worker(2), make_caller(2)
@@ -272,8 +262,9 @@ def _in_two_threads(make_worker, make_caller):
 
 
 class _SegmentSums:
-    """One record's buffers for transforming its segments and adding their
-    periodograms into a running sum, one segment after another.
+    """Buffers for transforming a record's segments and adding their
+    periodograms into a running sum, one segment after another, reused for
+    record after record.
 
     Segment i is the record's values i * step .. i * step + fft_size - 1.
     A block of rows segments, as many as fit a 1 / threads share of
@@ -284,12 +275,10 @@ class _SegmentSums:
     read. This is the one place that keeps the overlap.
     """
 
-    def __init__(self, record, step, win, threads):
-        fft_size = win.size
+    def __init__(self, fft_size, step, threads):
         n_freq = fft_size // 2 + 1
-        self.read = record._read
+        self.fft_size = fft_size
         self.step = step
-        self.win = win
         self.kept = fft_size - step
         self.rows = rows = max(1, (_PSD_BLOCK_BYTES // (8 * threads) - self.kept) // fft_size)
         # The windowed block; once transformed, its memory holds the running
@@ -304,20 +293,21 @@ class _SegmentSums:
         self.spectra = memory[spectra:].view(np.complex128)
         self.frame = memory if self.kept else self.windowed
 
-    def sum_segments(self, n: int, out: np.ndarray):
-        """out = the sum of the periodograms of segments 0 .. n - 1, added
-        one by one in segment order. Values, or squares, that are not finite
-        give a sum that is not, which Spectrum refuses, and no numpy warning."""
-        fft_size, step, kept, frame = self.win.size, self.step, self.kept, self.frame
-        n_freq, size = out.size, frame.itemsize
+    def sum_segments(self, record, win: np.ndarray, n: int, out: np.ndarray):
+        """out = the sum of the periodograms of record's segments 0 .. n - 1,
+        each windowed by win, added one by one in segment order. Values, or
+        squares, that are not finite give a sum that is not, which Spectrum
+        refuses, and no numpy warning."""
+        fft_size, step, kept, frame = self.fft_size, self.step, self.kept, self.frame
+        n_freq, size, read = out.size, frame.itemsize, record._read
         out.fill(0.0)
-        self.read(0, frame[:kept])
+        read(0, frame[:kept])
         with np.errstate(all="ignore"):
             np.setbufsize(_UFUNC_BUFFER_ITEMS)
             for first in range(0, n, self.rows):
                 count = min(self.rows, n - first)
                 hop = count * step
-                self.read(first * step + kept, frame[kept : kept + hop])
+                read(first * step + kept, frame[kept : kept + hop])
                 # The segments as rows of a strided view of the frame. Built
                 # directly: sliding_window_view, called once per block, left
                 # a 0.9 MiB allocation alive after a few hundred analyses.
@@ -326,7 +316,7 @@ class _SegmentSums:
                 # A copy (of nothing if the frame is the windowed buffer), then
                 # windowing in place: faster than a product out of the frame.
                 np.copyto(windowed, segments)
-                windowed *= self.win
+                windowed *= win
                 # The values the next block's first segment shares with this
                 # block's last, before the transform takes their place.
                 frame[:kept] = frame[hop : hop + kept]

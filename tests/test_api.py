@@ -74,12 +74,12 @@ CONFIG = ExperimentConfig(NoiseSourceSpec(10_000.0, 1_000.0), dut_from_nf(10.0, 
 
 def test_traced_sweep_ops_add_up(monkeypatch):
     # The benchmark's sweep op at a reduced size, twice, each under its own
-    # root span. The gain study's psd runs on a worker thread while the
-    # calling thread sums the Y-factor spectra through untraced code, so
-    # the tracer's one span stack still sees one traced call at a time: the
-    # self times of each op add up to its wall time, every span's parent
-    # lies in the span's own op and spans its time, and no traced call
-    # nests in psd, which makes none.
+    # root span. The gain study's worker sums the Y-factor spectra through
+    # untraced code while the calling thread runs psd, so the tracer's one
+    # span stack still sees one traced call at a time: the self times of
+    # each op add up to its wall time, every span's parent lies in the
+    # span's own op and spans its time, and no traced call nests in psd,
+    # which makes none.
     tracing = _tracing_module(monkeypatch)
     monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
     cfg = replace(CONFIG, n_samples=100_000, fft_size=2_000)

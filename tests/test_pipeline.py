@@ -779,20 +779,22 @@ def test_comparator_worker_failure_reaches_the_caller(monkeypatch):
 
 
 def _recording_sums(monkeypatch):
-    """Record (record, on the main thread) for each record _SegmentSums sums."""
-    passes = []
+    """Record (workspace, on the main thread) for each _SegmentSums built,
+    and (record, on the main thread, workspace) for each record summed."""
+    built, passes = [], []
+    init, sum_segments = spectral._SegmentSums.__init__, spectral._SegmentSums.sum_segments
 
-    class Recording(spectral._SegmentSums):
-        def __init__(self, record, *args):
-            super().__init__(record, *args)
-            self.record = record
+    def building(self, *args):
+        built.append((self, threading.current_thread() is threading.main_thread()))
+        init(self, *args)
 
-        def sum_segments(self, *args):
-            passes.append((self.record, threading.current_thread() is threading.main_thread()))
-            return super().sum_segments(*args)
+    def summing(self, record, *args):
+        passes.append((record, threading.current_thread() is threading.main_thread(), self))
+        return sum_segments(self, record, *args)
 
-    monkeypatch.setattr(spectral, "_SegmentSums", Recording)
-    return passes
+    monkeypatch.setattr(spectral._SegmentSums, "__init__", building)
+    monkeypatch.setattr(spectral._SegmentSums, "sum_segments", summing)
+    return built, passes
 
 
 @pytest.mark.parametrize("analysis", CRN_ANALYSES, ids=["rect", "hann50"])
@@ -802,7 +804,7 @@ def test_sweep_reference_amplitude_is_the_same_on_one_and_two_cores(monkeypatch,
     # on one core all of them on the calling thread, hot before cold.
     cfg = make_config(seed=5, **CRN_CONFIG)
     fractions = [0.02, 0.25, 1.5, 0.25]
-    passes = _recording_sums(monkeypatch)
+    _, passes = _recording_sums(monkeypatch)
     rows = _per_core_count(
         monkeypatch, lambda: sweep_reference_amplitude(cfg, fractions, n_seeds=2, **analysis)
     )
@@ -811,7 +813,7 @@ def test_sweep_reference_amplitude_is_the_same_on_one_and_two_cores(monkeypatch,
         [[bits.tobytes() for bits in packed[:, state]] for state in (0, 1)]
         for packed in (_comparator_bits(replace(cfg, seed=seed), fractions) for seed in (5, 6))
     ]
-    summed = [(record._packed.tobytes(), main) for record, main in passes]
+    summed = [(record._packed.tobytes(), main) for record, main, _ in passes]
     one_core, two_cores = summed[: len(summed) // 2], summed[len(summed) // 2 :]
     assert one_core == [(b, True) for hot, cold in streams for b in hot + cold]
     assert [b for b, main in two_cores if not main] == [b for hot, _ in streams for b in hot]
@@ -820,9 +822,10 @@ def test_sweep_reference_amplitude_is_the_same_on_one_and_two_cores(monkeypatch,
 
 @pytest.mark.parametrize("analysis", CRN_ANALYSES, ids=["rect", "hann50"])
 def test_gain_sensitivity_study_is_the_same_on_one_and_two_cores(monkeypatch, analysis):
-    # On two cores the direct method's T0 record is drawn and summed by psd
-    # on a worker thread while the calling thread sums the hot spectrum and
-    # then the cold one; on one core all three run on the calling thread.
+    # On two cores a worker thread sums the hot spectrum and then the cold
+    # one while the calling thread draws and sums the direct method's T0
+    # record by psd; on one core all three run on the calling thread, psd
+    # last.
     cfg = make_config(seed=5, **CRN_CONFIG)
     psd_threads = []
     monkeypatch.setattr(
@@ -831,20 +834,54 @@ def test_gain_sensitivity_study_is_the_same_on_one_and_two_cores(monkeypatch, an
         lambda *args: psd_threads.append(threading.current_thread() is threading.main_thread())
         or psd(*args),
     )
-    passes = _recording_sums(monkeypatch)
+    _, passes = _recording_sums(monkeypatch)
     rows = _per_core_count(
         monkeypatch, lambda: gain_sensitivity_study(cfg, DEFAULT_GAIN_RATIOS, **analysis)
     )
     assert rows[1] == rows[2]
-    assert psd_threads == [True, False]
+    assert psd_threads == [True, True]
     hot, cold = (bits.tobytes() for bits in _comparator_bits(cfg, [cfg.ref_amplitude])[0])
     summed = [
         ("T0" if isinstance(record, signals._NoiseDraw) else record._packed.tobytes(), main)
-        for record, main in passes
+        for record, main, _ in passes
     ]
-    assert summed[:3] == [("T0", True), (hot, True), (cold, True)]
-    assert [p for p in summed[3:] if not p[1]] == [("T0", False)]
-    assert [p for p in summed[3:] if p[1]] == [(hot, True), (cold, True)]
+    assert summed[:3] == [(hot, True), (cold, True), ("T0", True)]
+    assert [p for p in summed[3:] if not p[1]] == [(hot, False), (cold, False)]
+    assert [p for p in summed[3:] if p[1]] == [("T0", True)]
+
+
+@pytest.mark.parametrize(
+    "run, n_records",
+    [
+        (lambda c: analyze_bitstreams(*simulate_bitstreams(c), c), 2),
+        (lambda c: spectral._spectra(list(simulate_bitstreams(c)), c.fft_size, "hann", 0.5), 2),
+        (lambda c: sweep_reference_amplitude(c, DEFAULT_AMPLITUDE_FRACTIONS, n_seeds=1), 12),
+        (lambda c: gain_sensitivity_study(c, DEFAULT_GAIN_RATIOS), 3),
+    ],
+    ids=["analyze_bitstreams", "spectra_pair", "sweep_seed", "gain_study"],
+)
+def test_each_job_sums_its_records_in_one_workspace_from_the_calling_thread(
+    monkeypatch, run, n_records
+):
+    # On two cores every _SegmentSums is built on the calling thread, one
+    # per job, and its job sums each of its records in it: a sweep seed's
+    # six fractions take two workspaces, not one per spectrum. Each
+    # record's window is taken on the calling thread too.
+    monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
+    built, passes = _recording_sums(monkeypatch)
+    windows = []
+    scaled_window = spectral._scaled_window
+    monkeypatch.setattr(
+        spectral,
+        "_scaled_window",
+        lambda *args: windows.append(threading.current_thread() is threading.main_thread())
+        or scaled_window(*args),
+    )
+    run(make_config(seed=5, **FAST))
+    assert [main for _, main in built] == [True, True]
+    assert len(passes) == n_records
+    assert {id(w) for *_, w in passes} == {id(w) for w, _ in built}
+    assert windows == [True] * n_records
 
 
 def _failing_in_worker(monkeypatch, module, name):
@@ -860,19 +897,18 @@ def _failing_in_worker(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize(
-    "target, study",
+    "study",
     [
-        ((pipeline, "psd"), lambda c: gain_sensitivity_study(c, DEFAULT_GAIN_RATIOS)),
-        (
-            (spectral._SegmentSums, "sum_segments"),
-            lambda c: sweep_reference_amplitude(c, [0.1, 0.25], n_seeds=2),
-        ),
+        lambda c: gain_sensitivity_study(c, DEFAULT_GAIN_RATIOS),
+        lambda c: sweep_reference_amplitude(c, [0.1, 0.25], n_seeds=2),
     ],
-    ids=["gain_study_psd", "sweep_spectra"],
+    ids=["gain_study_pair", "sweep_spectra"],
 )
-def test_a_study_worker_failure_reaches_the_caller(monkeypatch, target, study):
+def test_a_study_worker_failure_reaches_the_caller(monkeypatch, study):
+    # The worker sums the gain study's Y-factor pair, and the sweep's hot
+    # spectra.
     monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
-    _failing_in_worker(monkeypatch, *target)
+    _failing_in_worker(monkeypatch, spectral._SegmentSums, "sum_segments")
     threads_before = threading.active_count()
     with pytest.raises(RuntimeError, match="in the worker"):
         study(make_config(**FAST))
@@ -922,7 +958,7 @@ def test_gain_sensitivity_study_runs_the_comparator_once(monkeypatch):
 
 def test_gain_sensitivity_study_takes_one_direct_spectrum(monkeypatch):
     # Every ratio's direct result scales the band power of the same
-    # spectrum; the Y-factor run sums its two spectra in _spectra.
+    # spectrum; the Y-factor pair is summed by a _spectra_job, not psd.
     calls = []
     monkeypatch.setattr(pipeline, "psd", lambda *args: calls.append(args) or psd(*args))
     gain_sensitivity_study(make_config(seed=5, **CRN_CONFIG), DEFAULT_GAIN_RATIOS)

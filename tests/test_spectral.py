@@ -157,6 +157,19 @@ def test_psd_bitstream_equals_float_signal(window, overlap, fft_size):
     for sig, values in ((bits, as_float.samples), (noise, noise.samples)):
         s = psd(sig, fft_size, window=window, overlap_fraction=overlap)
         assert np.array_equal(s.psd, _single_pass_psd(values, fs, fft_size, window, overlap))
+    # One job sums a long signal, a shorter bitstream, then a streamed draw at
+    # another rate, in turn in its one workspace, each as psd sums it alone.
+    long_noise = gaussian_noise(2 * n + 7, 1.0, seed=7, sample_rate_hz=fs)
+
+    def records():
+        return [long_noise, bits, _NoiseDraw(n // 2 + 3, 1.3, 8, 40_000.0)]
+
+    want = [psd(x, fft_size, window, overlap) for x in records()]
+    for threads in (1, 2):
+        got = spectral._spectra_job(records(), fft_size, window, overlap, threads)()
+        assert [(s.psd.tobytes(), s.n_segments, s.sample_rate_hz) for s in got] == [
+            (s.psd.tobytes(), s.n_segments, s.sample_rate_hz) for s in want
+        ]
 
 
 @pytest.mark.parametrize(
@@ -208,13 +221,14 @@ def test_spectra_one_thread_per_record_matches_single_pass(
     kept = int(round(fft_size * overlap))
     rows = (spectral._PSD_BLOCK_BYTES // 8 - kept) // fft_size
     monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
-    first_call = {}  # each thread's first entry into the summation: its share
+    # Each thread's first entry into the summation: its record and share.
+    first_call = {}
     sum_segments = spectral._SegmentSums.sum_segments
 
-    def recording(self, n, out):
+    def recording(self, record, win, n, out):
         on_main = threading.current_thread() is threading.main_thread()
-        first_call.setdefault(on_main, (n, self.rows))
-        return sum_segments(self, n, out)
+        first_call.setdefault(on_main, (record, n, self.rows))
+        return sum_segments(self, record, win, n, out)
 
     monkeypatch.setattr(spectral._SegmentSums, "sum_segments", recording)
     for n_segments in (1, rows, rows + 1, 3 * rows):
@@ -225,7 +239,7 @@ def test_spectra_one_thread_per_record_matches_single_pass(
             assert s.n_segments == n_segments
             want = _single_pass_psd(values, sig.sample_rate_hz, fft_size, window, overlap)
             assert np.array_equal(s.psd, want)
-            assert first_call == {True: (n_segments, rows)}
+            assert first_call == {True: (sig, n_segments, rows)}
         first_call.clear()
         pair = spectral._spectra([noise, bits], fft_size, window, overlap)
         for s, values in zip(pair, (noise.samples, bits.bits.astype(np.float64))):
@@ -234,9 +248,9 @@ def test_spectra_one_thread_per_record_matches_single_pass(
             assert np.array_equal(s.psd, want)
         if cores == 2:
             half = (spectral._PSD_BLOCK_BYTES // 16 - kept) // fft_size
-            assert first_call == {False: (n_segments, half), True: (n_segments, half)}
+            assert first_call == {False: (noise, n_segments, half), True: (bits, n_segments, half)}
         else:
-            assert first_call == {True: (n_segments, rows)}
+            assert first_call == {True: (noise, n_segments, rows)}
 
 
 @pytest.mark.parametrize("cores", [1, 2])
