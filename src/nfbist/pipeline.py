@@ -31,11 +31,12 @@ or a reference per chunk. The decisions are packed 8 per byte as they are
 made, so one pass serves every level of a reference-amplitude sweep in n/4
 bytes per level, and each packed stream becomes a BitStream as it is,
 without a copy. The hot and the cold state share nothing but that pattern,
-so on a host with two usable cores the hot state's pass runs on a worker
-thread while the cold state's runs on the calling thread, and their
-spectra are summed the same way; the bits and the results are the same as
-on one core. Every spectrum is summed by a spectral._spectra_job, in a
-workspace that the calling thread allocates.
+so the hot state's pass runs on a worker thread while the cold state's
+runs on the calling thread, and their spectra are summed the same way,
+through spectral._in_two_threads, whatever the number of cores: the
+threads share one core where only one is usable. Every spectrum is summed
+by a spectral._spectra_job, in a workspace that the calling thread
+allocates, of the same size for every job.
 
 The studies keep both cores busy with one spectra pass per seed: the
 reference-amplitude sweep sums every fraction's hot spectrum on the worker
@@ -68,7 +69,6 @@ from .errors import (
     ParameterError,
     ShapeError,
     check_integer,
-    check_non_negative,
     check_positive,
     is_finite_number,
 )
@@ -84,6 +84,7 @@ from .signals import (
 )
 from .spectral import (
     Spectrum,
+    _check_band,
     _check_fft_size,
     _in_two_threads,
     _peak_search_bins,
@@ -150,15 +151,7 @@ class ExperimentConfig:
         # Every bin find_reference_peak reads must lie on the spectrum.
         _peak_search_bins(self.f_ref_hz, self.fft_size, self.sample_rate_hz)
         check_positive("ref_amplitude", self.ref_amplitude)
-        if not isinstance(self.band, Iterable):
-            raise ParameterError(f"band must be an (f_lo, f_hi) pair, got {self.band!r}")
-        band = tuple(self.band)
-        for edge in band:
-            check_non_negative("band edge", edge)
-        band = tuple(float(f) for f in band)
-        if len(band) != 2 or not (0.0 <= band[0] < band[1] <= nyquist):
-            raise ParameterError(f"band must satisfy 0 <= f_lo < f_hi <= {nyquist}, got {band!r}")
-        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "band", _check_band(self.band, nyquist))
         check_positive("post_dut_gain_linear", self.post_dut_gain_linear)
 
 
@@ -269,12 +262,10 @@ def _comparator_bits(cfg: ExperimentConfig, fractions: Sequence[float]) -> np.nd
     decided on the same draws (common random numbers).
 
     Each state runs _state_bits over its record: the hot state on a worker
-    thread and the cold state on this one when two cores are usable, one
-    after the other on this thread otherwise, with the same bits. Returns a
-    uint8 array of shape (len(fractions), 2, ceil(n / 8)), hot before cold:
-    each decision stream packed 8 per byte, LSB first, with the unused bits
-    of the last byte zero, as NFB1 captures store bits: n/4 bytes per
-    fraction.
+    thread and the cold state on this one. Returns a uint8 array of shape
+    (len(fractions), 2, ceil(n / 8)), hot before cold: each decision stream
+    packed 8 per byte, LSB first, with the unused bits of the last byte
+    zero, as NFB1 captures store bits: n/4 bytes per fraction.
     """
     fs, n = cfg.sample_rate_hz, cfg.n_samples
     temperatures = (cfg.source.t_hot_k, cfg.source.t_cold_k)
@@ -300,7 +291,7 @@ def _comparator_bits(cfg: ExperimentConfig, fractions: Sequence[float]) -> np.nd
         functools.partial(_state_bits, record, levels, first_half, packed[:, k], *buffer)
         for k, (record, buffer) in enumerate(zip(records, buffers))
     )
-    _in_two_threads(lambda threads: hot, lambda threads: cold)
+    _in_two_threads(hot, cold)
     return packed
 
 
@@ -343,11 +334,10 @@ def simulate_bitstreams(cfg: ExperimentConfig) -> tuple[BitStream, BitStream]:
     compares each chunk with the same chunk of the reference (see
     _comparator_bits), so the float working memory is one chunk per state
     whatever the record length. Each bitstream holds its state's packed
-    decisions, n/8 bytes. With two usable cores the hot and the cold state
-    are read and compared on two threads at once, with the same bits as on
-    one. The reference-amplitude sweep makes the same pass with all of its
-    fractions at once, so its bits equal this function's for each point's
-    config.
+    decisions, n/8 bytes. The hot and the cold state are read and compared
+    on two threads at once. The reference-amplitude sweep makes the same
+    pass with all of its fractions at once, so its bits equal this
+    function's for each point's config.
     """
     (hot, cold), = _comparator_bits(cfg, [cfg.ref_amplitude])
     return _bitstream(cfg, hot), _bitstream(cfg, cold)
@@ -377,9 +367,9 @@ def analyze_bitstreams(
     band and the source temperatures. Both bitstreams must be sampled at
     cfg.sample_rate_hz, since the reference and the band are placed on
     that rate's frequency grid. Computes both PSDs, each equal to psd of its
-    bitstream (on two threads at once when two cores are usable), and passes
-    them to analyze_spectra. Every note about the result goes into its
-    warnings field; none is raised as a Python warning.
+    bitstream, on two threads at once, and passes them to analyze_spectra.
+    Every note about the result goes into its warnings field; none is
+    raised as a Python warning.
     """
     for state, stream in (("hot", hot), ("cold", cold)):
         if not isinstance(stream, BitStream):
@@ -520,11 +510,10 @@ def sweep_reference_amplitude(
     to 64 fractions); each fraction's streams are wrapped as bitstreams,
     without a copy. Then one two-thread pass sums the spectra: every
     fraction's hot spectrum in turn on a worker thread and every cold one
-    on this thread, when two cores are usable, or all hot then all cold
-    spectra on this thread. Each row is then analyze_spectra of its
-    fraction's pair. The bits of each point equal those of
-    simulate_bitstreams at that point's config, and each spectrum that of
-    psd, so every row is the same as running each experiment on its own.
+    on this thread. Each row is then analyze_spectra of its fraction's
+    pair. The bits of each point equal those of simulate_bitstreams at
+    that point's config, and each spectrum that of psd, so every row is the
+    same as running each experiment on its own.
     """
     fractions = check_sweep_points("ref-amplitude", fractions)
     n_seeds = check_integer("n_seeds", n_seeds, 1)
@@ -537,8 +526,7 @@ def sweep_reference_amplitude(
         packed = _comparator_bits(seed_cfg, fractions)
         hot, cold = _in_two_threads(
             *(
-                functools.partial(
-                    _spectra_job,
+                _spectra_job(
                     [_bitstream(seed_cfg, bits) for bits in packed[:, state]],
                     cfg.fft_size,
                     window,
@@ -592,12 +580,11 @@ def gain_sensitivity_study(
 
     The direct method's analog record is drawn once and its spectrum taken
     once, by psd; each ratio's result is that spectrum's band power times
-    the ratio's post-DUT gain (see _direct_result). With two usable cores a
-    worker thread sums the hot spectrum and then the cold one with half the
-    block budget, in a workspace this thread allocates, while this thread
-    runs psd; on one core the three run in turn here, psd last. The rows
-    equal those of run_direct_experiment and run_y_factor_experiment run
-    per ratio.
+    the ratio's post-DUT gain (see _direct_result). A worker thread sums the
+    hot spectrum and then the cold one, in a workspace this thread
+    allocates, while this thread runs psd, whose workspace is the same
+    size. The rows equal those of run_direct_experiment and
+    run_y_factor_experiment run per ratio.
     """
     gain_ratios = check_sweep_points("gain", gain_ratios)
     assumed = cfg.dut.gain_linear * cfg.post_dut_gain_linear
@@ -607,14 +594,10 @@ def gain_sensitivity_study(
     (hot, cold), = _comparator_bits(cfg, [cfg.ref_amplitude])
     t0_record = _record(cfg, cfg.source.t0_k, 4)
     (spec_hot, spec_cold), spectrum = _in_two_threads(
-        functools.partial(
-            _spectra_job,
-            [_bitstream(cfg, hot), _bitstream(cfg, cold)],
-            cfg.fft_size,
-            window,
-            overlap_fraction,
+        _spectra_job(
+            [_bitstream(cfg, hot), _bitstream(cfg, cold)], cfg.fft_size, window, overlap_fraction
         ),
-        lambda threads: functools.partial(psd, t0_record, cfg.fft_size, window, overlap_fraction),
+        functools.partial(psd, t0_record, cfg.fft_size, window, overlap_fraction),
     )
     base_direct = _direct_result(cfg, spectrum, assumed).nf_db
     base_y = analyze_spectra(spec_hot, spec_cold, cfg).nf_db

@@ -19,10 +19,9 @@ bins around the reference, and ratios the remaining in-band power.
 from __future__ import annotations
 
 import functools
-import os
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -34,10 +33,11 @@ from .errors import (
     ParameterError,
     ShapeError,
     check_integer,
+    check_non_negative,
     check_positive,
     is_finite_number,
 )
-from .signals import SampledSignal, _NoiseDraw
+from .signals import SampledSignal, _as_f64, _NoiseDraw
 
 __all__ = [
     "Spectrum",
@@ -54,9 +54,10 @@ MAX_OVERLAP_FRACTION = 0.75
 # find_reference_peak looks for the strongest bin this many bins either side
 # of the bin nearest the nominal reference frequency.
 _PEAK_SEARCH_HALFWIDTH_BINS = 5
-# A block of windowed float64 segments and its frame's kept overlap fit this
-# many bytes whatever the record length; two records summed at once share it.
-_PSD_BLOCK_BYTES = 1 << 20
+# A job's block of windowed float64 segments and its frame's kept overlap fit
+# this many bytes whatever the record length. Two jobs run at once, so
+# together they hold twice this.
+_PSD_BLOCK_BYTES = 1 << 19
 # numpy's ufunc buffer, in items, while a block is summed: windowing by a
 # shorter window fills 8 KiB with copies of it, not 64 KiB, and as fast.
 _UFUNC_BUFFER_ITEMS = 1024
@@ -78,13 +79,13 @@ class Spectrum:
         check_positive("sample_rate_hz", self.sample_rate_hz)
         # A copy, so that the caller's array stays writeable and a later
         # write to it cannot change the spectrum.
-        dens = np.array(self.psd, dtype=np.float64)
+        dens = np.array(_as_f64(self.psd, "psd"))
         if dens.ndim != 1 or dens.size != fft_size // 2 + 1:
             raise ShapeError(
                 f"psd must hold fft_size/2 + 1 = {fft_size // 2 + 1} bins, got shape {dens.shape}"
             )
-        if not (np.isfinite(dens).all() and dens.min() >= 0.0):
-            raise ParameterError("psd must hold finite, non-negative densities")
+        if dens.min() < 0.0:
+            raise ParameterError("psd must hold non-negative densities")
         dens.setflags(write=False)
         object.__setattr__(self, "psd", dens)
         object.__setattr__(self, "fft_size", fft_size)
@@ -121,9 +122,10 @@ def psd(x, fft_size: int, window: str = "rectangular", overlap_fraction: float =
 
     Each periodogram is added into a running sum as it is computed, in
     segment order (see _SegmentSums), so the working memory is a block of
-    segments whatever the record length.
+    segments whatever the record length: the block of one job of a
+    two-thread pass, as every spectrum is summed.
     """
-    (spectrum,) = _spectra_job([x], fft_size, window, overlap_fraction, 1)()
+    (spectrum,) = _spectra_job([x], fft_size, window, overlap_fraction)()
     return spectrum
 
 
@@ -143,40 +145,37 @@ def _check_overlap_fraction(overlap_fraction) -> float:
         is_finite_number(overlap_fraction) and 0.0 <= overlap_fraction <= MAX_OVERLAP_FRACTION
     ):
         raise ParameterError(
-            f"overlap_fraction must lie in [0, {MAX_OVERLAP_FRACTION}], got {overlap_fraction}"
+            f"overlap_fraction must lie in [0, {MAX_OVERLAP_FRACTION}], got {overlap_fraction!r}"
         )
     return overlap_fraction
 
 
 def _spectra(pair, fft_size: int, window: str, overlap_fraction: float) -> list[Spectrum]:
     """psd of each record of a pair, one _spectra_job per record, run by
-    _in_two_threads: on two cores a worker thread sums the first record
-    while this thread sums the second (np.fft.rfft and the ufuncs release
-    the GIL), each with half the block budget; on one core they are summed
-    in turn, each with the whole budget. The periodograms are added in
-    segment order either way, so the spectra are the same.
+    _in_two_threads: a worker thread sums the first record while this
+    thread sums the second (np.fft.rfft and the ufuncs release the GIL).
+    The periodograms are added in segment order, so each spectrum is psd's.
     """
-    jobs = (functools.partial(_spectra_job, [x], fft_size, window, overlap_fraction) for x in pair)
+    jobs = [_spectra_job([x], fft_size, window, overlap_fraction) for x in pair]
     return [spectrum for spectra in _in_two_threads(*jobs) for spectrum in spectra]
 
 
-def _spectra_job(records, fft_size: int, window: str, overlap_fraction: float, threads: int):
+def _spectra_job(records, fft_size: int, window: str, overlap_fraction: float):
     """A job that returns psd of each record, for a thread that sums them in
-    turn: a job maker for _in_two_threads, given the other arguments.
+    turn: one of the two jobs of _in_two_threads, or psd's own.
 
     The records and the analysis are checked here, as psd checks them. The
-    job's one _SegmentSums workspace, sized for a 1 / threads share of the
-    block budget, and the records' scaled windows are made here too: a
-    window first built on a worker thread grew that thread's malloc arena,
-    and the benchmark's experiment peak RSS read 1.4 MB more (2-core x86-64
-    VM, glibc 2.36). The job sums the records one after another in the
-    workspace, so a list of records takes one record's memory. A record is
-    read, each value once, through its len, sample_rate_hz and
-    _read(start, out), which writes its values start .. start + out.size - 1
-    into out.
+    job's one _SegmentSums workspace and the records' scaled windows are
+    made here too, on the calling thread: a window first built on a worker
+    thread grew that thread's malloc arena, and the benchmark's experiment
+    peak RSS read 1.4 MB more (2-core x86-64 VM, glibc 2.36). The job sums
+    the records one after another in the workspace, so a list of records
+    takes one record's memory. A record is read, each value once, through
+    its len, sample_rate_hz and _read(start, out), which writes its values
+    start .. start + out.size - 1 into out.
     """
     fft_size, step = _check_analysis(records, fft_size, window, overlap_fraction)
-    sums = _SegmentSums(fft_size, step, threads)
+    sums = _SegmentSums(fft_size, step)
     wins = [_scaled_window(window, fft_size, x.sample_rate_hz) for x in records]
 
     def job() -> list[Spectrum]:
@@ -225,35 +224,25 @@ def _mean_spectrum(
     return Spectrum(total, fft_size, count, sample_rate_hz)
 
 
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_two_threads(make_worker, make_caller):
-    """Make two jobs, run them and return their results, the worker's
-    first: make_worker's job on a new thread and make_caller's on this one
-    when the process may use two cores, else in turn on this thread. A
-    maker, called here with the number of jobs that run at once, sizes its
-    job's buffers for it and allocates them on this thread (a worker's own
-    would come from a separate malloc arena). The worker's exception is
-    re-raised here after both jobs have finished."""
-    if _usable_cores() < 2:
-        return make_worker(1)(), make_caller(1)()
-    in_worker, in_caller = make_worker(2), make_caller(2)
+def _in_two_threads(worker_job, caller_job):
+    """Run worker_job on a new thread while this thread runs caller_job,
+    and return their results, the worker's first. The caller builds both
+    jobs, and so allocates their buffers, on this thread before the call:
+    a worker's own allocations would come from a separate malloc arena.
+    The worker's exception is re-raised here after both jobs have
+    finished."""
     outcome = {}
 
     def run():
         try:
-            outcome["result"] = in_worker()
+            outcome["result"] = worker_job()
         except BaseException as exc:  # re-raised by the calling thread
             outcome["failure"] = exc
 
     worker = threading.Thread(target=run, name="nfbist-worker")
     worker.start()
     try:
-        result = in_caller()
+        result = caller_job()
     finally:
         worker.join()
     if "failure" in outcome:
@@ -267,20 +256,20 @@ class _SegmentSums:
     record after record.
 
     Segment i is the record's values i * step .. i * step + fft_size - 1.
-    A block of rows segments, as many as fit a 1 / threads share of
-    _PSD_BLOCK_BYTES, is transformed at a time. The frame holds a block's
+    A block of rows segments, as many as fit _PSD_BLOCK_BYTES beside the
+    kept overlap, is transformed at a time. The frame holds a block's
     values: the fft_size - step that its first segment shares with the
     previous block's last, kept from that block, then those read for it
     through _read, front to back, each value once, as a streamed record is
     read. This is the one place that keeps the overlap.
     """
 
-    def __init__(self, fft_size, step, threads):
+    def __init__(self, fft_size, step):
         n_freq = fft_size // 2 + 1
         self.fft_size = fft_size
         self.step = step
         self.kept = fft_size - step
-        self.rows = rows = max(1, (_PSD_BLOCK_BYTES // (8 * threads) - self.kept) // fft_size)
+        self.rows = rows = max(1, (_PSD_BLOCK_BYTES // 8 - self.kept) // fft_size)
         # The windowed block; once transformed, its memory holds the running
         # sum and the powers (see sum_segments).
         self.windowed = np.empty(max(rows * fft_size, (rows + 1) * n_freq))
@@ -371,7 +360,7 @@ def find_reference_peak(s: Spectrum, f_ref_hz: float) -> tuple[int, float]:
     """
     if not (is_finite_number(f_ref_hz) and 0.0 <= f_ref_hz <= s.nyquist_hz):
         raise ParameterError(
-            f"f_ref_hz must lie in [0, {s.nyquist_hz}], got {f_ref_hz}"
+            f"f_ref_hz must lie in [0, {s.nyquist_hz}], got {f_ref_hz!r}"
         )
     lo, hi = _peak_search_bins(f_ref_hz, s.fft_size, s.sample_rate_hz)
     best_bin = lo + int(np.argmax(s.psd[lo : hi + 1]))
@@ -379,6 +368,21 @@ def find_reference_peak(s: Spectrum, f_ref_hz: float) -> tuple[int, float]:
     g_hi = min(best_bin + 1, s.psd.size - 1)
     peak_power = float(s.psd[g_lo : g_hi + 1].sum() * s.bin_width_hz)
     return best_bin, peak_power
+
+
+def _check_band(band, nyquist_hz: float) -> tuple[float, float]:
+    """band as a pair of floats, if it is two finite numbers f_lo, f_hi with
+    0 <= f_lo < f_hi <= nyquist_hz: the measurement band that
+    ExperimentConfig and power_ratio_detail take."""
+    if not isinstance(band, Iterable):
+        raise ParameterError(f"band must be an (f_lo, f_hi) pair, got {band!r}")
+    band = tuple(band)
+    for edge in band:
+        check_non_negative("band edge", edge)
+    band = tuple(float(f) for f in band)
+    if len(band) != 2 or not band[0] < band[1] <= nyquist_hz:
+        raise ParameterError(f"band must satisfy 0 <= f_lo < f_hi <= {nyquist_hz}, got {band!r}")
+    return band
 
 
 def _band_mask(s: Spectrum, f_lo_hz: float, f_hi_hz: float) -> np.ndarray:
@@ -389,7 +393,7 @@ def _band_mask(s: Spectrum, f_lo_hz: float, f_hi_hz: float) -> np.ndarray:
         and 0.0 <= f_lo_hz < f_hi_hz <= s.nyquist_hz
     ):
         raise ParameterError(
-            f"band must satisfy 0 <= f_lo < f_hi <= {s.nyquist_hz}, got [{f_lo_hz}, {f_hi_hz}]"
+            f"band must satisfy 0 <= f_lo < f_hi <= {s.nyquist_hz}, got [{f_lo_hz!r}, {f_hi_hz!r}]"
         )
     mask = (s.freq_hz >= f_lo_hz) & (s.freq_hz <= f_hi_hz)
     if not mask.any():
@@ -446,6 +450,7 @@ def power_ratio_detail(
     y = band_power_hot / band_power_cold.
     """
     _check_same_grid(hot, cold)
+    f_lo, f_hi = _check_band(band, hot.nyquist_hz)
     half = check_integer("ref_exclusion_halfwidth_bins", ref_exclusion_halfwidth_bins, 0)
     bin_hot, peak_hot = find_reference_peak(hot, f_ref_hz)
     bin_cold, peak_cold = find_reference_peak(cold, f_ref_hz)
@@ -457,19 +462,19 @@ def power_ratio_detail(
 
     # Both integrations must skip the same bins, so exclude around each
     # spectrum's own peak in both (they coincide in normal operation).
-    mask = _band_mask(hot, band[0], band[1])
+    mask = _band_mask(hot, f_lo, f_hi)
     for b in {bin_hot, bin_cold}:
         mask[max(b - half, 0) : b + half + 1] = False
     if not mask.any():
         raise DegenerateBandError(
-            f"no bins remain in [{band[0]}, {band[1]}] Hz after excluding "
+            f"no bins remain in [{f_lo}, {f_hi}] Hz after excluding "
             f"+-{half} bins around the reference peak"
         )
     bp_hot = float((hot.psd[mask] * (1.0 / peak_hot)).sum() * hot.bin_width_hz)
     bp_cold = float((cold.psd[mask] * (1.0 / peak_cold)).sum() * cold.bin_width_hz)
     if bp_cold == 0.0:
         raise DegenerateBandError(
-            f"the cold spectrum carries no normalized power in [{band[0]}, {band[1]}] Hz"
+            f"the cold spectrum carries no normalized power in [{f_lo}, {f_hi}] Hz"
         )
     return PowerRatioResult(
         y=bp_hot / bp_cold,

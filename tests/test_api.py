@@ -23,9 +23,10 @@ from nfbist import (
     dut_from_nf,
     find_reference_peak,
     gaussian_noise,
+    power_ratio_detail,
     psd,
 )
-from nfbist import pipeline, spectral
+from nfbist import pipeline
 from nfbist.cli import DEFAULT_AMPLITUDE_FRACTIONS, DEFAULT_GAIN_RATIOS
 
 TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -81,7 +82,6 @@ def test_traced_sweep_ops_add_up(monkeypatch):
     # span's own op and spans its time, and no traced call nests in psd,
     # which makes none.
     tracing = _tracing_module(monkeypatch)
-    monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
     cfg = replace(CONFIG, n_samples=100_000, fft_size=2_000)
 
     def op():
@@ -114,6 +114,10 @@ def test_traced_sweep_ops_add_up(monkeypatch):
 SPECTRUM = psd(gaussian_noise(20_000, 1.0, seed=0, sample_rate_hz=50_000.0), 10_000)
 
 
+def _ratio(band):
+    return power_ratio_detail(SPECTRUM, SPECTRUM, band, 3_000.0)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -123,6 +127,10 @@ SPECTRUM = psd(gaussian_noise(20_000, 1.0, seed=0, sample_rate_hz=50_000.0), 10_
         pytest.param(lambda: find_reference_peak(SPECTRUM, "a"), id="find_reference_peak"),
         pytest.param(lambda: band_power(SPECTRUM, "a", 2.0), id="band_power-f_lo"),
         pytest.param(lambda: band_power(SPECTRUM, 1.0, None), id="band_power-f_hi"),
+        # An IndexError, a TypeError and a band of the first two edges.
+        pytest.param(lambda: _ratio((500.0,)), id="power_ratio_detail-one_edge"),
+        pytest.param(lambda: _ratio(None), id="power_ratio_detail-no_band"),
+        pytest.param(lambda: _ratio((500.0, 1500.0, 9.0)), id="power_ratio_detail-three_edges"),
     ],
 )
 def test_analysis_functions_reject_wrong_types(call):

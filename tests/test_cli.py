@@ -243,8 +243,7 @@ def test_simulate_runs_one_simulation_and_one_psd_per_state(tmp_path, monkeypatc
     # Counted under both names a call can go through: the CLI's own binding
     # and the one library functions such as run_y_factor_experiment use.
     # _spectra counts the records it is given: the hot and the cold
-    # spectrum are summed in one call, on two threads when two cores are
-    # usable.
+    # spectrum are summed in one call, on two threads.
     from nfbist import cli, pipeline
 
     calls = {"simulate_bitstreams": 0, "psd": 0, "_spectra": 0}

@@ -71,10 +71,10 @@ def test_packed_streams_keep_values_bytes_and_spectra(tmp_path_factory, n, seed,
 
 @pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("block_rows", [None, 3], ids=["default_blocks", "3_row_blocks"])
-def test_packed_spectra_in_every_block_shape(monkeypatch, cores, block_rows):
+def test_packed_spectra_in_every_block_shape(monkeypatch, pin_cpus, cores, block_rows):
     # Segment counts of one to thousands of row blocks; hops of 1 to 2 000
     # samples, aligned to a byte or not.
-    monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
+    pin_cpus(cores)
     n, fs = 8_011, 50_000.0
     values = _values(n, 7)
     back = BitStream(fs, values.astype(np.float64))

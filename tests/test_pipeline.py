@@ -363,25 +363,25 @@ def test_gain_sensitivity_study_working_memory():
     [(10_000, "rectangular", 0.0), (2_000, "rectangular", 0.0), (2_000, "hann", 0.5)],
     ids=["rect_10000", "rect_2000", "hann_50_2000"],
 )
-def test_analyze_bitstreams_two_threads_hold_no_more_memory_than_one(
-    monkeypatch, fft_size, window, overlap
-):
-    # Each of the two threads transforms blocks of fewer than half the
-    # segments of one thread's, so both together fit the one-thread budget
-    # with a row to spare for the worker's own allocations.
+def test_analyze_bitstreams_two_threads_hold_no_more_memory_than_one(fft_size, window, overlap):
+    # Each of the two threads holds no more than psd does on one thread: a
+    # workspace of the same size, so the pair's peak is at most twice psd's
+    # of one stream, with 16 KiB for the worker thread and the results.
     cfg = make_config(seed=2, fft_size=fft_size)
     hot, cold = simulate_bitstreams(cfg)
-    peaks = {}
-    for cores in (1, 2):
-        monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
-        analyze_bitstreams(hot, cold, cfg, window, overlap)  # warm-up: the window cache
+    peaks = []
+    for analyse in (
+        lambda: psd(hot, fft_size, window, overlap),
+        lambda: analyze_bitstreams(hot, cold, cfg, window, overlap),
+    ):
+        analyse()  # warm-up: the window cache
         tracemalloc.start()
         try:
-            analyze_bitstreams(hot, cold, cfg, window, overlap)
-            peaks[cores] = tracemalloc.get_traced_memory()[1]
+            analyse()
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[2] <= peaks[1]
+    assert peaks[1] <= 2 * peaks[0] + 16 * 1024
 
 
 @pytest.mark.parametrize(
@@ -718,18 +718,18 @@ def test_comparator_bits_are_packed_as_captures_store_them():
             np.testing.assert_array_equal(got, np.packbits(want.bits > 0, bitorder="little"))
 
 
-def _per_core_count(monkeypatch, compute):
-    """compute() with _usable_cores patched to 1 and then to 2, by core count."""
+def _per_core_count(pin_cpus, compute):
+    """compute() with the test pinned to one CPU and then to two, by CPU count."""
     results = {}
     for cores in (1, 2):
-        monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
+        pin_cpus(cores)
         results[cores] = compute()
     return results
 
 
-def test_comparator_bits_are_the_same_on_one_and_two_cores(monkeypatch):
-    # The hot state's pass runs on a worker thread when two cores are
-    # usable, and on the calling thread, before the cold one, otherwise.
+def test_comparator_bits_are_the_same_on_one_and_two_cores(monkeypatch, pin_cpus):
+    # The hot state's pass runs on a worker thread and the cold state's on
+    # the calling thread, whether they share one CPU or run on two.
     cfg = make_config(
         seed=6, n_samples=3 * _CHUNK_SAMPLES + 7, fft_size=2_000, post_dut_gain_linear=2.5
     )
@@ -742,28 +742,26 @@ def test_comparator_bits_are_the_same_on_one_and_two_cores(monkeypatch):
 
     monkeypatch.setattr(pipeline, "_state_bits", recording)
     packed = _per_core_count(
-        monkeypatch, lambda: _comparator_bits(cfg, DEFAULT_AMPLITUDE_FRACTIONS).tobytes()
+        pin_cpus, lambda: _comparator_bits(cfg, DEFAULT_AMPLITUDE_FRACTIONS).tobytes()
     )
     assert packed[1] == packed[2]
     hot, cold = _sigma(cfg, cfg.source.t_hot_k), _sigma(cfg, cfg.source.t_cold_k)
-    assert passes[:2] == [(hot, True), (cold, True)]
-    assert sorted(passes[2:]) == sorted([(hot, False), (cold, True)])
+    assert sorted(passes) == sorted([(hot, False), (cold, True)] * 2)
 
 
 @pytest.mark.parametrize(
     "window, overlap", [("rectangular", 0.0), ("hann", 0.5), ("hann", 0.75)]
 )
-def test_analyze_bitstreams_is_the_same_on_one_and_two_cores(monkeypatch, window, overlap):
+def test_analyze_bitstreams_is_the_same_on_one_and_two_cores(pin_cpus, window, overlap):
     cfg = make_config(seed=6, n_samples=3 * _CHUNK_SAMPLES + 7, fft_size=2_000)
     hot, cold = simulate_bitstreams(cfg)
     results = _per_core_count(
-        monkeypatch, lambda: repr(analyze_bitstreams(hot, cold, cfg, window, overlap))
+        pin_cpus, lambda: repr(analyze_bitstreams(hot, cold, cfg, window, overlap))
     )
     assert results[1] == results[2]
 
 
 def test_comparator_worker_failure_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
     state_bits = pipeline._state_bits
 
     def failing_in_worker(*args):
@@ -798,15 +796,17 @@ def _recording_sums(monkeypatch):
 
 
 @pytest.mark.parametrize("analysis", CRN_ANALYSES, ids=["rect", "hann50"])
-def test_sweep_reference_amplitude_is_the_same_on_one_and_two_cores(monkeypatch, analysis):
-    # On two cores each seed's hot spectra are summed on a worker thread
-    # and its cold spectra on the calling thread, each in fraction order;
-    # on one core all of them on the calling thread, hot before cold.
+def test_sweep_reference_amplitude_is_the_same_on_one_and_two_cores(
+    monkeypatch, pin_cpus, analysis
+):
+    # Each seed's hot spectra are summed on a worker thread and its cold
+    # spectra on the calling thread, each in fraction order, whether the
+    # threads share one CPU or run on two.
     cfg = make_config(seed=5, **CRN_CONFIG)
     fractions = [0.02, 0.25, 1.5, 0.25]
     _, passes = _recording_sums(monkeypatch)
     rows = _per_core_count(
-        monkeypatch, lambda: sweep_reference_amplitude(cfg, fractions, n_seeds=2, **analysis)
+        pin_cpus, lambda: sweep_reference_amplitude(cfg, fractions, n_seeds=2, **analysis)
     )
     assert rows[1] == rows[2]
     streams = [
@@ -814,18 +814,18 @@ def test_sweep_reference_amplitude_is_the_same_on_one_and_two_cores(monkeypatch,
         for packed in (_comparator_bits(replace(cfg, seed=seed), fractions) for seed in (5, 6))
     ]
     summed = [(record._packed.tobytes(), main) for record, main, _ in passes]
-    one_core, two_cores = summed[: len(summed) // 2], summed[len(summed) // 2 :]
-    assert one_core == [(b, True) for hot, cold in streams for b in hot + cold]
-    assert [b for b, main in two_cores if not main] == [b for hot, _ in streams for b in hot]
-    assert [b for b, main in two_cores if main] == [b for _, cold in streams for b in cold]
+    for run in (summed[: len(summed) // 2], summed[len(summed) // 2 :]):
+        assert [b for b, main in run if not main] == [b for hot, _ in streams for b in hot]
+        assert [b for b, main in run if main] == [b for _, cold in streams for b in cold]
 
 
 @pytest.mark.parametrize("analysis", CRN_ANALYSES, ids=["rect", "hann50"])
-def test_gain_sensitivity_study_is_the_same_on_one_and_two_cores(monkeypatch, analysis):
-    # On two cores a worker thread sums the hot spectrum and then the cold
-    # one while the calling thread draws and sums the direct method's T0
-    # record by psd; on one core all three run on the calling thread, psd
-    # last.
+def test_gain_sensitivity_study_is_the_same_on_one_and_two_cores(
+    monkeypatch, pin_cpus, analysis
+):
+    # A worker thread sums the hot spectrum and then the cold one while the
+    # calling thread draws and sums the direct method's T0 record by psd,
+    # whether the threads share one CPU or run on two.
     cfg = make_config(seed=5, **CRN_CONFIG)
     psd_threads = []
     monkeypatch.setattr(
@@ -836,7 +836,7 @@ def test_gain_sensitivity_study_is_the_same_on_one_and_two_cores(monkeypatch, an
     )
     _, passes = _recording_sums(monkeypatch)
     rows = _per_core_count(
-        monkeypatch, lambda: gain_sensitivity_study(cfg, DEFAULT_GAIN_RATIOS, **analysis)
+        pin_cpus, lambda: gain_sensitivity_study(cfg, DEFAULT_GAIN_RATIOS, **analysis)
     )
     assert rows[1] == rows[2]
     assert psd_threads == [True, True]
@@ -845,9 +845,9 @@ def test_gain_sensitivity_study_is_the_same_on_one_and_two_cores(monkeypatch, an
         ("T0" if isinstance(record, signals._NoiseDraw) else record._packed.tobytes(), main)
         for record, main, _ in passes
     ]
-    assert summed[:3] == [(hot, True), (cold, True), ("T0", True)]
-    assert [p for p in summed[3:] if not p[1]] == [(hot, False), (cold, False)]
-    assert [p for p in summed[3:] if p[1]] == [("T0", True)]
+    for run in (summed[:3], summed[3:]):
+        assert [p for p in run if not p[1]] == [(hot, False), (cold, False)]
+        assert [p for p in run if p[1]] == [("T0", True)]
 
 
 @pytest.mark.parametrize(
@@ -863,11 +863,11 @@ def test_gain_sensitivity_study_is_the_same_on_one_and_two_cores(monkeypatch, an
 def test_each_job_sums_its_records_in_one_workspace_from_the_calling_thread(
     monkeypatch, run, n_records
 ):
-    # On two cores every _SegmentSums is built on the calling thread, one
-    # per job, and its job sums each of its records in it: a sweep seed's
-    # six fractions take two workspaces, not one per spectrum. Each
+    # Every _SegmentSums is built on the calling thread, one per job, the
+    # gain study's psd included, and its job sums each of its records in it:
+    # a sweep seed's six fractions take two workspaces, not one per
+    # spectrum. Every workspace of a pass has blocks of the same rows. Each
     # record's window is taken on the calling thread too.
-    monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
     built, passes = _recording_sums(monkeypatch)
     windows = []
     scaled_window = spectral._scaled_window
@@ -879,6 +879,7 @@ def test_each_job_sums_its_records_in_one_workspace_from_the_calling_thread(
     )
     run(make_config(seed=5, **FAST))
     assert [main for _, main in built] == [True, True]
+    assert len({w.rows for w, _ in built}) == 1
     assert len(passes) == n_records
     assert {id(w) for *_, w in passes} == {id(w) for w, _ in built}
     assert windows == [True] * n_records
@@ -907,7 +908,6 @@ def _failing_in_worker(monkeypatch, module, name):
 def test_a_study_worker_failure_reaches_the_caller(monkeypatch, study):
     # The worker sums the gain study's Y-factor pair, and the sweep's hot
     # spectra.
-    monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
     _failing_in_worker(monkeypatch, spectral._SegmentSums, "sum_segments")
     threads_before = threading.active_count()
     with pytest.raises(RuntimeError, match="in the worker"):

@@ -1,6 +1,7 @@
 """PSD estimation, reference-peak handling and band-power arithmetic."""
 
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -165,11 +166,10 @@ def test_psd_bitstream_equals_float_signal(window, overlap, fft_size):
         return [long_noise, bits, _NoiseDraw(n // 2 + 3, 1.3, 8, 40_000.0)]
 
     want = [psd(x, fft_size, window, overlap) for x in records()]
-    for threads in (1, 2):
-        got = spectral._spectra_job(records(), fft_size, window, overlap, threads)()
-        assert [(s.psd.tobytes(), s.n_segments, s.sample_rate_hz) for s in got] == [
-            (s.psd.tobytes(), s.n_segments, s.sample_rate_hz) for s in want
-        ]
+    got = spectral._spectra_job(records(), fft_size, window, overlap)()
+    assert [(s.psd.tobytes(), s.n_segments, s.sample_rate_hz) for s in got] == [
+        (s.psd.tobytes(), s.n_segments, s.sample_rate_hz) for s in want
+    ]
 
 
 @pytest.mark.parametrize(
@@ -209,19 +209,18 @@ def _split_input(n_segments, fft_size, overlap):
 @pytest.mark.parametrize("window, overlap", [("rectangular", 0.0), ("hann", 0.5), ("hann", 0.75)])
 @pytest.mark.parametrize("fft_size", [2_000, 10_000])
 def test_spectra_one_thread_per_record_matches_single_pass(
-    monkeypatch, cores, window, overlap, fft_size
+    monkeypatch, pin_cpus, cores, window, overlap, fft_size
 ):
     # Segment counts: one, exactly one full row block, one block plus a
     # segment, and three blocks. A block holds as many rows as fit the
-    # record's share of the budget beside the overlap its frame keeps. A
-    # single record is summed on the calling thread with the whole budget,
-    # and so is each of two records on one core, one after the other. On
-    # two usable cores two records are summed one per thread, whatever
-    # their length, each with half the budget.
+    # budget beside the overlap its frame keeps. A single record is summed
+    # on the calling thread, and two records one per thread, whatever their
+    # length and however many CPUs the threads share, each in a block of the
+    # same rows.
     kept = int(round(fft_size * overlap))
     rows = (spectral._PSD_BLOCK_BYTES // 8 - kept) // fft_size
-    monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
-    # Each thread's first entry into the summation: its record and share.
+    pin_cpus(cores)
+    # Each thread's first entry into the summation: its record, count and rows.
     first_call = {}
     sum_segments = spectral._SegmentSums.sum_segments
 
@@ -246,11 +245,7 @@ def test_spectra_one_thread_per_record_matches_single_pass(
             assert s.n_segments == n_segments
             want = _single_pass_psd(values, noise.sample_rate_hz, fft_size, window, overlap)
             assert np.array_equal(s.psd, want)
-        if cores == 2:
-            half = (spectral._PSD_BLOCK_BYTES // 16 - kept) // fft_size
-            assert first_call == {False: (noise, n_segments, half), True: (bits, n_segments, half)}
-        else:
-            assert first_call == {True: (noise, n_segments, rows)}
+        assert first_call == {False: (noise, n_segments, rows), True: (bits, n_segments, rows)}
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -259,13 +254,14 @@ def test_spectra_one_thread_per_record_matches_single_pass(
     [None, 1, 3, 13],
     ids=["default_blocks", "1_row_blocks", "3_row_blocks", "13_row_blocks"],
 )
-def test_psd_sums_segments_in_segment_order(monkeypatch, cores, block_rows):
-    # psd adds each periodogram into a running sum, block by block. Against
-    # each block size the counts give part of a block, one block, blocks and
-    # a part, and many blocks, so a block that does not continue the running
-    # sum, or adds its rows in another order, fails here.
+def test_psd_sums_segments_in_segment_order(monkeypatch, pin_cpus, cores, block_rows):
+    # psd, and each thread of a pair, adds each periodogram into a running
+    # sum, block by block. Against each block size the counts give part of a
+    # block, one block, blocks and a part, and many blocks, so a block that
+    # does not continue the running sum, or adds its rows in another order,
+    # fails here.
     fft_size, fs = 16, 1_000.0
-    monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
+    pin_cpus(cores)
     if block_rows is not None:
         monkeypatch.setattr(spectral, "_PSD_BLOCK_BYTES", block_rows * 8 * fft_size)
     rng = np.random.default_rng(12)
@@ -278,6 +274,10 @@ def test_psd_sums_segments_in_segment_order(monkeypatch, cores, block_rows):
         s = psd(SampledSignal(fs, values), fft_size)
         assert s.n_segments == n_segments
         assert np.array_equal(s.psd, _single_pass_psd(values, fs, fft_size, "rectangular", 0.0))
+        pair = [values, values[::-1]]
+        records = [SampledSignal(fs, v) for v in pair]
+        for s, v in zip(spectral._spectra(records, fft_size, "rectangular", 0.0), pair):
+            assert np.array_equal(s.psd, _single_pass_psd(v, fs, fft_size, "rectangular", 0.0))
 
 
 def test_psd_memory_does_not_grow_with_the_record():
@@ -305,7 +305,6 @@ def test_psd_memory_does_not_grow_with_the_record():
 
 
 def test_psd_worker_failure_propagates(monkeypatch):
-    monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
     caller = threading.current_thread()
     rfft = np.fft.rfft
 
@@ -331,9 +330,7 @@ def test_psd_concurrent_callers_get_serial_bytes(monkeypatch):
     def spectra_bytes(a):
         return b"".join(s.psd.tobytes() for s in spectral._spectra(pair, *a))
 
-    monkeypatch.setattr(spectral, "_usable_cores", lambda: 1)
-    serial = [spectra_bytes(a) for a in args]
-    monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
+    serial = [b"".join(psd(x, *a).psd.tobytes() for x in pair) for a in args]
     results = [[], []]
 
     def run(k):
@@ -392,8 +389,11 @@ def test_psd_validation():
         psd(sig, 2048)
     with pytest.raises(ParameterError):
         psd(sig, 100, window="hamming")
-    for bad in (0.9, "a", None):  # a string or None must not escape as a TypeError
-        with pytest.raises(ParameterError, match="overlap_fraction"):
+    # A string or None must not escape as a TypeError, and the refusal quotes
+    # the value as given: "0.5" is refused as a string, not as the number.
+    for bad in (0.9, "a", None, "0.5"):
+        refusal = re.escape(f"overlap_fraction must lie in [0, 0.75], got {bad!r}")
+        with pytest.raises(ParameterError, match=refusal):
             psd(sig, 100, overlap_fraction=bad)
     with pytest.raises(ParameterError):
         psd(np.zeros(1000), 100)  # must be SampledSignal or BitStream
@@ -420,6 +420,11 @@ def test_spectrum_constructor_validation():
         values[2] = bad
         with pytest.raises(ParameterError):
             Spectrum(values, fft_size=8, n_segments=1, sample_rate_hz=8.0)
+    # Complex densities were cast with a numpy warning, dropping their
+    # imaginary parts; bools read as 0/1; strings escaped as a ValueError.
+    for bad in (np.ones(5) + 1j, np.ones(5, dtype=bool), np.array(["x"] * 5)):
+        with pytest.raises(ParameterError, match="psd must be real numbers"):
+            Spectrum(bad, fft_size=8, n_segments=1, sample_rate_hz=8.0)
 
 
 def test_spectrum_leaves_the_callers_array_alone():
@@ -631,8 +636,8 @@ def test_streamed_noise_psd_equals_that_of_the_drawn_record(seed, window, overla
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_two_streamed_records_sum_as_drawn_ones(monkeypatch, cores):
-    monkeypatch.setattr(spectral, "_usable_cores", lambda: cores)
+def test_two_streamed_records_sum_as_drawn_ones(pin_cpus, cores):
+    pin_cpus(cores)
     args = [(n, 1.3, seed, 50_000.0) for n, seed in ((400_001, 5), (300_007, 6))]
     for analysis in ((2_000, "rectangular", 0.0), (10_000, "hann", 0.5)):
         want = spectral._spectra([gaussian_noise(*a) for a in args], *analysis)
