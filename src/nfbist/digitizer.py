@@ -45,13 +45,16 @@ class BitStream:
     def __init__(self, sample_rate_hz: float, bits):
         rate = float(sample_rate_hz)
         check_positive("sample_rate_hz", rate)
-        arr = np.asarray(bits)
+        try:
+            arr = np.asarray(bits)
+        except ValueError:
+            raise ParameterError("bits must be +1/-1 numbers, got a ragged sequence") from None
         if arr.ndim != 1:
             raise ShapeError(f"bits must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             raise ParameterError("bitstream must contain at least one bit")
-        if arr.dtype == np.bool_:
-            raise ParameterError("bits must be +1/-1 numbers, got a bool array")
+        if arr.dtype == np.bool_ or np.iscomplexobj(arr):
+            raise ParameterError(f"bits must be +1/-1 real numbers, got dtype {arr.dtype}")
 
         def decide(start, stop):
             # Check the values as given: a cast first would wrap 257 to 1

@@ -31,9 +31,10 @@ __all__ = [
     "source_output",
 ]
 
-# Samples per block of packed decisions and per simulation chunk: 1 MiB of
-# float64, and a multiple of 8, so each packed block starts on a byte.
-_CHUNK_SAMPLES = 1 << 17
+# The package's one block budget, in samples: 512 KiB of float64 per block
+# of packed decisions, per simulation chunk and per spectrum job's block of
+# segments, and a multiple of 8, so each packed block starts on a byte.
+_CHUNK_SAMPLES = 1 << 16
 
 
 def _as_f64(values, name: str, finite: bool = True) -> np.ndarray:
@@ -41,8 +42,12 @@ def _as_f64(values, name: str, finite: bool = True) -> np.ndarray:
     values, whose imaginary parts the cast would drop, bools and values that
     do not cast raise ParameterError, as do NaN and inf. With finite False,
     NaN and inf pass where the caller gives them as floats, but not where
-    the cast makes them, as it makes NaN of None."""
-    arr = np.asarray(values)
+    the cast makes them, as it makes NaN of None. A ragged nesting of
+    sequences, which makes no array, raises ParameterError too."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise ParameterError(f"{name} must be real numbers, got a ragged sequence") from None
     if np.iscomplexobj(arr) or arr.dtype == np.bool_:
         raise ParameterError(f"{name} must be real numbers, got dtype {arr.dtype}")
     try:

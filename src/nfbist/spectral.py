@@ -37,7 +37,7 @@ from .errors import (
     check_positive,
     is_finite_number,
 )
-from .signals import SampledSignal, _as_f64, _NoiseDraw
+from .signals import _CHUNK_SAMPLES, SampledSignal, _as_f64, _NoiseDraw
 
 __all__ = [
     "Spectrum",
@@ -54,10 +54,6 @@ MAX_OVERLAP_FRACTION = 0.75
 # find_reference_peak looks for the strongest bin this many bins either side
 # of the bin nearest the nominal reference frequency.
 _PEAK_SEARCH_HALFWIDTH_BINS = 5
-# A job's block of windowed float64 segments and its frame's kept overlap fit
-# this many bytes whatever the record length. Two jobs run at once, so
-# together they hold twice this.
-_PSD_BLOCK_BYTES = 1 << 19
 # numpy's ufunc buffer, in items, while a block is summed: windowing by a
 # shorter window fills 8 KiB with copies of it, not 64 KiB, and as fast.
 _UFUNC_BUFFER_ITEMS = 1024
@@ -74,7 +70,7 @@ class Spectrum:
     sample_rate_hz: float
 
     def __post_init__(self):
-        fft_size = check_integer("fft_size", self.fft_size, 2)
+        fft_size = _check_fft_size(self.fft_size)
         n_segments = check_integer("n_segments", self.n_segments, 1)
         check_positive("sample_rate_hz", self.sample_rate_hz)
         # A copy, so that the caller's array stays writeable and a later
@@ -256,12 +252,13 @@ class _SegmentSums:
     record after record.
 
     Segment i is the record's values i * step .. i * step + fft_size - 1.
-    A block of rows segments, as many as fit _PSD_BLOCK_BYTES beside the
-    kept overlap, is transformed at a time. The frame holds a block's
-    values: the fft_size - step that its first segment shares with the
-    previous block's last, kept from that block, then those read for it
-    through _read, front to back, each value once, as a streamed record is
-    read. This is the one place that keeps the overlap.
+    A block of rows segments, as many as fit _CHUNK_SAMPLES float64 values
+    beside the kept overlap whatever the record length, is transformed at a
+    time; two jobs run at once, so together they hold twice this. The frame
+    holds a block's values: the fft_size - step that its first segment
+    shares with the previous block's last, kept from that block, then those
+    read for it through _read, front to back, each value once, as a
+    streamed record is read. This is the one place that keeps the overlap.
     """
 
     def __init__(self, fft_size, step):
@@ -269,7 +266,7 @@ class _SegmentSums:
         self.fft_size = fft_size
         self.step = step
         self.kept = fft_size - step
-        self.rows = rows = max(1, (_PSD_BLOCK_BYTES // 8 - self.kept) // fft_size)
+        self.rows = rows = max(1, (_CHUNK_SAMPLES - self.kept) // fft_size)
         # The windowed block; once transformed, its memory holds the running
         # sum and the powers (see sum_segments).
         self.windowed = np.empty(max(rows * fft_size, (rows + 1) * n_freq))
@@ -339,7 +336,12 @@ def _peak_search_bins(f_ref_hz: float, fft_size: int, sample_rate_hz: float) -> 
     """First and last bin that find_reference_peak searches for a reference
     at f_ref_hz on the fft_size-point grid at sample_rate_hz: the
     _PEAK_SEARCH_HALFWIDTH_BINS bins either side of the bin nearest f_ref_hz.
-    Raises ParameterError, naming f_ref_hz, if a bin lies off the spectrum."""
+    Raises ParameterError, naming f_ref_hz, if it is not a finite number or
+    a bin lies off the spectrum: the one rule on the reference frequency
+    that ExperimentConfig and find_reference_peak apply. The bins lie on
+    the spectrum only if f_ref_hz lies in (0, Nyquist)."""
+    if not is_finite_number(f_ref_hz):
+        raise ParameterError(f"f_ref_hz must be a finite number, got {f_ref_hz!r}")
     center = int(round(f_ref_hz / (sample_rate_hz / fft_size)))
     lo, hi = center - _PEAK_SEARCH_HALFWIDTH_BINS, center + _PEAK_SEARCH_HALFWIDTH_BINS
     if lo < 0 or hi > fft_size // 2:
@@ -358,10 +360,6 @@ def find_reference_peak(s: Spectrum, f_ref_hz: float) -> tuple[int, float]:
     side, which keeps the estimate stable when the reference does not land
     exactly on a bin center and leaks into its neighbours.
     """
-    if not (is_finite_number(f_ref_hz) and 0.0 <= f_ref_hz <= s.nyquist_hz):
-        raise ParameterError(
-            f"f_ref_hz must lie in [0, {s.nyquist_hz}], got {f_ref_hz!r}"
-        )
     lo, hi = _peak_search_bins(f_ref_hz, s.fft_size, s.sample_rate_hz)
     best_bin = lo + int(np.argmax(s.psd[lo : hi + 1]))
     g_lo = max(best_bin - 1, 0)
@@ -373,7 +371,7 @@ def find_reference_peak(s: Spectrum, f_ref_hz: float) -> tuple[int, float]:
 def _check_band(band, nyquist_hz: float) -> tuple[float, float]:
     """band as a pair of floats, if it is two finite numbers f_lo, f_hi with
     0 <= f_lo < f_hi <= nyquist_hz: the measurement band that
-    ExperimentConfig and power_ratio_detail take."""
+    ExperimentConfig, power_ratio_detail, band_power and band_width_hz take."""
     if not isinstance(band, Iterable):
         raise ParameterError(f"band must be an (f_lo, f_hi) pair, got {band!r}")
     band = tuple(band)
@@ -386,15 +384,8 @@ def _check_band(band, nyquist_hz: float) -> tuple[float, float]:
 
 
 def _band_mask(s: Spectrum, f_lo_hz: float, f_hi_hz: float) -> np.ndarray:
-    """Bins whose center lies in [f_lo, f_hi]."""
-    if not (
-        is_finite_number(f_lo_hz)
-        and is_finite_number(f_hi_hz)
-        and 0.0 <= f_lo_hz < f_hi_hz <= s.nyquist_hz
-    ):
-        raise ParameterError(
-            f"band must satisfy 0 <= f_lo < f_hi <= {s.nyquist_hz}, got [{f_lo_hz!r}, {f_hi_hz!r}]"
-        )
+    """Bins whose center lies in [f_lo, f_hi], a band _check_band accepts."""
+    f_lo_hz, f_hi_hz = _check_band((f_lo_hz, f_hi_hz), s.nyquist_hz)
     mask = (s.freq_hz >= f_lo_hz) & (s.freq_hz <= f_hi_hz)
     if not mask.any():
         raise DegenerateBandError(f"no bin center lies in [{f_lo_hz}, {f_hi_hz}] Hz")

@@ -13,14 +13,19 @@ import pytest
 
 import nfbist
 from nfbist import (
+    BitStream,
     ExperimentConfig,
     NoiseSourceSpec,
     ParameterError,
+    SampledSignal,
+    Spectrum,
     analyze_bitstreams,
     analyze_spectra,
+    arcsine_map,
     band_power,
     digitize,
     dut_from_nf,
+    empirical_autocorr,
     find_reference_peak,
     gaussian_noise,
     power_ratio_detail,
@@ -131,6 +136,16 @@ def _ratio(band):
         pytest.param(lambda: _ratio((500.0,)), id="power_ratio_detail-one_edge"),
         pytest.param(lambda: _ratio(None), id="power_ratio_detail-no_band"),
         pytest.param(lambda: _ratio((500.0, 1500.0, 9.0)), id="power_ratio_detail-three_edges"),
+        # Complex bits, whose imaginary parts the +1/-1 check would not see.
+        pytest.param(lambda: BitStream(1.0, np.array([1 + 0j, -1 + 0j])), id="BitStream-complex"),
+        # Ragged sequences, which numpy refuses with a bare ValueError.
+        pytest.param(lambda: SampledSignal(1.0, [[1.0, 2.0], [3.0]]), id="SampledSignal-ragged"),
+        pytest.param(lambda: Spectrum([[1.0], [2.0, 3.0]], 8, 1, 8.0), id="Spectrum-ragged"),
+        pytest.param(lambda: BitStream(1.0, [[1, -1], [1]]), id="BitStream-ragged"),
+        pytest.param(lambda: arcsine_map([[0.1], [0.2, 0.3]]), id="arcsine_map-ragged"),
+        pytest.param(
+            lambda: empirical_autocorr([[1.0, 2.0], [3.0]], 1), id="empirical_autocorr-ragged"
+        ),
     ],
 )
 def test_analysis_functions_reject_wrong_types(call):

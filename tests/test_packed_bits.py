@@ -81,7 +81,7 @@ def test_packed_spectra_in_every_block_shape(monkeypatch, pin_cpus, cores, block
     as_float = SampledSignal(fs, values.astype(np.float64))
     for fft_size in (4, 38, 64, 2_000):
         if block_rows is not None:
-            monkeypatch.setattr(spectral, "_PSD_BLOCK_BYTES", block_rows * 8 * fft_size)
+            monkeypatch.setattr(spectral, "_CHUNK_SAMPLES", block_rows * fft_size)
         for window, overlap in ANALYSES:
             want = psd(as_float, fft_size, window, overlap)
             assert _same_spectrum(psd(back, fft_size, window, overlap), want)
@@ -89,7 +89,11 @@ def test_packed_spectra_in_every_block_shape(monkeypatch, pin_cpus, cores, block
         assert _same_spectrum(pair[0], pair[1])
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, _CHUNK_SAMPLES, 3 * _CHUNK_SAMPLES + 5])
+@pytest.mark.parametrize(
+    "n",
+    [1, 7, 8, 9, _CHUNK_SAMPLES, 3 * _CHUNK_SAMPLES + 5],
+    ids=["1", "7", "8", "9", "1chunk", "3chunks+5"],
+)
 def test_block_packing_gives_the_bytes_of_one_whole_array_pack(n):
     # The pattern, BitStream(rate, values) and digitize all pack through
     # signals._packed, one _CHUNK_SAMPLES block at a time.

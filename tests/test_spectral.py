@@ -218,7 +218,7 @@ def test_spectra_one_thread_per_record_matches_single_pass(
     # length and however many CPUs the threads share, each in a block of the
     # same rows.
     kept = int(round(fft_size * overlap))
-    rows = (spectral._PSD_BLOCK_BYTES // 8 - kept) // fft_size
+    rows = (spectral._CHUNK_SAMPLES - kept) // fft_size
     pin_cpus(cores)
     # Each thread's first entry into the summation: its record, count and rows.
     first_call = {}
@@ -263,7 +263,7 @@ def test_psd_sums_segments_in_segment_order(monkeypatch, pin_cpus, cores, block_
     fft_size, fs = 16, 1_000.0
     pin_cpus(cores)
     if block_rows is not None:
-        monkeypatch.setattr(spectral, "_PSD_BLOCK_BYTES", block_rows * 8 * fft_size)
+        monkeypatch.setattr(spectral, "_CHUNK_SAMPLES", block_rows * fft_size)
     rng = np.random.default_rng(12)
     counts = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 130, 255, 256, 257, 1398]
     counts += [8191, 8192, 8193, 20_000]
@@ -409,9 +409,12 @@ def test_spectrum_constructor_validation():
     for bad in (0, -1, 2.5, math.nan, math.inf, True, "3"):
         with pytest.raises(ParameterError):
             Spectrum(np.ones(5), fft_size=8, n_segments=bad, sample_rate_hz=8.0)
-    for bad in (1, 8.5, math.nan, True):
+    for bad in (1, 7, 8.5, math.nan, True):
         with pytest.raises(ParameterError):
             Spectrum(np.ones(5), fft_size=bad, n_segments=1, sample_rate_hz=8.0)
+    # An odd size is refused as psd refuses it, also where the bins fit it.
+    with pytest.raises(ParameterError, match="fft_size must be even"):
+        Spectrum(np.ones(4), fft_size=7, n_segments=1, sample_rate_hz=8.0)
     for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError):
             Spectrum(np.ones(5), fft_size=8, n_segments=1, sample_rate_hz=bad)
